@@ -2,21 +2,23 @@
 // schedulers the paper positions itself against (stride, lottery — the
 // "replace the kernel scheduler" class of §1/§6).
 //
-// All three schedule the Table-2 workloads on the same simulated machine;
-// accuracy is the mean RMS relative error over cycle-length windows. The
-// expected shape: in-kernel stride is near-exact, lottery is noisy, and
-// user-level ALPS sits close to stride at a fraction of the deployment cost
-// (no kernel changes) while paying a small sampling overhead.
+// All three schedule the Table-2 workloads on the same simulated machine; the
+// in-kernel ones are the os::policies zoo policies, given each workload's
+// shares as tickets. Accuracy is the mean RMS relative error over
+// cycle-length windows. The expected shape: in-kernel stride is near-exact,
+// lottery is noisy, and user-level ALPS sits close to stride at a fraction of
+// the deployment cost (no kernel changes) while paying a small sampling
+// overhead.
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "../bench/common.h"
 #include "os/behaviors.h"
 #include "os/kernel.h"
-#include "sched/lottery_policy.h"
-#include "sched/stride_policy.h"
-#include "sched/wrr_policy.h"
+#include "os/policies/lottery.h"
+#include "os/policies/stride.h"
 #include "sim/engine.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -24,27 +26,33 @@
 #include "workload/experiments.h"
 
 using namespace alps;
+using os::policies::LotteryPolicy;
+using os::policies::StridePolicy;
 using workload::ShareModel;
 
 namespace {
 
-/// Runs an in-kernel policy on a CPU-bound workload; returns the mean RMS
-/// relative error over consecutive windows of one ALPS-cycle length.
-/// `window_divisor` shrinks the observation window below one rotation /
-/// cycle, exposing short-horizon burstiness.
+/// Runs a kernel-zoo ticket policy on a CPU-bound workload; returns the mean
+/// RMS relative error over consecutive windows of one ALPS-cycle length.
+/// `window_divisor` shrinks the observation window below one cycle, exposing
+/// short-horizon burstiness.
 template <typename Policy>
 double run_in_kernel(const std::vector<util::Share>& shares, util::Duration quantum,
                      int windows, int window_divisor = 1) {
     sim::Engine engine;
-    auto policy = std::make_unique<Policy>(quantum);
+    typename Policy::Config cfg;
+    cfg.quantum = quantum;
+    auto policy = std::make_unique<Policy>(cfg);
     Policy* pol = policy.get();
     os::Kernel kernel(engine, std::move(policy));
 
     std::vector<os::Pid> pids;
     for (std::size_t i = 0; i < shares.size(); ++i) {
+        std::string name = "w";
+        name += std::to_string(i);
         const os::Pid pid =
-            kernel.spawn("w" + std::to_string(i), 0, std::make_unique<os::CpuBoundBehavior>());
-        pol->set_tickets(pid, shares[i]);
+            kernel.spawn(name, 0, std::make_unique<os::CpuBoundBehavior>());
+        pol->set_tickets(kernel.proc(pid), static_cast<double>(shares[i]));
         pids.push_back(pid);
     }
 
@@ -83,8 +91,7 @@ int main() {
     const int windows = bench::measure_cycles();
 
     util::TextTable t({"Workload", "ALPS err %", "ALPS ovh %", "Stride err %",
-                       "WRR err %", "Lottery err %", "Stride 1/4-wnd %",
-                       "WRR 1/4-wnd %"});
+                       "Lottery err %", "Stride 1/4-wnd %"});
     for (const ShareModel model : workload::kAllModels) {
         for (const int n : {5, 10, 20}) {
             const auto shares = workload::make_shares(model, n);
@@ -95,32 +102,23 @@ int main() {
             cfg.measure_cycles = windows;
             const auto alps_res = workload::run_cpu_bound_experiment(cfg);
 
-            const double stride_err =
-                run_in_kernel<sched::StridePolicy>(shares, q, windows);
-            const double wrr_err = run_in_kernel<sched::WrrPolicy>(shares, q, windows);
-            const double lottery_err =
-                run_in_kernel<sched::LotteryPolicy>(shares, q, windows);
+            const double stride_err = run_in_kernel<StridePolicy>(shares, q, windows);
+            const double lottery_err = run_in_kernel<LotteryPolicy>(shares, q, windows);
             // Quarter-cycle horizon: burstiness shows here.
             const double stride_short =
-                run_in_kernel<sched::StridePolicy>(shares, q, 4 * windows, 4);
-            const double wrr_short =
-                run_in_kernel<sched::WrrPolicy>(shares, q, 4 * windows, 4);
+                run_in_kernel<StridePolicy>(shares, q, 4 * windows, 4);
 
             t.add_row({std::string(workload::to_string(model)) + std::to_string(n),
                        util::fmt(100.0 * alps_res.mean_rms_error, 2),
                        util::fmt(100.0 * alps_res.overhead_fraction, 3),
                        util::fmt(100.0 * stride_err, 2),
-                       util::fmt(100.0 * wrr_err, 2),
                        util::fmt(100.0 * lottery_err, 2),
-                       util::fmt(100.0 * stride_short, 2),
-                       util::fmt(100.0 * wrr_short, 2)});
+                       util::fmt(100.0 * stride_short, 2)});
         }
     }
     t.print(std::cout);
-    std::cout << "\nExpected shape: stride near-exact and smooth; WRR exact "
-                 "over rotations but bursty within them (error grows with the "
-                 "share spread); lottery noisy (statistical); ALPS close to "
-                 "stride without kernel support, paying <1% sampling "
-                 "overhead.\n";
+    std::cout << "\nExpected shape: stride near-exact and smooth; lottery noisy "
+                 "(statistical); ALPS close to stride without kernel support, "
+                 "paying <1% sampling overhead.\n";
     return 0;
 }

@@ -44,9 +44,12 @@ Outcome run(int apps, util::Duration wall) {
         alpses.push_back(std::make_unique<core::SimAlps>(
             kernel, scfg, core::CostModel{}, "alps-" + std::to_string(a), a));
         for (int i = 0; i < 3; ++i) {
-            const os::Pid pid = kernel.spawn(
-                "a" + std::to_string(a) + "w" + std::to_string(i), a,
-                std::make_unique<os::CpuBoundBehavior>());
+            std::string name = "a";
+            name += std::to_string(a);
+            name += "w";
+            name += std::to_string(i);
+            const os::Pid pid =
+                kernel.spawn(name, a, std::make_unique<os::CpuBoundBehavior>());
             alpses.back()->manage(pid, i + 1);
             pids[static_cast<std::size_t>(a)].push_back(pid);
         }

@@ -24,7 +24,11 @@ std::vector<int> proc_counts(bool full) {
 }
 
 std::string point_name(int n, int q) {
-    return "n" + std::to_string(n) + "/q" + std::to_string(q);
+    std::string name = "n";
+    name += std::to_string(n);
+    name += "/q";
+    name += std::to_string(q);
+    return name;
 }
 
 std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {

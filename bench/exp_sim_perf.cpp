@@ -187,8 +187,9 @@ harness::Result kernel_scan_task(bool full) {
         } else {
             b = std::make_unique<os::CpuBoundBehavior>();
         }
-        pids.push_back(kernel.spawn("p" + std::to_string(i),
-                                    /*uid=*/100 + i % 7, std::move(b), i % 5));
+        std::string name = "p";
+        name += std::to_string(i);
+        pids.push_back(kernel.spawn(name, /*uid=*/100 + i % 7, std::move(b), i % 5));
     }
     for (int i = 0; i < kProcs; i += 16) {
         kernel.send_signal(pids[static_cast<std::size_t>(i)], os::Signal::kStop);

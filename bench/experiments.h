@@ -4,13 +4,14 @@
 // paper-style text presentation, and (for the gate) its pass/fail criteria —
 // in the harness ExperimentRegistry. Registration is explicit rather than via
 // static initializers so that linking the static library cannot silently drop
-// an experiment. The standalone bench binaries and tools/alps-sweep both call
-// register_all_experiments() (idempotent) and then run by name.
+// an experiment. tools/alps-sweep (and the tests that run a registered sweep)
+// call register_all_experiments() (idempotent) and then run by name.
 #pragma once
 
 namespace alps::bench {
 
-/// Figure 4: accuracy vs quantum length across the nine workloads ("fig4").
+/// Table 2, Figure 4 (accuracy vs quantum length across the nine workloads)
+/// and Figure 5 (overhead at Q = 10/20/40 ms, from the same grid) ("fig4").
 void register_fig4_experiment();
 
 /// Figures 8 & 9 + §4.2 threshold analysis ("fig8_fig9").

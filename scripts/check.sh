@@ -130,13 +130,18 @@ fi
 #     disabled-path cost of every telemetry::active() site must stay within
 #     ALPS_TRACE_OVERHEAD_TOLERANCE percent (default 5) of the committed
 #     baseline — much tighter than the general ALPS_PERF_TOLERANCE.
+#
+# The Release tree builds every target with -Werror: at -O3 GCC reports
+# warnings (e.g. -Wrestrict) that the default build type does not, and a
+# warning-clean Release build keeps real warnings from being buried.
 if [[ "${ALPS_PERF_SKIP:-0}" != "1" ]]; then
   cmake -B build-perf -S . \
     -DCMAKE_BUILD_TYPE=Release \
+    -DALPS_WERROR=ON \
     -DALPS_SANITIZE=OFF \
     -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-perf -j "$JOBS" --target alps-sweep alps-trace
+    -DALPS_BUILD_EXAMPLES=ON
+  cmake --build build-perf -j "$JOBS"
   build-perf/tools/alps-sweep --experiment sim_perf --jobs 1 --quiet \
     --out build-perf
   python3 - build-perf/BENCH_sim_perf.json BENCH_sim_perf.json \
@@ -205,9 +210,10 @@ fi
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
   cmake -B build-perf -S . \
     -DCMAKE_BUILD_TYPE=Release \
+    -DALPS_WERROR=ON \
     -DALPS_SANITIZE=OFF \
     -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
+    -DALPS_BUILD_EXAMPLES=ON
   cmake --build build-perf -j "$JOBS" --target test_policy_matrix alps-sweep
   build-perf/tools/alps-sweep --list-policies
   for policy in $(build-perf/tools/alps-sweep --list-policies | cut -d' ' -f1); do
@@ -238,9 +244,10 @@ fi
 if [[ "${ALPS_CHAOS_SKIP:-0}" != "1" ]]; then
   cmake -B build-perf -S . \
     -DCMAKE_BUILD_TYPE=Release \
+    -DALPS_WERROR=ON \
     -DALPS_SANITIZE=OFF \
     -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
+    -DALPS_BUILD_EXAMPLES=ON
   cmake --build build-perf -j "$JOBS" --target alps-sweep
   SWEEP="$(pwd)/build-perf/tools/alps-sweep"
   CHAOS="build-perf/chaos"

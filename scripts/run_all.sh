@@ -10,9 +10,8 @@
 #
 # Registry experiments are enumerated from `alps-sweep --list` (the harness
 # registry), not a hard-coded list, so a newly registered experiment can't be
-# silently skipped. Standalone bench binaries that are *not* thin wrappers
-# over the registry (detected by the absence of run_and_report in their
-# source) still run directly.
+# silently skipped. The standalone bench binaries (tables and extension
+# studies not registered with the harness) then run directly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,15 +41,10 @@ fi
     "$SWEEP" --experiment "$exp" --out . "${SWEEP_FLAGS[@]}"
   done
 
-  # Standalone benches that are not yet registry-backed. The registry-backed
-  # ones (thin mains calling run_and_report) already ran above.
+  # Standalone benches that are not registry-backed.
   for b in build/bench/*; do
     [[ -x "$b" && -f "$b" ]] || continue
     name=$(basename "$b")
-    src="bench/${name}.cpp"
-    if [[ -f "$src" ]] && grep -q "run_and_report" "$src"; then
-      continue
-    fi
     echo
     echo "=== standalone bench: $name ==="
     ALPS_BENCH_FULL=$FULL "$b"

@@ -226,8 +226,7 @@ bool Scheduler::note_failure(Entity& e) {
            e.fail_streak >= cfg_.faults.quarantine_after;
 }
 
-void Scheduler::transition(EntityId id, Entity& e, bool make_eligible, TickStats& stats,
-                           TickTrace* trace) {
+void Scheduler::transition(EntityId id, Entity& e, bool make_eligible, TickStats& stats) {
     const bool changing = e.eligible != make_eligible;
     const bool healing = e.suspect && cfg_.faults.self_heal;
     if (!changing && !healing) return;
@@ -237,13 +236,7 @@ void Scheduler::transition(EntityId id, Entity& e, bool make_eligible, TickStats
     if (r == ControlResult::kOk) {
         note_success(e);
         if (changing) {
-            if (make_eligible) {
-                ++stats.resumed;
-                if (trace != nullptr) trace->resumed.push_back(id);
-            } else {
-                ++stats.suspended;
-                if (trace != nullptr) trace->suspended.push_back(id);
-            }
+            ++(make_eligible ? stats.resumed : stats.suspended);
         } else {
             ++stats.reissues;  // watchdog re-delivery of the desired state
             ++health_.reissues;
@@ -295,34 +288,17 @@ TickStats Scheduler::tick() {
     TickStats stats;
     ++count_;  // paper: count <- count + 1
     if (telemetry::active()) telemetry::instant(telemetry::kNameTick, 0, count_);
-    TickTrace trace;
-    TickTrace* tp = tick_observer_ ? &trace : nullptr;
-    if (entities_.empty()) {
-        if (tp != nullptr) {
-            trace.tick = count_;
-            tick_observer_(trace);
-        }
-        return stats;
-    }
+    if (entities_.empty()) return stats;
 
     const auto quantum_ns = static_cast<double>(cfg_.quantum.count());
     std::vector<EntityId> dead;
     std::vector<EntityId> dropped;
-
-    const auto fill_fault_trace = [](TickTrace& t, const TickStats& st) {
-        t.read_failures = st.read_failures;
-        t.control_failures = st.control_failures;
-        t.retries = st.retries;
-        t.reissues = st.reissues;
-        t.rebaselines = st.rebaselines;
-    };
 
     const auto enter_quarantine = [&](EntityId id, Entity& e) {
         e.quarantined = true;
         e.suspect = false;
         ++stats.quarantined;
         ++health_.quarantines;
-        if (tp != nullptr) trace.quarantined.push_back(id);
         if (telemetry::active()) {
             telemetry::instant(telemetry::kNameQuarantine, track_of(id));
         }
@@ -426,7 +402,6 @@ TickStats Scheduler::tick() {
             }
             ++stats.measured;
             ++total_measurements_;
-            if (tp != nullptr) trace.measured.push_back(id);
             if (!s.alive) {
                 dead.push_back(id);
                 continue;
@@ -473,7 +448,6 @@ TickStats Scheduler::tick() {
             }
             ++stats.measured;
             ++total_measurements_;
-            if (tp != nullptr) trace.measured.push_back(id);
             if (!s.alive) {
                 dead.push_back(id);
                 continue;
@@ -521,7 +495,6 @@ TickStats Scheduler::tick() {
         }
         ++stats.measured;
         ++total_measurements_;
-        if (tp != nullptr) trace.measured.push_back(id);
         if (!s.alive) {
             dead.push_back(id);
             continue;
@@ -563,19 +536,11 @@ TickStats Scheduler::tick() {
         guarded_signal(id, /*make_eligible=*/true);
         ++stats.dropped;
         ++health_.drops;
-        if (tp != nullptr) trace.dropped.push_back(id);
         if (telemetry::active()) telemetry::instant(telemetry::kNameDrop, track_of(id));
         forget(id);
     }
     for (EntityId id : dead) forget(id);
-    if (entities_.empty()) {
-        if (tp != nullptr) {
-            trace.tick = count_;
-            fill_fault_trace(trace, stats);
-            tick_observer_(trace);
-        }
-        return stats;
-    }
+    if (entities_.empty()) return stats;
 
     // --- Cycle completion (Figure 3, middle) ---
     int cycles = 0;
@@ -613,7 +578,7 @@ TickStats Scheduler::tick() {
         // Duplicates transition()'s no-change early return so the common
         // case pays no call overhead.
         if (e.eligible != want_eligible || (e.suspect && cfg_.faults.self_heal)) {
-            transition(id, e, want_eligible, stats, tp);
+            transition(id, e, want_eligible, stats);
         }
         if (e.suspect && e.fail_streak == failures_before) {
             // kGone surfaced through the control channel: an ineligible
@@ -650,20 +615,6 @@ TickStats Scheduler::tick() {
         }
     }
     for (EntityId id : gone) forget(id);
-
-    if (tp != nullptr) {
-        trace.tick = count_;
-        trace.cycle_completed = stats.cycle_completed;
-        trace.cycle_time_remaining = cycle_time_remaining();
-        fill_fault_trace(trace, stats);
-        trace.entities.reserve(entities_.size());
-        trace.allowances.reserve(entities_.size());
-        for (const auto& [id, e] : entities_) {
-            trace.entities.push_back(id);
-            trace.allowances.push_back(e.allowance);
-        }
-        tick_observer_(trace);
-    }
     return stats;
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "alps/process_control.h"
-#include "alps/trace.h"
 #include "util/arena.h"
 #include "util/shares.h"
 #include "util/time.h"
@@ -193,11 +192,6 @@ public:
     /// Called at the end of every cycle with that cycle's consumption.
     void set_cycle_observer(CycleObserver obs) { observer_ = std::move(obs); }
 
-    using TickObserver = std::function<void(const TickTrace&)>;
-    /// Called after every tick with that tick's decisions (see trace.h).
-    /// Costs nothing when unset.
-    void set_tick_observer(TickObserver obs) { tick_observer_ = std::move(obs); }
-
     [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
     [[nodiscard]] Share total_shares() const { return total_shares_; }
     [[nodiscard]] Duration cycle_length() const {
@@ -285,8 +279,7 @@ private:
     }
 
     /// Applies an eligibility transition through the backend.
-    void transition(EntityId id, Entity& e, bool make_eligible, TickStats& stats,
-                    TickTrace* trace);
+    void transition(EntityId id, Entity& e, bool make_eligible, TickStats& stats);
 
     /// read_progress with bounded same-tick retries; exceptions and !ok
     /// samples become counted transient failures.
@@ -321,7 +314,6 @@ private:
     std::uint64_t total_measurements_ = 0;
     HealthReport health_{};
     CycleObserver observer_;
-    TickObserver tick_observer_;
 };
 
 }  // namespace alps::core

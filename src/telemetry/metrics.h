@@ -2,10 +2,9 @@
 //
 // One surface for cross-layer health and throughput numbers that used to be
 // scattered (PR 2's HealthReport plumbing, hand-rolled bench timers): the
-// scheduler, sim::Engine, os::Kernel, core::TraceLog, and the harness
-// ThreadPool all export into a registry via their export_metrics()/
-// register_metrics() hooks, and the sweep runner serializes the registry
-// into the BENCH_<name>.json "run" section.
+// scheduler, sim::Engine, os::Kernel, and the harness ThreadPool all export
+// into a registry via their export_metrics() hooks, and the sweep runner
+// serializes the registry into the BENCH_<name>.json "run" section.
 //
 // Instruments are cheap and thread-safe (relaxed atomics); registration
 // takes a mutex and returns stable references, so call-sites look up once

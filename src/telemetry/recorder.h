@@ -12,8 +12,7 @@
 // thread's ring: single-producer (the thread), single-consumer (drain(),
 // which runs only after producers have quiesced). Memory is bounded — a full
 // ring drops *new* records and counts them, so a trace is always an exact
-// prefix of what happened (the same policy as core::TraceLog), never a
-// corrupted middle.
+// prefix of what happened, never a corrupted middle.
 //
 // Clock and scope are thread-local ambient state: sim::Engine publishes the
 // virtual clock via set_now_ns() as it advances, and the sweep runner tags

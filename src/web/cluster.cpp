@@ -78,7 +78,8 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
 
     for (int i = 0; i < cfg.sites; ++i) {
         SiteConfig sc;
-        sc.name = "s" + std::to_string(i);
+        sc.name = "s";
+        sc.name += std::to_string(i);
         sc.uid = 1000 + static_cast<os::Uid>(i);
         sc.site_index = static_cast<std::uint32_t>(i);
         sc.initial_workers = cfg.initial_workers;
@@ -157,8 +158,9 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
                 "alps-c" + std::to_string(c), /*uid=*/0,
                 /*driver_home_cpu=*/c, /*driver_pinned=*/true, cfg.driver_nice));
             for (int i = c; i < cfg.sites; i += cfg.ncpus) {
-                alps.back()->manage_user("u" + std::to_string(i),
-                                         1000 + static_cast<os::Uid>(i), share_of(i));
+                std::string user = "u";
+                user += std::to_string(i);
+                alps.back()->manage_user(user, 1000 + static_cast<os::Uid>(i), share_of(i));
             }
         }
     }

@@ -277,9 +277,12 @@ MultiAlpsResult run_multi_alps_experiment(const MultiAlpsConfig& cfg) {
         std::array<os::Pid, 3> pids{};
         for (int m = 0; m < 3; ++m) {
             auto& pr = res.procs[static_cast<std::size_t>(3 * g + m)];
+            std::string name = "g";
+            name += std::to_string(g);
+            name += "p";
+            name += std::to_string(m);
             pids[static_cast<std::size_t>(m)] =
-                kernel.spawn("g" + std::to_string(g) + "p" + std::to_string(m), g,
-                             std::make_unique<os::CpuBoundBehavior>());
+                kernel.spawn(name, g, std::make_unique<os::CpuBoundBehavior>());
             alps->manage(pids[static_cast<std::size_t>(m)], pr.share);
         }
         // At each cycle end of this ALPS, sample its processes' cumulative
@@ -484,9 +487,12 @@ ManyCoreResult run_many_core_experiment(const ManyCoreConfig& cfg) {
             cfg.per_core_alps ? per_instance : cfg.ncpus * per_instance;
         Share total = 0;
         for (int j = 0; j < workers; ++j) {
+            std::string name = "w";
+            name += std::to_string(c);
+            name += "_";
+            name += std::to_string(j);
             const os::Pid pid = kernel.spawn(
-                "w" + std::to_string(c) + "_" + std::to_string(j),
-                /*uid=*/100 + static_cast<os::Uid>(c),
+                name, /*uid=*/100 + static_cast<os::Uid>(c),
                 std::make_unique<os::CpuBoundBehavior>(), /*nice=*/0, home, pin);
             const Share share =
                 custom.empty() ? j % 3 + 1

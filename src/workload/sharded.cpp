@@ -82,9 +82,12 @@ ShardedRunResult run_sharded_experiment(const ShardedRunConfig& cfg) {
 
         Share total = 0;
         for (int j = 0; j < cfg.procs_per_group; ++j) {
+            std::string name = "w";
+            name += std::to_string(g);
+            name += "_";
+            name += std::to_string(j);
             const os::Pid pid = kernel.spawn(
-                "w" + std::to_string(g) + "_" + std::to_string(j),
-                /*uid=*/100 + static_cast<os::Uid>(g),
+                name, /*uid=*/100 + static_cast<os::Uid>(g),
                 std::make_unique<os::CpuBoundBehavior>());
             const Share share = j % 3 + 1;
             alps.back()->manage(pid, share);

@@ -179,8 +179,9 @@ TEST(AdaptiveIntegration, ConvergesToOverheadBudget) {
     SimAlps alps(kernel, scfg);
     // Equal20: the costliest workload (~0.69% overhead at 10 ms).
     for (int i = 0; i < 20; ++i) {
-        const os::Pid pid =
-            kernel.spawn("w" + std::to_string(i), 0, std::make_unique<os::CpuBoundBehavior>());
+        std::string name = "w";
+        name += std::to_string(i);
+        const os::Pid pid = kernel.spawn(name, 0, std::make_unique<os::CpuBoundBehavior>());
         alps.manage(pid, 20);
     }
     AdaptiveQuantumConfig acfg;

@@ -409,5 +409,72 @@ TEST(Scheduler, MeasurementCountsAccumulate) {
     EXPECT_EQ(sched.tick_count(), 11u);
 }
 
+// ----- per-tick wiring, read back through TickStats and the backend --------
+
+TEST(TickTraceWiring, RecordsMeasurementsAndTransitions) {
+    MockControl mc;
+    mc.ensure(1);
+    mc.ensure(2);
+    Scheduler sched(mc, config());
+    sched.add(1, 1);
+    sched.add(2, 1);
+    const int reads_at_admission = mc.reads;
+
+    const TickStats first = sched.tick();  // both become eligible
+    EXPECT_EQ(sched.tick_count(), 1u);
+    EXPECT_EQ(first.resumed, 2);
+    EXPECT_EQ(mc.entities[1].resumed_count, 1);
+    EXPECT_EQ(mc.entities[2].resumed_count, 1);
+    EXPECT_EQ(first.measured, 0);  // were ineligible: nothing to read
+    EXPECT_EQ(mc.reads, reads_at_admission);
+
+    mc.entities[1].cpu += kQ * 2;  // overruns the whole cycle
+    const TickStats second = sched.tick();
+    EXPECT_EQ(second.measured, 2);
+    EXPECT_EQ(mc.reads, reads_at_admission + 2);
+    EXPECT_EQ(second.suspended, 1);
+    EXPECT_EQ(second.resumed, 0);
+    EXPECT_EQ(mc.entities[1].suspended_count, 2);  // at admission, and now
+    EXPECT_EQ(mc.entities[2].suspended_count, 1);  // at admission only
+    EXPECT_TRUE(second.cycle_completed);
+    EXPECT_NEAR(sched.allowance(1), 0.0, 1e-9);  // 1 - 2 + 1
+    EXPECT_NEAR(sched.allowance(2), 2.0, 1e-9);  // 1 - 0 + 1
+}
+
+TEST(TickTraceWiring, EmptySchedulerStillEmitsTickRows) {
+    MockControl mc;
+    Scheduler sched(mc, config());
+    for (int i = 0; i < 2; ++i) {
+        const TickStats st = sched.tick();
+        EXPECT_EQ(st.measured + st.suspended + st.resumed, 0);
+        EXPECT_FALSE(st.cycle_completed);
+    }
+    EXPECT_EQ(sched.tick_count(), 2u);
+    EXPECT_EQ(mc.reads + mc.suspends + mc.resumes, 0);
+}
+
+TEST(TickTraceWiring, AllowanceConservationVisibleInTrace) {
+    // The core invariant after every tick: sum(allowance) * Q == t_c.
+    MockControl mc;
+    for (EntityId id = 1; id <= 3; ++id) mc.ensure(id);
+    Scheduler sched(mc, config());
+    sched.add(1, 1);
+    sched.add(2, 2);
+    sched.add(3, 3);
+    std::uint64_t cycles = 0;
+    for (int i = 0; i < 200; ++i) {
+        if (i > 0) mc.run_kernel_quantum(kQ);
+        if (sched.tick().cycle_completed) ++cycles;
+        double sum = 0.0;
+        for (EntityId id = 1; id <= 3; ++id) sum += sched.allowance(id);
+        EXPECT_NEAR(sum * static_cast<double>(kQ.count()),
+                    static_cast<double>(sched.cycle_time_remaining().count()),
+                    1e-3 * static_cast<double>(kQ.count()))
+            << "at tick " << sched.tick_count();
+    }
+    EXPECT_GT(cycles, 0u);
+    EXPECT_EQ(cycles, sched.cycles_completed());
+}
+
 }  // namespace
 }  // namespace alps::core

@@ -313,7 +313,8 @@ Experiment counting_experiment(std::atomic<int>* executions) {
         for (int point = 0; point < 4; ++point) {
             for (int rep = 0; rep < 2; ++rep) {
                 Task t;
-                t.point = "p" + std::to_string(point);
+                t.point = "p";
+                t.point += std::to_string(point);
                 t.rep = rep;
                 t.params = {{"point", std::to_string(point)}};
                 t.fn = [executions](const TaskContext& ctx) {

@@ -117,8 +117,9 @@ TEST(KernelEdge, ManySimultaneousWakersAllRun) {
     std::vector<Pid> pids;
     for (int i = 0; i < 20; ++i) {
         std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
-        pids.push_back(m.kernel.spawn("w" + std::to_string(i), 0,
-                                      std::make_unique<ScriptedBehavior>(script)));
+        std::string name = "w";
+        name += std::to_string(i);
+        pids.push_back(m.kernel.spawn(name, 0, std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(5));
     m.kernel.wakeup_channel(chan);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "os/behaviors.h"
 #include "sim/engine.h"
@@ -16,6 +17,14 @@ using util::msec;
 using util::sec;
 using util::TimePoint;
 using util::to_sec;
+
+/// "p3" for ("p", 3). Built by appending: at -O3, GCC 12 raises a false
+/// -Wrestrict on `"p" + std::to_string(i)`.
+std::string numbered(const char* prefix, int i) {
+    std::string name = prefix;
+    name += std::to_string(i);
+    return name;
+}
 
 struct Machine {
     sim::Engine engine;
@@ -56,7 +65,7 @@ TEST(Kernel, TwoEqualProcessesSplitEvenly) {
 TEST(Kernel, FiveEqualProcessesSplitEvenly) {
     Machine m;
     std::vector<Pid> pids;
-    for (int i = 0; i < 5; ++i) pids.push_back(m.cpu_hog("p" + std::to_string(i)));
+    for (int i = 0; i < 5; ++i) pids.push_back(m.cpu_hog(numbered("p", i)));
     m.run_for(sec(20));
     for (Pid p : pids) {
         EXPECT_NEAR(to_sec(m.kernel.cpu_time(p)), 4.0, 0.4) << "pid " << p;
@@ -240,8 +249,9 @@ TEST(Kernel, WakeupChannelWakesAllWaiters) {
     std::vector<Pid> pids;
     for (int i = 0; i < 3; ++i) {
         std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
-        pids.push_back(m.kernel.spawn("b" + std::to_string(i), 0,
-                                      std::make_unique<ScriptedBehavior>(script)));
+        std::string name = "b";
+        name += std::to_string(i);
+        pids.push_back(m.kernel.spawn(name, 0, std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(10));
     m.kernel.wakeup_channel(chan);
@@ -274,7 +284,7 @@ TEST(Kernel, SpawnMidRunGetsScheduled) {
 
 TEST(Kernel, LoadAverageConvergesTowardRunnableCount) {
     Machine m;
-    for (int i = 0; i < 4; ++i) m.cpu_hog("p" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) m.cpu_hog(numbered("p", i));
     m.run_for(sec(120));  // two time constants of the 1-minute EWMA
     EXPECT_GT(m.kernel.loadavg(), 2.5);
     EXPECT_LT(m.kernel.loadavg(), 4.1);
@@ -321,7 +331,7 @@ TEST(Kernel, ZeroLengthSleepScriptProgresses) {
 TEST(Kernel, ManyProcessesConserveTotalCpu) {
     Machine m;
     std::vector<Pid> pids;
-    for (int i = 0; i < 30; ++i) pids.push_back(m.cpu_hog("p" + std::to_string(i)));
+    for (int i = 0; i < 30; ++i) pids.push_back(m.cpu_hog(numbered("p", i)));
     m.run_for(sec(30));
     Duration total{0};
     for (Pid p : pids) total += m.kernel.cpu_time(p);

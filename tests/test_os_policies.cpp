@@ -1,9 +1,11 @@
 // The kernel policy zoo: lottery, stride, and CFS-vruntime as pluggable
 // SchedPolicy implementations, the name->policy factory, and the Kernel's
 // loud rejection of unknown policy names.
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "os/policies/stride.h"
 #include "os/policies/weight.h"
 #include "sim/engine.h"
+#include "util/assert.h"
 
 namespace alps::os {
 namespace {
@@ -183,6 +186,51 @@ TEST(LotteryPolicy, SameSeedRunsAreBitIdentical) {
     EXPECT_NE(first, run(43));
 }
 
+TEST(LotteryPolicy, ProportionalInExpectation) {
+    Machine<LotteryPolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    m.pol->set_tickets(m.kernel.proc(a), 1.0);
+    m.pol->set_tickets(m.kernel.proc(b), 3.0);
+    m.run_for(sec(40));  // 4000 drawings
+    EXPECT_NEAR(m.cpu(a) / 40.0, 0.25, 0.03);  // statistical: ~sqrt(p q / n) noise
+    EXPECT_NEAR(m.cpu(b) / 40.0, 0.75, 0.03);
+}
+
+TEST(LotteryPolicy, SeededRunsAreReproducible) {
+    const auto run = [] {
+        Machine<LotteryPolicy> m({.quantum = msec(10)});
+        const Pid a = m.hog("a");
+        const Pid b = m.hog("b");
+        m.pol->set_tickets(m.kernel.proc(a), 1.0);
+        m.pol->set_tickets(m.kernel.proc(b), 2.0);
+        m.run_for(sec(3));
+        return m.kernel.cpu_time(a);
+    };
+    EXPECT_EQ(run(), run());
+}
+
+TEST(LotteryPolicy, HigherVarianceThanStride) {
+    // The same 1:1 pair under both ticket policies: the lottery's per-second
+    // allocation wanders around 0.5 s, stride's stays put.
+    const auto per_second_variance = [](auto& m) {
+        const Pid a = m.hog("a");
+        m.hog("b");
+        double sum_sq = 0.0;
+        double prev = 0.0;
+        for (int s = 0; s < 30; ++s) {
+            m.run_for(sec(1));
+            const double got = m.cpu(a) - prev;
+            prev = m.cpu(a);
+            sum_sq += (got - 0.5) * (got - 0.5);
+        }
+        return sum_sq / 30.0;
+    };
+    Machine<LotteryPolicy> lottery;
+    Machine<StridePolicy> stride;
+    EXPECT_GT(per_second_variance(lottery), per_second_variance(stride));
+}
+
 // ----- stride --------------------------------------------------------------
 
 TEST(StridePolicy, CpuProportionalToTickets) {
@@ -196,6 +244,55 @@ TEST(StridePolicy, CpuProportionalToTickets) {
     EXPECT_NEAR(fa, 0.75, 0.02);
 }
 
+TEST(StridePolicy, ProportionalForUnequalTickets) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    const Pid c = m.hog("c");
+    m.pol->set_tickets(m.kernel.proc(a), 1.0);
+    m.pol->set_tickets(m.kernel.proc(b), 2.0);
+    m.pol->set_tickets(m.kernel.proc(c), 3.0);
+    m.run_for(sec(12));
+    EXPECT_NEAR(m.cpu(a) / 12.0, 1.0 / 6.0, 0.01);
+    EXPECT_NEAR(m.cpu(b) / 12.0, 2.0 / 6.0, 0.01);
+    EXPECT_NEAR(m.cpu(c) / 12.0, 3.0 / 6.0, 0.01);
+}
+
+TEST(StridePolicy, SkewedTicketsStayProportional) {
+    // 21:1:1:1:1 — each small holder is owed only 4 % of the CPU.
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    std::vector<Pid> small;
+    for (int i = 0; i < 4; ++i) {
+        small.push_back(m.hog("small"));
+        m.pol->set_tickets(m.kernel.proc(small.back()), 1.0);
+    }
+    const Pid big = m.hog("big");
+    m.pol->set_tickets(m.kernel.proc(big), 21.0);
+    m.run_for(sec(25));
+    EXPECT_NEAR(m.cpu(big) / 25.0, 21.0 / 25.0, 0.01);
+    for (const Pid p : small) EXPECT_NEAR(m.cpu(p) / 25.0, 1.0 / 25.0, 0.005);
+}
+
+TEST(StridePolicy, DeterministicAndExactOverShortWindows) {
+    // Equal tickets: within one quantum of each other at every boundary.
+    const Duration q = msec(10);
+    Machine<StridePolicy> m({.quantum = q});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    for (int step = 0; step < 100; ++step) {
+        m.run_for(q);
+        const Duration lead = m.kernel.cpu_time(a) - m.kernel.cpu_time(b);
+        EXPECT_LE(std::abs(lead.count()), q.count()) << "after quantum " << step;
+    }
+}
+
+TEST(StridePolicy, TicketContracts) {
+    Machine<StridePolicy> m;
+    const Pid a = m.hog("a");
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), 0.0), util::ContractViolation);
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), -5.0), util::ContractViolation);
+}
+
 TEST(StridePolicy, LateJoinerOwesNoBackCredit) {
     // B joins 5 s in with equal tickets. The remain/global-pass mechanism
     // must give it a fair share from its join onward — not half of history.
@@ -207,6 +304,17 @@ TEST(StridePolicy, LateJoinerOwesNoBackCredit) {
     EXPECT_NEAR(m.cpu(a), 10.0, 0.3);  // 5 alone + 5 of the shared 10
     EXPECT_NEAR(m.cpu(b), 5.0, 0.3);
     EXPECT_NEAR(m.cpu(a) + m.cpu(b), 15.0, 1e-6);
+}
+
+TEST(StridePolicy, LateArrivalJoinsAtCurrentVirtualTime) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    m.run_for(sec(5));
+    const Pid b = m.hog("b");
+    m.run_for(sec(4));
+    // b must not catch up on the 5 s it missed: it gets ~half of the last 4 s.
+    EXPECT_NEAR(m.cpu(b), 2.0, 0.1);
+    EXPECT_NEAR(m.cpu(a), 7.0, 0.1);
 }
 
 TEST(StridePolicy, TransferShiftsTheRatio) {
@@ -239,11 +347,27 @@ TEST(StridePolicy, SleeperNeitherBanksNorForfeits) {
     kernel.send_signal(b, Signal::kStop);  // b leaves the competition
     engine.run_until(engine.now() + sec(6));
     kernel.send_signal(b, Signal::kCont);
+    const Duration a_at_resume = kernel.cpu_time(a);
     const Duration b_at_resume = kernel.cpu_time(b);
     engine.run_until(engine.now() + sec(4));
     // After resuming, b gets its proportional half of the remaining time —
-    // about 2 of the last 4 s — rather than catching up on the 6 s it slept.
+    // about 2 of the last 4 s — rather than catching up on the 6 s it slept,
+    // and a keeps the complementary half.
     EXPECT_NEAR(to_sec(kernel.cpu_time(b) - b_at_resume), 2.0, 0.3);
+    EXPECT_NEAR(to_sec(kernel.cpu_time(a) - a_at_resume), 2.0, 0.3);
+}
+
+TEST(StridePolicy, SleeperGetsNoBankedCredit) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid hog = m.hog("hog");
+    const Pid io = m.kernel.spawn(
+        "io", 0, std::make_unique<PhasedIoBehavior>(msec(10), msec(190)));
+    m.pol->set_tickets(m.kernel.proc(hog), 1.0);
+    m.pol->set_tickets(m.kernel.proc(io), 1.0);
+    m.run_for(sec(10));
+    // The sleeper demands only 5% of the CPU; the hog gets the rest (not 50%).
+    EXPECT_GT(m.cpu(hog), 9.0);
+    EXPECT_NEAR(m.cpu(io), 0.5, 0.1);
 }
 
 // ----- CFS -----------------------------------------------------------------
@@ -276,9 +400,11 @@ TEST(CfsPolicy, LateJoinerStartsAtMinVruntime) {
     Machine<CfsPolicy> m;
     const Pid a = m.hog("a");
     m.run_for(sec(10));
+    const double a_before = m.cpu(a);
     const Pid b = m.hog("b");
     m.run_for(sec(4));
     EXPECT_NEAR(to_sec(m.kernel.cpu_time(b)), 2.0, 0.3);
+    EXPECT_NEAR(m.cpu(a) - a_before, 2.0, 0.3);
 }
 
 }  // namespace

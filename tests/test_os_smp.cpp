@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "os/behaviors.h"
@@ -16,6 +17,14 @@ using util::Duration;
 using util::msec;
 using util::sec;
 using util::to_sec;
+
+/// "p3" for ("p", 3). Built by appending: at -O3, GCC 12 raises a false
+/// -Wrestrict on `"p" + std::to_string(i)`.
+std::string numbered(const char* prefix, int i) {
+    std::string name = prefix;
+    name += std::to_string(i);
+    return name;
+}
 
 struct SmpMachine {
     sim::Engine engine;
@@ -51,7 +60,7 @@ TEST(SmpKernel, SingleHogUsesOneCpuOnly) {
 TEST(SmpKernel, FourHogsOnTwoCpusSplitEvenly) {
     SmpMachine m(2);
     std::vector<Pid> pids;
-    for (int i = 0; i < 4; ++i) pids.push_back(m.hog("p" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) pids.push_back(m.hog(numbered("p", i)));
     m.run_for(sec(10));
     Duration total{0};
     for (const Pid p : pids) {
@@ -118,7 +127,7 @@ TEST(SmpKernel, DeterministicAcrossRuns) {
     auto run = [] {
         SmpMachine m(3);
         std::vector<Pid> pids;
-        for (int i = 0; i < 7; ++i) pids.push_back(m.hog("p" + std::to_string(i)));
+        for (int i = 0; i < 7; ++i) pids.push_back(m.hog(numbered("p", i)));
         m.run_for(sec(7));
         std::vector<Duration> out;
         for (const Pid p : pids) out.push_back(m.kernel.cpu_time(p));
@@ -163,7 +172,7 @@ TEST(PercpuKernel, RebalanceSpreadsSkewedLoad) {
     // Six hogs all pinned to CPU 0; steal seeds the idle CPUs and the
     // schedcpu rebalance keeps the queues level afterwards.
     std::vector<Pid> pids;
-    for (int i = 0; i < 6; ++i) pids.push_back(m.hog("p" + std::to_string(i), 0));
+    for (int i = 0; i < 6; ++i) pids.push_back(m.hog(numbered("p", i), 0));
     m.run_for(sec(12));
     Duration total{0};
     for (const Pid p : pids) total += m.kernel.cpu_time(p);
@@ -199,7 +208,7 @@ TEST(PercpuKernel, WorkConservingForAllPolicies) {
         PercpuMachine m(2, policy);
         std::vector<Pid> pids;
         // Default placement (round-robin by pid) plus one deliberate skew.
-        for (int i = 0; i < 3; ++i) pids.push_back(m.hog("p" + std::to_string(i)));
+        for (int i = 0; i < 3; ++i) pids.push_back(m.hog(numbered("p", i)));
         pids.push_back(m.hog("pinned", 0));
         m.run_for(sec(8));
         Duration total{0};

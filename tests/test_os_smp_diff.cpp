@@ -72,9 +72,10 @@ std::uint64_t schedule_fingerprint(const std::string& policy, int ncpus,
 
     std::vector<Pid> pids;
     auto hog = [&](int nice) {
-        pids.push_back(kernel.spawn("p" + std::to_string(pids.size()),
-                                    /*uid=*/100,
-                                    std::make_unique<CpuBoundBehavior>(), nice));
+        std::string name = "p";
+        name += std::to_string(pids.size());
+        pids.push_back(
+            kernel.spawn(name, /*uid=*/100, std::make_unique<CpuBoundBehavior>(), nice));
     };
     if (wl == 0) {
         // Compute-heavy: oversubscribed hogs over three nice levels, one

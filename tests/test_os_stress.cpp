@@ -39,9 +39,10 @@ TEST_P(KernelStressTest, InvariantsHoldUnderRandomChurn) {
             b = std::make_unique<FiniteCpuBehavior>(
                 rng.uniform_duration(msec(10), msec(500)));
         }
-        pids.push_back(kernel.spawn("p" + std::to_string(pids.size()),
-                                    static_cast<Uid>(rng.uniform_int(0, 3)),
-                                    std::move(b)));
+        std::string name = "p";
+        name += std::to_string(pids.size());
+        pids.push_back(
+            kernel.spawn(name, static_cast<Uid>(rng.uniform_int(0, 3)), std::move(b)));
     };
     for (int i = 0; i < 6; ++i) spawn_random();
 

@@ -64,8 +64,9 @@ std::string replay_trace() {
             i == 2 ? std::unique_ptr<os::Behavior>(std::make_unique<os::PhasedIoBehavior>(
                          util::msec(30), util::msec(70), util::msec(120)))
                    : std::unique_ptr<os::Behavior>(std::make_unique<os::CpuBoundBehavior>());
-        const os::Pid pid = kernel.spawn("w" + std::to_string(i), /*uid=*/100,
-                                         std::move(behavior));
+        std::string name = "w";
+        name += std::to_string(i);
+        const os::Pid pid = kernel.spawn(name, /*uid=*/100, std::move(behavior));
         alps.manage(pid, shares[i]);
         pids.push_back(pid);
     }
