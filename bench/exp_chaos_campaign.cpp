@@ -149,13 +149,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }
 
 int evaluate(harness::SweepReport& report, std::ostream& out) {
-    int failed = 0;
-    const std::size_t first_check = report.gate_checks.size();
-    const auto check = [&](const std::string& criterion, const std::string& want,
-                           const std::string& got, bool ok) {
-        report.gate_checks.push_back({criterion, want, got, ok});
-        if (!ok) ++failed;
-    };
+    Criteria criteria(report);
 
     bool supervised = false;
     for (const harness::TaskOutcome& t : report.tasks) {
@@ -180,15 +174,15 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     const int clean_total = total("clean");
     const int clean_ok =
         count_if("clean", [](const harness::TaskOutcome& t) { return t.ok; });
-    check("clean tasks complete", std::to_string(clean_total),
-          std::to_string(clean_ok), clean_ok == clean_total);
+    criteria.check("clean tasks complete", std::to_string(clean_total),
+                   std::to_string(clean_ok), clean_ok == clean_total);
     const int bad_total = total("bad_input");
     const int bad_quarantined = count_if("bad_input", [](const harness::TaskOutcome& t) {
         return !t.ok && t.disposition == "failed" && t.attempts == 1;
     });
-    check("deterministic failures quarantined without retry",
-          std::to_string(bad_total), std::to_string(bad_quarantined),
-          bad_quarantined == bad_total);
+    criteria.check("deterministic failures quarantined without retry",
+                   std::to_string(bad_total), std::to_string(bad_quarantined),
+                   bad_quarantined == bad_total);
 
     if (supervised) {
         const int flaky_total = total("flaky_crash");
@@ -196,17 +190,18 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
             count_if("flaky_crash", [](const harness::TaskOutcome& t) {
                 return t.ok && t.attempts == 2 && t.disposition == "ok";
             });
-        check("transient crashes recovered on retry 2", std::to_string(flaky_total),
-              std::to_string(flaky_recovered), flaky_recovered == flaky_total);
+        criteria.check("transient crashes recovered on retry 2",
+                       std::to_string(flaky_total), std::to_string(flaky_recovered),
+                       flaky_recovered == flaky_total);
 
         const int loop_total = total("crash_loop");
         const int loop_quarantined =
             count_if("crash_loop", [](const harness::TaskOutcome& t) {
                 return !t.ok && t.disposition == "crashed" && t.attempts > 1;
             });
-        check("persistent crashes quarantined after retries",
-              std::to_string(loop_total), std::to_string(loop_quarantined),
-              loop_quarantined == loop_total);
+        criteria.check("persistent crashes quarantined after retries",
+                       std::to_string(loop_total), std::to_string(loop_quarantined),
+                       loop_quarantined == loop_total);
 
         const int stall_total = total("flaky_stall");
         const int stall_recovered =
@@ -214,18 +209,13 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
                 return t.ok && t.attempts == 2;
             });
         if (stall_total > 0) {
-            check("watchdog-killed stalls recovered on retry",
-                  std::to_string(stall_total), std::to_string(stall_recovered),
-                  stall_recovered == stall_total);
+            criteria.check("watchdog-killed stalls recovered on retry",
+                           std::to_string(stall_total), std::to_string(stall_recovered),
+                           stall_recovered == stall_total);
         }
     }
 
-    util::TextTable t({"Criterion", "Expected", "Measured", "Verdict"});
-    for (std::size_t i = first_check; i < report.gate_checks.size(); ++i) {
-        const auto& c = report.gate_checks[i];
-        t.add_row({c.criterion, c.paper, c.measured, c.passed ? "PASS" : "FAIL"});
-    }
-    t.print(out);
+    const int failed = criteria.print(out);
     out << (failed == 0
                 ? "\nSUPERVISION POLICY HOLDS (0 failing criteria)\n"
                 : "\nSUPERVISION POLICY VIOLATED (" + std::to_string(failed) +

@@ -95,13 +95,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }
 
 int evaluate(harness::SweepReport& report, std::ostream& out) {
-    int failed = 0;
-    const std::size_t first_check = report.gate_checks.size();
-    const auto check = [&](const std::string& criterion, const std::string& want,
-                           const std::string& got, bool ok) {
-        report.gate_checks.push_back({criterion, want, got, ok});
-        if (!ok) ++failed;
-    };
+    Criteria criteria(report);
 
     // Liveness: at every fault rate, nothing is left wedged after the drain
     // or after teardown, and the invariant survived.
@@ -115,11 +109,12 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
         worst_gap = std::max(worst_gap, report.metric_mean(p, "invariant_gap_quanta"));
         timeouts += report.metric_mean(p, "timed_out");
     }
-    check("no process left SIGSTOPped once faults stop", "0", util::fmt(worst_wedged, 0),
-          worst_wedged == 0.0);
-    check("Σa·Q == t_c survives quarantines/drops", "< 1e-6 quanta",
-          util::fmt(worst_gap, 9), worst_gap < 1e-6);
-    check("no run wedged (timed out)", "0", util::fmt(timeouts, 0), timeouts == 0.0);
+    criteria.check("no process left SIGSTOPped once faults stop", "0",
+                   util::fmt(worst_wedged, 0), worst_wedged == 0.0);
+    criteria.check("Σa·Q == t_c survives quarantines/drops", "< 1e-6 quanta",
+                   util::fmt(worst_gap, 9), worst_gap < 1e-6);
+    criteria.check("no run wedged (timed out)", "0", util::fmt(timeouts, 0),
+                   timeouts == 0.0);
 
     // Graceful degradation: clean channel stays accurate; 5% faults degrade
     // the error but keep it bounded (no crash is implicit — tasks that abort
@@ -129,20 +124,15 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     // means an order of magnitude above clean, not a few percent.
     const double err0 = report.metric_mean(point_name(0), "rms_error_pct");
     const double err5 = report.metric_mean(point_name(500), "rms_error_pct");
-    check("fault-free error matches healthy scheduler", "< 5%", util::fmt(err0, 2) + "%",
-          err0 < 5.0);
-    check("error at 5% fault rate bounded", "< 75%", util::fmt(err5, 2) + "%",
-          err5 < 75.0);
+    criteria.check("fault-free error matches healthy scheduler", "< 5%",
+                   util::fmt(err0, 2) + "%", err0 < 5.0);
+    criteria.check("error at 5% fault rate bounded", "< 75%", util::fmt(err5, 2) + "%",
+                   err5 < 75.0);
     const double injected5 = report.metric_mean(point_name(500), "injected_total");
-    check("campaign actually injected faults at 5%", "> 100",
-          util::fmt(injected5, 0), injected5 > 100.0);
+    criteria.check("campaign actually injected faults at 5%", "> 100",
+                   util::fmt(injected5, 0), injected5 > 100.0);
 
-    util::TextTable t({"Criterion", "Expected", "Measured", "Verdict"});
-    for (std::size_t i = first_check; i < report.gate_checks.size(); ++i) {
-        const auto& c = report.gate_checks[i];
-        t.add_row({c.criterion, c.paper, c.measured, c.passed ? "PASS" : "FAIL"});
-    }
-    t.print(out);
+    const int failed = criteria.print(out);
     out << (failed == 0 ? "\nDEGRADATION POLICY HOLDS (0 failing criteria)\n"
                         : "\nDEGRADATION POLICY VIOLATED (" + std::to_string(failed) +
                               " failing criteria)\n");

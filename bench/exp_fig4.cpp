@@ -21,12 +21,8 @@ using workload::ShareModel;
 constexpr int kQuantaMs[] = {10, 15, 20, 25, 30, 35, 40};
 constexpr int kProcCounts[] = {5, 10, 20};
 
-int measure_cycles(bool full) { return full ? 200 : 60; }
-int repetitions(bool full) { return full ? 3 : 1; }
-
 std::string point_name(ShareModel model, int n, int quantum_ms) {
-    return std::string(workload::to_string(model)) + std::to_string(n) + "/q" +
-           std::to_string(quantum_ms);
+    return workload_name(model, n) + "/q" + std::to_string(quantum_ms);
 }
 
 std::string shares_brief(const std::vector<util::Share>& s) {
@@ -60,10 +56,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
                                    {"quantum_ms", std::to_string(q)}};
                     task.fn = [model, n, q, rep,
                                policy](const harness::TaskContext& ctx) {
-                        workload::SimRunConfig cfg;
-                        cfg.shares = workload::make_shares(model, n);
-                        cfg.quantum = util::msec(q);
-                        cfg.measure_cycles = measure_cycles(ctx.full_scale);
+                        auto cfg = table2_config(model, n, q, ctx.full_scale);
                         cfg.warmup_cycles = 5 + rep;  // de-phase repeated runs
                         cfg.metrics = ctx.metrics;
                         cfg.kernel_policy = policy;
@@ -99,8 +92,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
     util::TextTable fig(headers);
     for (const ShareModel model : workload::kAllModels) {
         for (const int n : kProcCounts) {
-            std::vector<std::string> row{std::string(workload::to_string(model)) +
-                                         std::to_string(n)};
+            std::vector<std::string> row{workload_name(model, n)};
             for (const int q : kQuantaMs) {
                 row.push_back(util::fmt(
                     report.metric_mean(point_name(model, n, q), "rms_error_pct"), 2));

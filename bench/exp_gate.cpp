@@ -24,10 +24,8 @@ namespace {
 
 using workload::ShareModel;
 
-int measure_cycles(bool full) { return full ? 200 : 60; }
-
 std::string acc_point(ShareModel model, int n) {
-    return "acc/" + std::string(workload::to_string(model)) + std::to_string(n);
+    return "acc/" + workload_name(model, n);
 }
 
 std::string ovh_point(ShareModel model, int q) {
@@ -63,23 +61,13 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
                 {{"model", std::string(workload::to_string(model))},
                  {"n", std::to_string(n)},
                  {"quantum_ms", "20"}},
-                [model, n](bool full) {
-                    workload::SimRunConfig cfg;
-                    cfg.shares = workload::make_shares(model, n);
-                    cfg.quantum = util::msec(20);
-                    cfg.measure_cycles = measure_cycles(full);
-                    return cfg;
-                }));
+                [model, n](bool full) { return table2_config(model, n, 20, full); }));
         }
     }
     tasks.push_back(sim_task("acc/skewed20_q10",
                              {{"model", "skewed"}, {"n", "20"}, {"quantum_ms", "10"}},
                              [](bool full) {
-                                 workload::SimRunConfig cfg;
-                                 cfg.shares = workload::make_shares(ShareModel::kSkewed, 20);
-                                 cfg.quantum = util::msec(10);
-                                 cfg.measure_cycles = measure_cycles(full);
-                                 return cfg;
+                                 return table2_config(ShareModel::kSkewed, 20, 10, full);
                              }));
 
     // Overhead cells (Fig 5): all models, n=10, Q in {10, 40}.
@@ -90,13 +78,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
                 {{"model", std::string(workload::to_string(model))},
                  {"n", "10"},
                  {"quantum_ms", std::to_string(q)}},
-                [model, q](bool full) {
-                    workload::SimRunConfig cfg;
-                    cfg.shares = workload::make_shares(model, 10);
-                    cfg.quantum = util::msec(q);
-                    cfg.measure_cycles = measure_cycles(full);
-                    return cfg;
-                }));
+                [model, q](bool full) { return table2_config(model, 10, q, full); }));
         }
     }
 
@@ -105,10 +87,8 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
         tasks.push_back(sim_task(std::string("ablation/") + (lazy ? "lazy" : "eager"),
                                  {{"lazy_measurement", lazy ? "1" : "0"}},
                                  [lazy](bool full) {
-                                     workload::SimRunConfig cfg;
-                                     cfg.shares = workload::make_shares(ShareModel::kEqual, 10);
-                                     cfg.quantum = util::msec(10);
-                                     cfg.measure_cycles = measure_cycles(full);
+                                     auto cfg =
+                                         table2_config(ShareModel::kEqual, 10, 10, full);
                                      cfg.lazy_measurement = lazy;
                                      return cfg;
                                  }));
@@ -123,19 +103,11 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
             workload::IoRunConfig cfg;
             cfg.steady_cycles = 25;
             cfg.observe_cycles = 50;
-            const auto r = workload::run_io_experiment(cfg);
-            util::RunningStats a_blocked, c_blocked;
-            for (std::size_t i = static_cast<std::size_t>(r.io_onset_cycle) + 2;
-                 i < r.fractions.size(); ++i) {
-                if (r.fractions[i][1] < 0.08) {
-                    a_blocked.add(r.fractions[i][0]);
-                    c_blocked.add(r.fractions[i][2]);
-                }
-            }
+            const IoRegimes g = io_regimes(workload::run_io_experiment(cfg));
             return harness::Result{}
-                .metric("a_blocked_mean", a_blocked.mean())
-                .metric("c_blocked_mean", c_blocked.mean())
-                .metric("blocked_cycles", static_cast<double>(a_blocked.count()));
+                .metric("a_blocked_mean", g.a_blocked.mean())
+                .metric("c_blocked_mean", g.c_blocked.mean())
+                .metric("blocked_cycles", static_cast<double>(g.a_blocked.count()));
         };
         tasks.push_back(std::move(task));
     }
@@ -196,14 +168,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
 }
 
 int evaluate(harness::SweepReport& report, std::ostream& out) {
-    util::TextTable table({"Criterion", "Paper", "Measured", "Verdict"});
-    int failures = 0;
-    const auto check = [&](const std::string& name, const std::string& paper,
-                           const std::string& measured, bool ok) {
-        table.add_row({name, paper, measured, ok ? "PASS" : "FAIL"});
-        report.gate_checks.push_back({name, paper, measured, ok});
-        if (!ok) ++failures;
-    };
+    Criteria criteria(report, "Paper");
 
     // --- Accuracy (Fig 4) ---
     double worst_common = 0.0;
@@ -213,13 +178,13 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
                 std::max(worst_common, report.metric_mean(acc_point(model, n), "rms_error"));
         }
     }
-    check("error for linear/equal workloads (Fig 4)", "<5%",
-          util::fmt(100 * worst_common, 2) + "% worst", worst_common < 0.05);
+    criteria.check("error for linear/equal workloads (Fig 4)", "<5%",
+                   util::fmt(100 * worst_common, 2) + "% worst", worst_common < 0.05);
 
     const double skew_err = report.metric_mean("acc/skewed20_q10", "rms_error");
-    check("skewed worst case but bounded (Fig 4)", "<=27%",
-          util::fmt(100 * skew_err, 2) + "%",
-          skew_err > worst_common && skew_err < 0.27);
+    criteria.check("skewed worst case but bounded (Fig 4)", "<=27%",
+                   util::fmt(100 * skew_err, 2) + "%",
+                   skew_err > worst_common && skew_err < 0.27);
 
     // --- Overhead (Fig 5) ---
     double worst_ovh = 0.0;
@@ -230,35 +195,34 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     }
     const double equal10_q10 = report.metric_mean(ovh_point(ShareModel::kEqual, 10), "overhead");
     const double equal10_q40 = report.metric_mean(ovh_point(ShareModel::kEqual, 40), "overhead");
-    check("overhead under 1% (Fig 5 / §7)", "<1%",
-          util::fmt(100 * worst_ovh, 3) + "% worst", worst_ovh < 0.01);
-    check("overhead shrinks with quantum (Fig 5)", "monotone",
-          util::fmt(100 * equal10_q10, 3) + "% -> " + util::fmt(100 * equal10_q40, 3) +
-              "%",
-          equal10_q10 > equal10_q40);
+    criteria.check("overhead under 1% (Fig 5 / §7)", "<1%",
+                   util::fmt(100 * worst_ovh, 3) + "% worst", worst_ovh < 0.01);
+    criteria.check("overhead shrinks with quantum (Fig 5)", "monotone",
+                   util::fmt(100 * equal10_q10, 3) + "% -> " +
+                       util::fmt(100 * equal10_q40, 3) + "%",
+                   equal10_q10 > equal10_q40);
 
     // --- Lazy-measurement ablation (§2.3) ---
     const double lazy = report.metric_mean("ablation/lazy", "overhead");
     const double eager = report.metric_mean("ablation/eager", "overhead");
-    check("lazy measurement saves 1.8x-5.9x (§2.3)", "1.8x-5.9x",
-          util::fmt(eager / lazy, 2) + "x (Equal10)", eager / lazy > 1.8);
+    criteria.check("lazy measurement saves 1.8x-5.9x (§2.3)", "1.8x-5.9x",
+                   util::fmt(eager / lazy, 2) + "x (Equal10)", eager / lazy > 1.8);
 
     // --- I/O redistribution (Fig 6) ---
     {
         const double a_mean = report.metric_mean("io/redistribution", "a_blocked_mean");
         const double c_mean = report.metric_mean("io/redistribution", "c_blocked_mean");
         const double cycles = report.metric_mean("io/redistribution", "blocked_cycles");
-        const bool ok = cycles > 5 && std::abs(a_mean - 0.25) < 0.04 &&
-                        std::abs(c_mean - 0.75) < 0.04;
-        check("blocked share redistributes 1:3 (Fig 6)", "25% / 75%",
-              util::fmt(100 * a_mean, 1) + "% / " + util::fmt(100 * c_mean, 1) + "%",
-              ok);
+        criteria.check("blocked share redistributes 1:3 (Fig 6)", "25% / 75%",
+                       util::fmt(100 * a_mean, 1) + "% / " +
+                           util::fmt(100 * c_mean, 1) + "%",
+                       redistributes_one_to_three(a_mean, c_mean, cycles));
     }
 
     // --- Multiple ALPSs (Table 3) ---
     const double multi_err = report.metric_mean("multi/table3", "mean_relative_error");
-    check("multi-ALPS mean relative error (Table 3)", "0.93%",
-          util::fmt(100 * multi_err, 2) + "%", multi_err < 0.03);
+    criteria.check("multi-ALPS mean relative error (Table 3)", "0.93%",
+                   util::fmt(100 * multi_err, 2) + "%", multi_err < 0.03);
 
     // --- Scalability thresholds (Figs 8-9 / §4.2) ---
     {
@@ -272,12 +236,12 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
         const double err_at_100 = report.metric_mean("scal/n100", "rms_error");
         const util::LinearFit fit = util::linear_fit(xs, ys);
         const double n_star = metrics::breakdown_threshold(fit);
-        check("predicted breakdown N* at 10 ms (§4.2)", "39", util::fmt(n_star, 0),
-              n_star > 30 && n_star < 48);
-        check("in control below threshold (Fig 9)", "no missed boundaries",
-              util::fmt(missed_at_20, 0) + " missed at N=20", missed_at_20 == 0);
-        check("loss of control past threshold (Fig 9)", "error explodes",
-              util::fmt(100 * err_at_100, 0) + "% at N=100", err_at_100 > 0.3);
+        criteria.check("predicted breakdown N* at 10 ms (§4.2)", "39",
+                       util::fmt(n_star, 0), n_star > 30 && n_star < 48);
+        criteria.check("in control below threshold (Fig 9)", "no missed boundaries",
+                       util::fmt(missed_at_20, 0) + " missed at N=20", missed_at_20 == 0);
+        criteria.check("loss of control past threshold (Fig 9)", "error explodes",
+                       util::fmt(100 * err_at_100, 0) + "% at N=100", err_at_100 > 0.3);
     }
 
     // --- Shared web server (§5) ---
@@ -288,12 +252,13 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
         const double total = r0 + r1 + r2;
         const bool ok = std::abs(r0 / total - 1.0 / 6.0) < 0.03 &&
                         std::abs(r2 / total - 3.0 / 6.0) < 0.03;
-        check("web throughput divides 1:2:3 (§5)", "18 / 35 / 53",
-              util::fmt(r0, 0) + " / " + util::fmt(r1, 0) + " / " + util::fmt(r2, 0),
-              ok);
+        criteria.check("web throughput divides 1:2:3 (§5)", "18 / 35 / 53",
+                       util::fmt(r0, 0) + " / " + util::fmt(r1, 0) + " / " +
+                           util::fmt(r2, 0),
+                       ok);
     }
 
-    table.print(out);
+    const int failures = criteria.print(out);
     out << "\n" << (failures == 0 ? "REPRODUCTION HOLDS" : "REPRODUCTION BROKEN")
         << " (" << failures << " failing criteria)\n";
     return failures;

@@ -1,0 +1,272 @@
+// Figure 7 / Table 3 and the multi-application scaling study as a harness
+// experiment: concurrent, uncoordinated ALPSs on one machine.
+//
+// Figure 7 / Table 3: group A (shares {7,8,9}) runs from t=0; group B
+// ({4,5,6}) joins at 3 s; group C ({1,2,3}) at 6 s; the run ends at 15 s.
+// Each ALPS must apportion whatever CPU the kernel grants its group in
+// proportion to the shares — regardless of the other groups. Table 3 reports,
+// per phase, each process's within-group CPU percentage (from regression
+// slopes of its cumulative consumption) and the relative error; the paper's
+// average error is 0.93%.
+//
+// Scaling (beyond the paper's three ALPSs): M independent applications, each
+// with its own ALPS over 3 compute-bound processes (shares 1:2:3, 10 ms
+// quantum). Within-app proportions stay ~1:2:3 for every app until the
+// machine is so oversubscribed that each driver's fair share of the CPU
+// cannot cover its per-quantum work — the §4.2 threshold generalized to
+// M·(3+1) processes. Aggregate overhead grows linearly with M.
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "../bench/experiments.h"
+#include "alps/sim_adapter.h"
+#include "harness/registry.h"
+#include "os/behaviors.h"
+#include "os/kernel.h"
+#include "sim/engine.h"
+#include "util/stats.h"
+#include "util/table.h"
+#include "workload/experiments.h"
+
+namespace alps::bench {
+namespace {
+
+/// Wall-clock times (ms) at which Figure 7's cumulative CPU is sampled.
+constexpr int kSampleMs[] = {1000, 2500, 4000, 5500, 7000, 9000, 11000, 13000, 14500};
+constexpr int kApps[] = {1, 2, 3, 5, 8, 12, 16, 24};
+/// Within-app error bound at every M (the EXPERIMENTS.md claim).
+constexpr double kWithinAppBoundPct = 1.4;
+
+std::string share_metric(util::Share share, const std::string& what) {
+    std::string name = "s";
+    name += std::to_string(share);
+    name += ".";
+    name += what;
+    return name;
+}
+
+/// Figure 7's cumulative CPU (ms) of the process with `share` at `t_ms`.
+std::string sample_metric(util::Share share, int t_ms) {
+    return share_metric(share, "cpu_ms@" + std::to_string(t_ms));
+}
+
+std::string scaling_point(int apps) { return "scaling/m" + std::to_string(apps); }
+
+/// The paper's exact 15-second scenario: Figure 7's sampled cumulative CPU
+/// (metric absent before the process's first sample) and Table 3's cells.
+harness::Result run_table3() {
+    const workload::MultiAlpsResult r = workload::run_multi_alps_experiment({});
+    harness::Result result;
+    for (const auto& pr : r.procs) {
+        result.metric(share_metric(pr.share, "group"), pr.group);
+        for (const int t_ms : kSampleMs) {
+            // Latest sample at or before t.
+            for (auto it = pr.series.points.rbegin(); it != pr.series.points.rend();
+                 ++it) {
+                if (it->when.since_epoch <= util::msec(t_ms)) {
+                    result.metric(sample_metric(pr.share, t_ms),
+                                  util::to_ms(it->cumulative_cpu));
+                    break;
+                }
+            }
+        }
+        for (std::size_t phase = 0; phase < pr.phases.size(); ++phase) {
+            const auto& cell = pr.phases[phase];
+            if (!cell.has_value()) continue;
+            const std::string ph = "ph" + std::to_string(phase + 1);
+            result.metric(share_metric(pr.share, ph + ".fraction"), cell->fraction)
+                .metric(share_metric(pr.share, ph + ".relative_error"),
+                        cell->relative_error);
+        }
+    }
+    return result.metric("mean_relative_error", r.mean_relative_error);
+}
+
+/// M ALPSs, each over 3 processes 1:2:3: settle a quarter of `wall`, then
+/// measure within-app accuracy and the drivers' aggregate cost over `wall`.
+harness::Result run_scaling(int apps, util::Duration wall) {
+    sim::Engine engine;
+    os::Kernel kernel(engine);
+    core::SchedulerConfig scfg;
+    scfg.quantum = util::msec(10);
+
+    std::vector<std::unique_ptr<core::SimAlps>> alpses;
+    std::vector<std::vector<os::Pid>> pids(static_cast<std::size_t>(apps));
+    for (int a = 0; a < apps; ++a) {
+        alpses.push_back(std::make_unique<core::SimAlps>(
+            kernel, scfg, core::CostModel{}, "alps-" + std::to_string(a), a));
+        for (int i = 0; i < 3; ++i) {
+            std::string name = "a";
+            name += std::to_string(a);
+            name += "w";
+            name += std::to_string(i);
+            const os::Pid pid =
+                kernel.spawn(name, a, std::make_unique<os::CpuBoundBehavior>());
+            alpses.back()->manage(pid, i + 1);
+            pids[static_cast<std::size_t>(a)].push_back(pid);
+        }
+    }
+
+    engine.run_until(engine.now() + wall / 4);
+    std::vector<std::vector<util::Duration>> base(pids.size());
+    for (std::size_t a = 0; a < pids.size(); ++a) {
+        for (const os::Pid p : pids[a]) base[a].push_back(kernel.cpu_time(p));
+    }
+    const util::TimePoint t0 = kernel.now();
+    std::vector<util::Duration> drv0;
+    for (const auto& alps : alpses) drv0.push_back(alps->overhead_cpu());
+    engine.run_until(engine.now() + wall);
+
+    util::RunningStats errs;
+    for (std::size_t a = 0; a < pids.size(); ++a) {
+        std::vector<double> actual(3);
+        std::vector<double> ideal(3);
+        double total = 0.0;
+        for (std::size_t i = 0; i < 3; ++i) {
+            actual[i] = util::to_sec(kernel.cpu_time(pids[a][i]) - base[a][i]);
+            total += actual[i];
+        }
+        for (std::size_t i = 0; i < 3; ++i) {
+            ideal[i] = total * static_cast<double>(i + 1) / 6.0;
+        }
+        errs.add(100.0 * util::rms_relative_error(actual, ideal));
+    }
+    double driver_cpu = 0.0;
+    std::uint64_t missed = 0;
+    for (std::size_t a = 0; a < alpses.size(); ++a) {
+        driver_cpu += util::to_sec(alpses[a]->overhead_cpu() - drv0[a]);
+        missed += alpses[a]->driver().boundaries_missed();
+    }
+    return harness::Result{}
+        .metric("mean_app_err_pct", errs.mean())
+        .metric("worst_app_err_pct", errs.max())
+        .metric("total_overhead_pct",
+                100.0 * driver_cpu / util::to_sec(kernel.now() - t0))
+        .metric("boundaries_missed", static_cast<double>(missed));
+}
+
+std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
+    std::vector<harness::Task> tasks{{
+        .point = "table3",
+        .params = {{"groups", "7:8:9 4:5:6 1:2:3"}, {"quantum_ms", "10"}},
+        .fn = [](const harness::TaskContext&) { return run_table3(); },
+    }};
+    for (const int m : kApps) {
+        tasks.push_back({
+            .point = scaling_point(m),
+            .params = {{"apps", std::to_string(m)}, {"shares", "1:2:3"}},
+            .fn =
+                [m](const harness::TaskContext& ctx) {
+                    return run_scaling(m,
+                                       ctx.full_scale ? util::sec(120) : util::sec(40));
+                },
+        });
+    }
+    return tasks;
+}
+
+void present(const harness::SweepReport& report, std::ostream& out) {
+    const harness::PointAggregate* table3 = report.find_point("table3");
+    // Absent metrics (a process not yet running, a phase it missed) print "-".
+    const auto cell = [&](const std::string& metric, double scale, int decimals) {
+        if (table3 != nullptr) {
+            for (const harness::MetricAggregate& m : table3->metrics) {
+                if (m.name == metric) return util::fmt(scale * m.mean, decimals);
+            }
+        }
+        return std::string("-");
+    };
+
+    out << "\nFigure 7 (sampled): cumulative CPU (ms) at wall-clock times\n";
+    util::TextTable fig(
+        {"Wall (ms)", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"});
+    for (const int t_ms : kSampleMs) {
+        std::vector<std::string> row{std::to_string(t_ms)};
+        // By share 1..9, like the paper's legend.
+        for (int share = 1; share <= 9; ++share) {
+            row.push_back(cell(sample_metric(share, t_ms), 1, 0));
+        }
+        fig.add_row(std::move(row));
+    }
+    fig.print(out);
+
+    out << "\nTable 3. Accuracy of Multiple ALPSs (within-group %CPU and "
+           "relative error %)\n";
+    util::TextTable t3({"S", "Target %", "Ph1 %cpu", "Ph1 %re", "Ph2 %cpu", "Ph2 %re",
+                        "Ph3 %cpu", "Ph3 %re"});
+    constexpr double kGroupShares[] = {24.0, 15.0, 6.0};
+    for (int share = 1; share <= 9; ++share) {
+        const auto group = static_cast<std::size_t>(
+            report.metric_mean("table3", share_metric(share, "group")));
+        std::vector<std::string> row{
+            std::to_string(share),
+            util::fmt(100.0 * static_cast<double>(share) / kGroupShares[group], 1)};
+        for (int phase = 1; phase <= 3; ++phase) {
+            const std::string ph = "ph" + std::to_string(phase);
+            row.push_back(cell(share_metric(share, ph + ".fraction"), 100.0, 1));
+            row.push_back(cell(share_metric(share, ph + ".relative_error"), 100.0, 1));
+        }
+        t3.add_row(std::move(row));
+    }
+    t3.print(out);
+    out << "\nMean relative error: "
+        << util::fmt(100.0 * report.metric_mean("table3", "mean_relative_error"), 2)
+        << "%   (paper: 0.93%)\n";
+
+    out << "\nMultiple applications — M concurrent ALPSs, each over 3 processes "
+           "1:2:3\n";
+    util::TextTable t({"ALPSs", "procs total", "mean app err %", "worst app err %",
+                       "total drivers ovh %", "missed boundaries"});
+    for (const int m : kApps) {
+        const std::string p = scaling_point(m);
+        t.add_row({std::to_string(m), std::to_string(4 * m),
+                   util::fmt(report.metric_mean(p, "mean_app_err_pct"), 2),
+                   util::fmt(report.metric_mean(p, "worst_app_err_pct"), 2),
+                   util::fmt(report.metric_mean(p, "total_overhead_pct"), 3),
+                   util::fmt(report.metric_mean(p, "boundaries_missed"), 0)});
+    }
+    t.print(out);
+    out << "\nPaper §4.1 shows M=3 works (each app accurate within "
+           "whatever the kernel grants it); this sweep finds where "
+           "uncoordinated user-level schedulers stop coexisting.\n";
+}
+
+int evaluate(harness::SweepReport& report, std::ostream& out) {
+    Criteria criteria(report);
+    const double table3_err = report.metric_mean("table3", "mean_relative_error");
+    criteria.check("multi-ALPS mean relative error (Table 3)", "< 3% (paper 0.93%)",
+                   util::fmt(100 * table3_err, 2) + "%", table3_err < 0.03);
+
+    double worst = 0.0;
+    int worst_m = 0;
+    for (const int m : kApps) {
+        const double err = report.metric_mean(scaling_point(m), "mean_app_err_pct");
+        if (err >= worst) {
+            worst = err;
+            worst_m = m;
+        }
+    }
+    criteria.check("mean within-app error at every M = 1..24",
+                   "< " + util::fmt(kWithinAppBoundPct, 1) + "%",
+                   util::fmt(worst, 2) + "% at M=" + std::to_string(worst_m),
+                   worst < kWithinAppBoundPct);
+    out << "\n";
+    return criteria.print(out);
+}
+
+}  // namespace
+
+void register_multi_alps_experiment() {
+    harness::ExperimentRegistry::instance().add({
+        .name = "multi_alps",
+        .description =
+            "Multiple ALPSs: Figure 7 / Table 3 and the M = 1..24 scaling sweep",
+        .make_tasks = make_tasks,
+        .present = present,
+        .evaluate = evaluate,
+    });
+}
+
+}  // namespace alps::bench

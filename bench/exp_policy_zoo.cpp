@@ -40,13 +40,6 @@ constexpr int kQuantumMs = 10;
 constexpr ShareModel kModels[] = {ShareModel::kLinear, ShareModel::kSkewed};
 constexpr int kProcCounts[] = {5, 10};
 
-int measure_cycles(bool full) { return full ? 200 : 60; }
-int repetitions(bool full) { return full ? 3 : 1; }
-
-std::string workload_name(ShareModel model, int n) {
-    return std::string(workload::to_string(model)) + std::to_string(n);
-}
-
 std::string point_name(std::string_view policy, ShareModel model, int n) {
     return std::string(policy) + "/" + workload_name(model, n);
 }
@@ -111,10 +104,7 @@ harness::Result run_point(const harness::TaskContext& ctx, std::string_view poli
             .metric("migrations", static_cast<double>(r.migrations));
     }
 
-    workload::SimRunConfig cfg;
-    cfg.shares = workload::make_shares(model, n);
-    cfg.quantum = util::msec(kQuantumMs);
-    cfg.measure_cycles = measure_cycles(ctx.full_scale);
+    auto cfg = table2_config(model, n, kQuantumMs, ctx.full_scale);
     cfg.warmup_cycles = 5 + rep;  // de-phase repeated runs
     cfg.metrics = ctx.metrics;
     // The lottery's draw stream derives from the task seed, which the harness

@@ -158,14 +158,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 /// on the checksum (and must not have timed out). Returns the number of
 /// violated rows, i.e. 0 = pass, shell-style.
 int evaluate(harness::SweepReport& report, std::ostream& out) {
-    util::TextTable table({"Criterion", "Expected", "Measured", "Verdict"});
-    int failures = 0;
-    const auto check = [&](const std::string& name, const std::string& expected,
-                           const std::string& measured, bool ok) {
-        table.add_row({name, expected, measured, ok ? "PASS" : "FAIL"});
-        report.gate_checks.push_back({name, expected, measured, ok});
-        if (!ok) ++failures;
-    };
+    Criteria criteria(report);
     for (const auto& info : os::policies::known_policies()) {
         std::map<std::string, std::string> sums;
         bool timed_out = false;
@@ -190,12 +183,11 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
             }
         }
         if (timed_out) measured += " (timed out)";
-        check(std::string(info.name) + " bit-identical across " +
-                  std::to_string(sums.size()) + " shard/mode variants",
-              "one checksum", measured, identical && !timed_out);
+        criteria.check(std::string(info.name) + " bit-identical across " +
+                           std::to_string(sums.size()) + " shard/mode variants",
+                       "one checksum", measured, identical && !timed_out);
     }
-    table.print(out);
-    return failures;
+    return criteria.print(out);
 }
 
 }  // namespace

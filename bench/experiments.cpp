@@ -1,6 +1,61 @@
 #include "../bench/experiments.h"
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 namespace alps::bench {
+
+std::string workload_name(workload::ShareModel model, int n) {
+    return std::string(workload::to_string(model)) + std::to_string(n);
+}
+
+workload::SimRunConfig table2_config(workload::ShareModel model, int n, int quantum_ms,
+                                     bool full) {
+    workload::SimRunConfig cfg;
+    cfg.shares = workload::make_shares(model, n);
+    cfg.quantum = util::msec(quantum_ms);
+    cfg.measure_cycles = measure_cycles(full);
+    return cfg;
+}
+
+IoRegimes io_regimes(const workload::IoRunResult& r) {
+    IoRegimes g;
+    for (std::size_t i = static_cast<std::size_t>(r.io_onset_cycle) + 2;
+         i < r.fractions.size(); ++i) {
+        const auto& f = r.fractions[i];
+        if (f[1] < 0.08) {
+            g.a_blocked.add(f[0]);
+            g.c_blocked.add(f[2]);
+        } else if (f[1] > 0.25) {
+            g.a_active.add(f[0]);
+            g.b_active.add(f[1]);
+            g.c_active.add(f[2]);
+        }
+    }
+    return g;
+}
+
+bool redistributes_one_to_three(double a_blocked_mean, double c_blocked_mean,
+                                double blocked_cycles) {
+    return blocked_cycles > 5 && std::abs(a_blocked_mean - 0.25) < 0.04 &&
+           std::abs(c_blocked_mean - 0.75) < 0.04;
+}
+
+Criteria::Criteria(harness::SweepReport& report, const std::string& reference)
+    : report_(report), table_({"Criterion", reference, "Measured", "Verdict"}) {}
+
+void Criteria::check(const std::string& criterion, const std::string& expected,
+                     const std::string& measured, bool ok) {
+    table_.add_row({criterion, expected, measured, ok ? "PASS" : "FAIL"});
+    report_.gate_checks.push_back({criterion, expected, measured, ok});
+    if (!ok) ++failures_;
+}
+
+int Criteria::print(std::ostream& out) const {
+    table_.print(out);
+    return failures_;
+}
 
 void register_all_experiments() {
     static const bool once = [] {
@@ -14,6 +69,10 @@ void register_all_experiments() {
         register_many_core_experiment();
         register_web_scale_experiment();
         register_sharded_run_experiment();
+        register_fig6_io_experiment();
+        register_multi_alps_experiment();
+        register_web_section5_experiment();
+        register_mechanisms_experiment();
         return true;
     }();
     (void)once;

@@ -4,32 +4,28 @@
 #
 #   scripts/run_all.sh [--full]
 #
-# --full runs the benches at the paper's full scale (ALPS_BENCH_FULL=1);
+# --full runs the experiments at the paper's full scale (alps-sweep --full);
 # outputs land in test_output.txt and bench_output.txt at the repo root, plus
 # one BENCH_<name>.json per registry experiment.
 #
 # Registry experiments are enumerated from `alps-sweep --list` (the harness
 # registry), not a hard-coded list, so a newly registered experiment can't be
-# silently skipped. The standalone bench binaries (tables and extension
-# studies not registered with the harness) then run directly.
+# silently skipped. Table 1 (bench_table1_ops, real-host timings) runs last.
+# The build reuses an existing build/ tree with whatever generator made it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FULL=0
+SWEEP_FLAGS=()
 if [[ "${1:-}" == "--full" ]]; then
-  FULL=1
+  SWEEP_FLAGS+=(--full)
 fi
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 SWEEP=build/tools/alps-sweep
-SWEEP_FLAGS=()
-if [[ "$FULL" == "1" ]]; then
-  SWEEP_FLAGS+=(--full)
-fi
 
 {
   # Every experiment in the harness registry, via the sweep CLI (emits
@@ -41,14 +37,10 @@ fi
     "$SWEEP" --experiment "$exp" --out . "${SWEEP_FLAGS[@]}"
   done
 
-  # Standalone benches that are not registry-backed.
-  for b in build/bench/*; do
-    [[ -x "$b" && -f "$b" ]] || continue
-    name=$(basename "$b")
-    echo
-    echo "=== standalone bench: $name ==="
-    ALPS_BENCH_FULL=$FULL "$b"
-  done
+  # Table 1 times the real host's operations; not a simulated experiment.
+  echo
+  echo "=== Table 1: bench_table1_ops ==="
+  build/bench/bench_table1_ops
 } 2>&1 | tee bench_output.txt
 
 echo

@@ -3,7 +3,7 @@
 // An Experiment names a parameter grid (built lazily so --full can change the
 // grid), an optional paper-style text presentation, and an optional
 // cross-point evaluation (used by the reproduction gate, whose criteria
-// combine several points). Bench binaries and the alps-sweep CLI both pull
+// combine several points). The alps-sweep CLI and the tests pull
 // experiments from here; registration is explicit (register_* functions
 // called from bench/experiments.h's register_all) to avoid relying on static
 // initializers surviving static-library linking.

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <map>
@@ -13,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "harness/journal.h"
 #include "harness/supervisor.h"
@@ -273,19 +273,6 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
 }
 
 bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
-    const auto env = [](const char* name) -> const char* {
-        const char* v = std::getenv(name);
-        return (v != nullptr && *v != '\0') ? v : nullptr;
-    };
-    if (const char* v = env("ALPS_BENCH_FULL")) {
-        options.full_scale = std::strcmp(v, "1") == 0;
-    }
-    if (const char* v = env("ALPS_BENCH_JOBS")) {
-        options.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    }
-    if (const char* v = env("ALPS_BENCH_JSON")) options.out_dir = v;
-    if (const char* v = env("ALPS_BENCH_TRACE")) options.trace_path = v;
-
     const auto usage = [&] {
         std::cerr << "usage: " << argv[0]
                   << " [--jobs N] [--seed S] [--full] [--out DIR] [--no-json]"
@@ -298,103 +285,83 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
+        // Value parsers for flags that take one: each consumes the next
+        // argument and returns false (after saying why) when it is missing or
+        // malformed.
+        const auto text = [&](std::string& out) {
+            if (i + 1 >= argc) return false;
+            out = argv[++i];
+            return true;
         };
-        // Rejects non-numeric values; strtoul alone would fold "abc" to 0,
-        // silently selecting the hardware-concurrency default.
-        const auto parse_u64 = [&](const char* v, std::uint64_t& out) {
+        // A whole-string unsigned number >= `min`; strtoul alone would fold
+        // "abc" to 0, silently selecting the hardware-concurrency default.
+        const auto count = [&](auto& out, std::uint64_t min = 0) {
+            if (i + 1 >= argc) return false;
+            const char* v = argv[++i];
             char* end = nullptr;
-            out = std::strtoull(v, &end, 0);
+            const std::uint64_t n = std::strtoull(v, &end, 0);
             if (end == v || *end != '\0') {
                 std::cerr << arg << ": not a number: " << v << "\n";
                 return false;
             }
+            out = static_cast<std::remove_reference_t<decltype(out)>>(n);
+            return n >= min;
+        };
+        const auto non_negative = [&](double& out) {
+            if (i + 1 >= argc) return false;
+            const char* v = argv[++i];
+            char* end = nullptr;
+            out = std::strtod(v, &end);
+            if (end == v || *end != '\0' || out < 0.0) {
+                std::cerr << arg << ": not a non-negative number: " << v << "\n";
+                return false;
+            }
             return true;
         };
+        bool ok = true;
         if (arg == "--jobs") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n)) return usage();
-            options.jobs = static_cast<unsigned>(n);
+            ok = count(options.jobs);
         } else if (arg == "--seed") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n)) return usage();
-            options.seed = n;
+            ok = count(options.seed);
         } else if (arg == "--full") {
             options.full_scale = true;
         } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            options.out_dir = v;
+            ok = text(options.out_dir);
         } else if (arg == "--no-json") {
             options.out_dir.clear();
         } else if (arg == "--trace") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            options.trace_path = v;
+            ok = text(options.trace_path);
         } else if (arg == "--kernel-policy") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            options.kernel_policy = v;
+            ok = text(options.kernel_policy);
         } else if (arg == "--ncpus") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.ncpus = static_cast<int>(n);
+            ok = count(options.ncpus, 1);
         } else if (arg == "--sites") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.sites = static_cast<int>(n);
+            ok = count(options.sites, 1);
         } else if (arg == "--shards") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.shards = static_cast<int>(n);
+            ok = count(options.shards, 1);
         } else if (arg == "--flash-crowd") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            char* end = nullptr;
-            options.flash_crowd = std::strtod(v, &end);
-            if (end == v || *end != '\0' || options.flash_crowd < 0.0) {
-                std::cerr << arg << ": not a non-negative number: " << v << "\n";
-                return usage();
-            }
+            ok = non_negative(options.flash_crowd);
         } else if (arg == "--isolate") {
             options.isolate = true;
         } else if (arg == "--run-timeout") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            char* end = nullptr;
-            options.run_timeout_s = std::strtod(v, &end);
-            if (end == v || *end != '\0' || options.run_timeout_s < 0.0) {
-                std::cerr << arg << ": not a non-negative number: " << v << "\n";
-                return usage();
-            }
+            ok = non_negative(options.run_timeout_s);
         } else if (arg == "--max-attempts") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.max_attempts = static_cast<int>(n);
+            ok = count(options.max_attempts, 1);
         } else if (arg == "--journal") {
             options.journal = true;
         } else if (arg == "--resume") {
             options.resume = true;
         } else if (arg == "--only-task") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n)) return usage();
-            options.only_task = static_cast<long>(n);
+            ok = count(options.only_task);
         } else if (arg == "--json-payload-only") {
             options.json_payload_only = true;
         } else if (arg == "--quiet") {
             options.quiet = true;
         } else {
             std::cerr << "unknown flag: " << arg << "\n";
-            return usage();
+            ok = false;
         }
+        if (!ok) return usage();
     }
     return true;
 }

@@ -21,17 +21,15 @@ namespace alps::harness {
                                     const SweepOptions& options,
                                     std::ostream* progress);
 
-/// Shared driver for the thin standalone bench binaries and alps-sweep:
-/// runs `name` from the registry with `options`, prints the experiment's
-/// paper-style presentation and evaluation to stdout, and writes the JSON
-/// report when options.out_dir is set. Returns the process exit code
+/// alps-sweep's driver: runs `name` from the registry with `options`, prints
+/// the experiment's paper-style presentation and evaluation to stdout, and
+/// writes the JSON report when options.out_dir is set. Returns the process exit code
 /// (0 = success; 1 = failed criteria or task errors; 2 = unknown experiment).
 int run_and_report(std::string_view name, const SweepOptions& options);
 
-/// Builds SweepOptions from the environment (ALPS_BENCH_FULL=1 -> full scale,
-/// ALPS_BENCH_JOBS -> jobs, ALPS_BENCH_JSON -> out_dir, default ".") and then
-/// applies any of --jobs N, --seed S, --full, --out DIR, --quiet, --no-json
-/// from argv. Returns false (and prints usage to stderr) on a bad flag.
+/// Applies the sweep flags in argv (--jobs N, --seed S, --full, --out DIR,
+/// --no-json, --quiet, --trace FILE, ...) on top of `options`. Returns false
+/// (and prints usage to stderr) on a bad flag.
 bool parse_sweep_args(int argc, char** argv, SweepOptions& options);
 
 /// Short git commit hash of the working tree, or "unknown" outside a repo.

@@ -9,8 +9,7 @@
 // each entity's true cumulative CPU through a caller-provided reader and
 // differences consecutive snapshots.
 //
-// (The algorithm-internal view is still available via CycleLog; the
-// bench_ablation_lazy harness contrasts the two.)
+// (The algorithm-internal view is still available via CycleLog.)
 #pragma once
 
 #include <functional>

@@ -10,8 +10,9 @@
 //
 // The paper's §2.4 heuristic should drive ALPS to this fixed point: blocked
 // clients' unused entitlement flows to the others in proportion (Figure 6's
-// 1:2:3 → 25/–/75 is the two-point special case). bench_io_mix tests the
-// general case against this model.
+// 1:2:3 → 25/–/75 is the two-point special case). The fig6_io experiment
+// (`alps-sweep --experiment fig6_io`) tests the general case against this
+// model.
 #pragma once
 
 #include <span>

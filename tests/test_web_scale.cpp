@@ -1,8 +1,13 @@
 // Tests for the web_scale cluster experiment (src/web/cluster.*): result
 // determinism, flash-crowd membership, the pinned-process exemption from
 // idle-steal/rebalance under the per-core deployment, share-driven
-// protection, and jobs-independence of the registered sweep.
+// protection, and jobs-independence of the registered sweep. Also: the
+// registered paper/extension studies (fig6_io, multi_alps, web_section5,
+// mechanisms) are jobs-independent and pass their criteria.
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "../bench/experiments.h"
 #include "harness/registry.h"
@@ -131,6 +136,35 @@ TEST(WebScale, SweepIsJobsIndependent) {
     EXPECT_EQ(harness::report_to_json(serial, /*include_run=*/false).dump(2),
               harness::report_to_json(parallel, /*include_run=*/false).dump(2));
 }
+
+/// The studies with criteria: the payload is byte-identical serial and across
+/// three workers, and evaluate() fails no criterion at the reduced scale.
+class RegisteredStudy : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RegisteredStudy, JobsIndependentAndCriteriaPass) {
+    bench::register_all_experiments();
+    const harness::Experiment* e =
+        harness::ExperimentRegistry::instance().find(GetParam());
+    ASSERT_NE(e, nullptr);
+    harness::SweepOptions options;
+    options.quiet = true;
+    options.jobs = 1;
+    auto serial = harness::run_sweep(*e, options, nullptr);
+    options.jobs = 3;
+    const auto parallel = harness::run_sweep(*e, options, nullptr);
+    EXPECT_EQ(serial.task_errors, 0);
+    EXPECT_EQ(harness::report_to_json(serial, /*include_run=*/false).dump(2),
+              harness::report_to_json(parallel, /*include_run=*/false).dump(2));
+    std::ostringstream verdicts;
+    EXPECT_EQ(e->evaluate(serial, verdicts), 0) << verdicts.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(Studies, RegisteredStudy,
+                         ::testing::Values("fig6_io", "multi_alps", "web_section5",
+                                           "mechanisms"),
+                         [](const ::testing::TestParamInfo<const char*>& study) {
+                             return std::string(study.param);
+                         });
 
 }  // namespace
 }  // namespace alps

@@ -14,7 +14,6 @@
 // are bit-identical for any --jobs value: every task derives its inputs from
 // (sweep seed, task index) alone and the sink aggregates in task order; only
 // the JSON's trailing "run" section (jobs, wall-clock, git sha) varies.
-// Environment defaults: ALPS_BENCH_FULL=1, ALPS_BENCH_JOBS, ALPS_BENCH_JSON.
 #include <algorithm>
 #include <cstring>
 #include <iostream>
