@@ -226,17 +226,17 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_chaos_campaign_experiment() {
-    harness::Experiment e;
-    e.name = "chaos_campaign";
-    e.description =
-        "Robustness: the sweep harness itself under crashing/stalling tasks";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    e.evaluate = evaluate;
-    // Quarantined tasks are this experiment's subject matter, not a failure:
-    // only the evaluate() criteria decide the exit code.
-    e.tolerate_task_errors = true;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "chaos_campaign",
+        .description =
+            "Robustness: the sweep harness itself under crashing/stalling tasks",
+        .make_tasks = make_tasks,
+        .present = present,
+        .evaluate = evaluate,
+        // Quarantined tasks are this experiment's subject matter, not a
+        // failure: only the evaluate() criteria decide the exit code.
+        .tolerate_task_errors = true,
+    });
 }
 
 }  // namespace alps::bench

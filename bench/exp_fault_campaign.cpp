@@ -142,14 +142,14 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_fault_campaign_experiment() {
-    harness::Experiment e;
-    e.name = "fault_campaign";
-    e.description =
-        "Robustness: fairness error and liveness vs injected fault rate";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    e.evaluate = evaluate;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "fault_campaign",
+        .description =
+            "Robustness: fairness error and liveness vs injected fault rate",
+        .make_tasks = make_tasks,
+        .present = present,
+        .evaluate = evaluate,
+    });
 }
 
 }  // namespace alps::bench

@@ -124,13 +124,13 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_fig4_experiment() {
-    harness::Experiment e;
-    e.name = "fig4";
-    e.description =
-        "Accuracy: mean RMS relative error vs quantum length (Table 2 + Figure 4)";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "fig4",
+        .description =
+            "Accuracy: mean RMS relative error vs quantum length (Table 2 + Figure 4)",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

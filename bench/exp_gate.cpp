@@ -267,12 +267,12 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_reproduction_gate_experiment() {
-    harness::Experiment e;
-    e.name = "reproduction_gate";
-    e.description = "Every shape criterion from DESIGN.md in one parallel run";
-    e.make_tasks = make_tasks;
-    e.evaluate = evaluate;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "reproduction_gate",
+        .description = "Every shape criterion from DESIGN.md in one parallel run",
+        .make_tasks = make_tasks,
+        .evaluate = evaluate,
+    });
 }
 
 }  // namespace alps::bench

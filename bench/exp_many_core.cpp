@@ -134,14 +134,14 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_many_core_experiment() {
-    harness::Experiment e;
-    e.name = "many_core";
-    e.description =
-        "16/64/256-core sweep: one-global vs one-per-core ALPS on per-CPU "
-        "run queues";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "many_core",
+        .description =
+            "16/64/256-core sweep: one-global vs one-per-core ALPS on per-CPU "
+            "run queues",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

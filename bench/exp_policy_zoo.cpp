@@ -200,14 +200,14 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_policy_zoo_experiment() {
-    harness::Experiment e;
-    e.name = "policy_zoo";
-    e.description =
-        "ALPS share accuracy on each kernel policy (bsd|lottery|stride|cfs), "
-        "uni- and per-CPU 4-core, + stride-engine A/B (lazy and eager)";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "policy_zoo",
+        .description =
+            "ALPS share accuracy on each kernel policy (bsd|lottery|stride|cfs), "
+            "uni- and per-CPU 4-core, + stride-engine A/B (lazy and eager)",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

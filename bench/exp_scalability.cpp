@@ -116,13 +116,13 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_scalability_experiment() {
-    harness::Experiment e;
-    e.name = "fig8_fig9";
-    e.description =
-        "Scalability: overhead and accuracy vs process count (Figures 8-9, §4.2)";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "fig8_fig9",
+        .description =
+            "Scalability: overhead and accuracy vs process count (Figures 8-9, §4.2)",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

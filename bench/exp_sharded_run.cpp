@@ -193,15 +193,15 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_sharded_run_experiment() {
-    harness::Experiment e;
-    e.name = "sharded_run";
-    e.description =
-        "Sharded-engine determinism gate: 8-group ALPS machine bit-identical "
-        "at 1/2/8 shards, serial and threaded, on every kernel policy";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    e.evaluate = evaluate;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "sharded_run",
+        .description =
+            "Sharded-engine determinism gate: 8-group ALPS machine bit-identical "
+            "at 1/2/8 shards, serial and threaded, on every kernel policy",
+        .make_tasks = make_tasks,
+        .present = present,
+        .evaluate = evaluate,
+    });
 }
 
 }  // namespace alps::bench

@@ -479,13 +479,13 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_sim_perf_experiment() {
-    harness::Experiment e;
-    e.name = "sim_perf";
-    e.description =
-        "Substrate throughput: engine events/sec, run-queue ops/sec, e2e wall-clock";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "sim_perf",
+        .description =
+            "Substrate throughput: engine events/sec, run-queue ops/sec, e2e wall-clock",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

@@ -207,14 +207,14 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }  // namespace
 
 void register_web_scale_experiment() {
-    harness::Experiment e;
-    e.name = "web_scale";
-    e.description =
-        "96-1000 open-loop sites under a flash crowd: share-protected p99 "
-        "across kernel/global/per-core deployments";
-    e.make_tasks = make_tasks;
-    e.present = present;
-    harness::ExperimentRegistry::instance().add(std::move(e));
+    harness::ExperimentRegistry::instance().add({
+        .name = "web_scale",
+        .description =
+            "96-1000 open-loop sites under a flash crowd: share-protected p99 "
+            "across kernel/global/per-core deployments",
+        .make_tasks = make_tasks,
+        .present = present,
+    });
 }
 
 }  // namespace alps::bench

@@ -1,0 +1,116 @@
+#!/usr/bin/env bash
+# Proves a change replays bit-identically: builds BASE (any git revision) and
+# the working tree in Release, runs every deterministic registry experiment on
+# both, and byte-compares the JSON payloads, the printed reports and the exit
+# codes.
+#
+#   scripts/payload_diff.sh BASE [--full] [EXPERIMENT...]
+#
+# Without EXPERIMENT arguments it runs every experiment `alps-sweep --list`
+# names except sim_perf, whose payload holds host timings. Each runs as
+#   alps-sweep --experiment X --quiet --json-payload-only --jobs 1
+# at reduced scale; --full adds a second run of each at the paper's full
+# scale (web_scale --full alone takes 40-60 s per side).
+#
+# BASE is checked out into a temporary git worktree under $TMPDIR (default
+# /tmp) and built there; the worktree is removed on exit. The working tree
+# builds into build-payload/. Exits 0 when everything matches, 1 on any
+# difference, 2 on a usage or build error.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+  echo "usage: scripts/payload_diff.sh BASE [--full] [EXPERIMENT...]" >&2
+  exit 2
+}
+
+[[ $# -ge 1 ]] || usage
+BASE=$1
+shift
+SCALES=(reduced)
+EXPERIMENTS=()
+for arg in "$@"; do
+  case "$arg" in
+    --full) SCALES+=(full) ;;
+    -*) usage ;;
+    *) EXPERIMENTS+=("$arg") ;;
+  esac
+done
+
+base_sha=$(git rev-parse --verify --quiet "$BASE^{commit}") || {
+  echo "payload_diff: unknown revision '$BASE'" >&2
+  exit 2
+}
+
+tmp=$(mktemp -d -t alps-payload.XXXXXX)
+cleanup() {
+  git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+  rm -rf "$tmp"
+  git worktree prune
+}
+trap cleanup EXIT
+
+build() {  # build SOURCE_DIR BUILD_DIR
+  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DALPS_BUILD_TESTS=OFF \
+           -DALPS_BUILD_EXAMPLES=OFF &&
+         cmake --build "$2" -j"$(nproc)" --target alps-sweep; } >"$tmp/build.log" 2>&1; then
+    tail -n 30 "$tmp/build.log" >&2
+    echo "payload_diff: build of $1 failed" >&2
+    exit 2
+  fi
+}
+
+git worktree add --detach "$tmp/base" "$base_sha" >/dev/null
+echo "building base ${base_sha:0:12} ..."
+build "$tmp/base" "$tmp/base/build"
+echo "building working tree ..."
+build . build-payload
+
+base_sweep=$tmp/base/build/tools/alps-sweep
+head_sweep=build-payload/tools/alps-sweep
+if [[ ${#EXPERIMENTS[@]} -eq 0 ]]; then
+  mapfile -t EXPERIMENTS < <("$head_sweep" --list | sed 's/ — .*//' | grep -vx sim_perf)
+fi
+
+# run SWEEP OUT_DIR EXPERIMENT SCALE -> prints the exit code. Both sides
+# write to the same --out path (the report prints it), then move to OUT_DIR.
+run() {
+  local flags=(--experiment "$3" --quiet --json-payload-only --jobs 1 --out "$tmp/run")
+  [[ $4 == full ]] && flags+=(--full)
+  mkdir -p "$tmp/run" "$(dirname "$2")"
+  local rc=0
+  "$1" "${flags[@]}" >"$tmp/run/stdout.txt" 2>"$tmp/run/stderr.txt" || rc=$?
+  mv "$tmp/run" "$2"
+  echo "$rc"
+}
+
+failures=0
+for scale in "${SCALES[@]}"; do
+  for exp in "${EXPERIMENTS[@]}"; do
+    start=$SECONDS
+    base_rc=$(run "$base_sweep" "$tmp/out/base/$scale/$exp" "$exp" "$scale")
+    head_rc=$(run "$head_sweep" "$tmp/out/head/$scale/$exp" "$exp" "$scale")
+    base_json=$tmp/out/base/$scale/$exp/BENCH_$exp.json
+    head_json=$tmp/out/head/$scale/$exp/BENCH_$exp.json
+    verdict=identical
+    if [[ ! -f $base_json || ! -f $head_json ]]; then
+      verdict="MISSING payload"
+    elif ! cmp -s "$base_json" "$head_json"; then
+      verdict="DIFFERS ($(cmp "$base_json" "$head_json" | sed 's/.*: //'))"
+    elif ! cmp -s "$tmp/out/base/$scale/$exp/stdout.txt" \
+                  "$tmp/out/head/$scale/$exp/stdout.txt"; then
+      verdict="report (stdout) differs"
+    elif [[ $base_rc != "$head_rc" ]]; then
+      verdict="exit code $base_rc -> $head_rc"
+    fi
+    [[ $verdict == identical ]] || failures=$((failures + 1))
+    printf '%-8s %-18s %-40s exit %s  %ds\n' "$scale" "$exp" "$verdict" "$head_rc" \
+      $((SECONDS - start))
+  done
+done
+
+if [[ $failures -gt 0 ]]; then
+  echo "payload_diff: $failures run(s) differ from ${base_sha:0:12}" >&2
+  exit 1
+fi
+echo "payload_diff: every run byte-identical to ${base_sha:0:12}"

@@ -7,6 +7,10 @@
 
 namespace alps::core {
 
+/// Dead band: no adjustment while the smoothed overhead is within this
+/// relative distance of the target (prevents hunting).
+constexpr double kDeadband = 0.2;
+
 AdaptiveQuantumController::AdaptiveQuantumController(AdaptiveQuantumConfig cfg)
     : cfg_(cfg) {
     ALPS_EXPECT(cfg_.min_quantum > util::Duration::zero());
@@ -15,7 +19,6 @@ AdaptiveQuantumController::AdaptiveQuantumController(AdaptiveQuantumConfig cfg)
     ALPS_EXPECT(cfg_.gain > 0.0 && cfg_.gain <= 1.0);
     ALPS_EXPECT(cfg_.granularity > util::Duration::zero());
     ALPS_EXPECT(cfg_.smoothing > 0.0 && cfg_.smoothing <= 1.0);
-    ALPS_EXPECT(cfg_.deadband >= 0.0);
 }
 
 util::Duration AdaptiveQuantumController::update(util::Duration current_quantum,
@@ -39,7 +42,7 @@ util::Duration AdaptiveQuantumController::update(util::Duration current_quantum,
     // so up- and down-corrections are symmetric), on the smoothed estimate,
     // and only when outside the dead band.
     const double ratio = ewma_ / cfg_.target_overhead;
-    if (std::abs(ratio - 1.0) <= cfg_.deadband) return current_quantum;
+    if (std::abs(ratio - 1.0) <= kDeadband) return current_quantum;
     const double factor = std::pow(ratio, cfg_.gain);
     const double raw =
         static_cast<double>(current_quantum.count()) * factor;

@@ -26,9 +26,6 @@ struct AdaptiveQuantumConfig {
     /// of a cycle, and the measurement load varies across a cycle), so the
     /// controller acts on an EWMA. Weight of the newest observation.
     double smoothing = 0.3;
-    /// Dead band: no adjustment while the smoothed overhead is within this
-    /// relative distance of the target (prevents hunting).
-    double deadband = 0.2;
 };
 
 class AdaptiveQuantumController {

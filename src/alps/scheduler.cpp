@@ -15,6 +15,24 @@ namespace {
 /// the chance of leaving an entity stopped is p^8).
 constexpr int kReleaseAttempts = 8;
 
+// ----- degradation ladder (every step activates only after a failure) -----
+
+/// Immediate same-tick retries of a failed progress read (bounded; the
+/// cross-tick backoff below handles persistent failures).
+constexpr int kMaxReadRetries = 2;
+/// After this many *consecutive* failures on one entity, stop signalling it
+/// (quarantine): it is released to run freely, probed every tick, and either
+/// recovers or is dropped.
+constexpr int kQuarantineAfter = 4;
+/// After this many consecutive failures the entity is dropped from the cycle
+/// entirely (its share and allowance leave the accounting).
+constexpr int kDropAfter = 12;
+/// Cap on the cross-tick measurement backoff after failed reads, in ticks
+/// (backoff is 1, 2, 4, ... up to this). Quarantine at the kQuarantineAfter-th
+/// failure comes first, so in practice the waits are 1, 2, 4.
+constexpr int kMaxBackoffTicks = 8;
+static_assert(kDropAfter > kQuarantineAfter);
+
 // ----- telemetry (all no-ops without an attached sink) -----
 //
 // Each entity gets one state-span timeline on track == its id: an
@@ -52,10 +70,6 @@ Scheduler::Scheduler(ProcessControl& control, SchedulerConfig cfg, util::Arena* 
       entities_(util::ArenaAllocator<std::pair<EntityId, Entity>>(arena)) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
     ALPS_EXPECT(cfg_.max_parallelism >= 1.0);
-    ALPS_EXPECT(cfg_.faults.max_read_retries >= 0);
-    ALPS_EXPECT(cfg_.faults.max_backoff_ticks >= 1);
-    ALPS_EXPECT(cfg_.faults.quarantine_after == 0 ||
-                cfg_.faults.drop_after > cfg_.faults.quarantine_after);
 }
 
 void Scheduler::add(EntityId id, Share share) {
@@ -199,7 +213,7 @@ Sample Scheduler::guarded_read(EntityId id, TickStats& stats) {
             s = Sample{};
             s.ok = false;
         }
-        if (s.ok || attempt >= cfg_.faults.max_read_retries) return s;
+        if (s.ok || attempt >= kMaxReadRetries) return s;
         ++stats.retries;
         ++health_.retries;
     }
@@ -222,14 +236,12 @@ bool Scheduler::note_failure(Entity& e) {
     // entity would never reach quarantine. Signal-failure call sites set
     // `suspect` themselves.
     ++e.fail_streak;
-    return !e.quarantined && cfg_.faults.quarantine_after > 0 &&
-           e.fail_streak >= cfg_.faults.quarantine_after;
+    return !e.quarantined && e.fail_streak >= kQuarantineAfter;
 }
 
 void Scheduler::transition(EntityId id, Entity& e, bool make_eligible, TickStats& stats) {
     const bool changing = e.eligible != make_eligible;
-    const bool healing = e.suspect && cfg_.faults.self_heal;
-    if (!changing && !healing) return;
+    if (!changing && !e.suspect) return;
     trace_state_flip(id, e.eligible, make_eligible);
     e.eligible = make_eligible;  // desired state, regardless of delivery
     const ControlResult r = guarded_signal(id, make_eligible);
@@ -372,8 +384,7 @@ TickStats Scheduler::tick() {
         ALPS_EXPECT(batch_cursor < batch_ids_.size() &&
                     batch_ids_[batch_cursor] == id);
         Sample s = batch_samples_[batch_cursor++];
-        for (int attempt = 0; !s.ok && attempt < cfg_.faults.max_read_retries;
-             ++attempt) {
+        for (int attempt = 0; !s.ok && attempt < kMaxReadRetries; ++attempt) {
             ++stats.retries;
             ++health_.retries;
             try {
@@ -397,7 +408,7 @@ TickStats Scheduler::tick() {
                 ++stats.read_failures;
                 ++health_.read_failures;
                 note_failure(e);
-                if (e.fail_streak >= cfg_.faults.drop_after) dropped.push_back(id);
+                if (e.fail_streak >= kDropAfter) dropped.push_back(id);
                 continue;
             }
             ++stats.measured;
@@ -425,7 +436,7 @@ TickStats Scheduler::tick() {
                 ++stats.control_failures;
                 ++health_.control_failures;
                 note_failure(e);
-                if (e.fail_streak >= cfg_.faults.drop_after) dropped.push_back(id);
+                if (e.fail_streak >= kDropAfter) dropped.push_back(id);
             }
             continue;
         }
@@ -436,7 +447,7 @@ TickStats Scheduler::tick() {
             // ineligible entities on the same lazy schedule: a lost SIGSTOP
             // otherwise lets the entity free-run *unmeasured*, the one
             // failure mode the eligible-path watchdog cannot see.
-            if (!cfg_.faults.self_heal || !health_.degraded()) continue;
+            if (!health_.degraded()) continue;
             if (cfg_.lazy_measurement && e.update > count_) continue;
             e.touched = true;
             const Sample s = guarded_read(id, stats);
@@ -488,7 +499,7 @@ TickStats Scheduler::tick() {
                 // Cross-tick exponential backoff: 1, 2, 4, ... ticks.
                 const int shift = std::min(e.fail_streak - 1, 6);
                 const auto backoff = static_cast<std::uint64_t>(
-                    std::min(1 << shift, cfg_.faults.max_backoff_ticks));
+                    std::min(1 << shift, kMaxBackoffTicks));
                 e.update = count_ + backoff;
             }
             continue;
@@ -504,21 +515,19 @@ TickStats Scheduler::tick() {
             // SIGCONT (or an outside party stopped it). Self-heal so no
             // entity stays wedged longer than its measurement postponement
             // (at most one cycle).
-            if (cfg_.faults.self_heal) {
-                ++stats.reissues;
-                ++health_.reissues;
-                const ControlResult r = guarded_signal(id, /*make_eligible=*/true);
-                if (r == ControlResult::kOk) {
-                    note_success(e);
-                } else if (r == ControlResult::kGone) {
-                    dead.push_back(id);
-                    continue;
-                } else {
-                    ++stats.control_failures;
-                    ++health_.control_failures;
-                    e.suspect = true;
-                    if (note_failure(e)) enter_quarantine(id, e);
-                }
+            ++stats.reissues;
+            ++health_.reissues;
+            const ControlResult r = guarded_signal(id, /*make_eligible=*/true);
+            if (r == ControlResult::kOk) {
+                note_success(e);
+            } else if (r == ControlResult::kGone) {
+                dead.push_back(id);
+                continue;
+            } else {
+                ++stats.control_failures;
+                ++health_.control_failures;
+                e.suspect = true;
+                if (note_failure(e)) enter_quarantine(id, e);
             }
         } else {
             note_success(e);
@@ -577,7 +586,7 @@ TickStats Scheduler::tick() {
         const bool want_eligible = e.allowance > 0.0;
         // Duplicates transition()'s no-change early return so the common
         // case pays no call overhead.
-        if (e.eligible != want_eligible || (e.suspect && cfg_.faults.self_heal)) {
+        if (e.eligible != want_eligible || e.suspect) {
             transition(id, e, want_eligible, stats);
         }
         if (e.suspect && e.fail_streak == failures_before) {
@@ -599,8 +608,7 @@ TickStats Scheduler::tick() {
                 note_failure(e);
             }
         }
-        if (cfg_.faults.quarantine_after > 0 && !e.quarantined &&
-            e.fail_streak >= cfg_.faults.quarantine_after) {
+        if (!e.quarantined && e.fail_streak >= kQuarantineAfter) {
             enter_quarantine(id, e);
             continue;
         }

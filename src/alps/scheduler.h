@@ -43,31 +43,6 @@ namespace alps::core {
 using util::Duration;
 using util::Share;
 
-/// Degradation policy: how the scheduler reacts when the backend channel
-/// fails. The defaults keep the no-fault fast path bit-identical to a
-/// scheduler without any fault handling (every mechanism below only
-/// activates after a failure is actually observed).
-struct FaultPolicy {
-    /// Immediate same-tick retries of a failed progress read (bounded; the
-    /// cross-tick backoff below handles persistent failures).
-    int max_read_retries = 2;
-    /// After this many *consecutive* failures on one entity, stop signalling
-    /// it (quarantine): it is released to run freely, probed every tick, and
-    /// either recovers or is dropped. 0 disables quarantine.
-    int quarantine_after = 4;
-    /// After this many consecutive failures the entity is dropped from the
-    /// cycle entirely (its share and allowance leave the accounting).
-    /// Must be > quarantine_after when both are enabled.
-    int drop_after = 12;
-    /// Cap on the cross-tick measurement backoff after failed reads, in
-    /// ticks (backoff is 1, 2, 4, ... up to this).
-    int max_backoff_ticks = 8;
-    /// Self-healing watchdog: re-issue the desired-state signal to entities
-    /// whose last control op failed, and re-resume entities that a
-    /// measurement finds stopped while eligible (a lost SIGCONT).
-    bool self_heal = true;
-};
-
 struct SchedulerConfig {
     /// The ALPS quantum Q — the period between algorithm invocations and the
     /// unit of allowance. The paper evaluates 10–40 ms (100 ms in §5).
@@ -82,8 +57,6 @@ struct SchedulerConfig {
     /// lazy-measurement postponement divides by this so it stays a sound
     /// lower bound.
     double max_parallelism = 1.0;
-    /// Failure-degradation policy (see FaultPolicy).
-    FaultPolicy faults{};
 };
 
 /// Everything the algorithm did during one tick; the simulation backend

@@ -106,25 +106,6 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
         grid_q_ = q;
         next_boundary_ = due - 1;
     }
-#ifdef ALPS_TRACE_DRIVER
-    if (due - next_boundary_ - 1 > 0) {
-        const os::Proc& self = ctx.kernel.proc(ctx.pid);
-        std::fprintf(stderr,
-                     "[driver late] pid=%d home=%d now=%.3fms boundary=%lld due=%lld\n",
-                     ctx.pid, self.home_cpu, util::to_ms(now.since_epoch),
-                     static_cast<long long>(next_boundary_),
-                     static_cast<long long>(due));
-        for (os::Pid pid : ctx.kernel.live_pids()) {
-            const os::Proc& p = ctx.kernel.proc(pid);
-            if (p.home_cpu != self.home_cpu) continue;
-            std::fprintf(stderr,
-                         "  pid %d %s nice %d estcpu %.1f usrpri %.1f cpu %d %s%s\n",
-                         pid, p.name.c_str(), p.nice, p.estcpu, p.usrpri, p.on_cpu,
-                         std::string(to_string(p.state)).c_str(),
-                         p.stopped ? " stopped" : "");
-        }
-    }
-#endif
     missed_ += static_cast<std::uint64_t>(due - next_boundary_ - 1 > 0
                                               ? due - next_boundary_ - 1
                                               : 0);

@@ -14,10 +14,12 @@ namespace alps::core {
 using util::Duration;
 using util::TimePoint;
 
+/// stride1: the stride of a single share (2^20, as in the paper).
+constexpr double kStride1 = 1048576.0;
+
 StrideEngine::StrideEngine(ProcessControl& control, StrideEngineConfig cfg)
     : control_(control), cfg_(cfg) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
-    ALPS_EXPECT(cfg_.stride1 > 0.0);
 }
 
 std::size_t StrideEngine::find(EntityId id) const {
@@ -35,7 +37,7 @@ void StrideEngine::add(EntityId id, Share share) {
     ALPS_EXPECT(find(id) == entities_.size());
     Entity e;
     e.share = share;
-    e.stride = cfg_.stride1 / static_cast<double>(share);
+    e.stride = kStride1 / static_cast<double>(share);
     // Join at the back of the current pass window, like a stride client_init:
     // one stride behind nobody, one ahead of everyone's history.
     double max_pass = 0.0;

@@ -45,8 +45,6 @@ namespace alps::core {
 struct StrideEngineConfig {
     /// Tick period and the unit of pass advancement (like the ALPS Q).
     Duration quantum = util::msec(10);
-    /// stride1: the stride of a single share (2^20, as in the paper).
-    double stride1 = 1048576.0;
     /// §2.3 mapped onto stride: skip measuring while the runner provably
     /// holds the minimum pass (off = the eager ablation, one read per tick).
     bool lazy_measurement = true;

@@ -76,11 +76,11 @@ struct Experiment {
     /// Builds the task list for this run's options (full_scale may change it).
     std::function<std::vector<Task>(const SweepOptions&)> make_tasks;
     /// Optional: prints the paper-style tables from the finished sweep.
-    std::function<void(const SweepReport&, std::ostream&)> present;
+    std::function<void(const SweepReport&, std::ostream&)> present{};
     /// Optional: cross-point criteria (reproduction gate). Appends its
     /// verdicts to report.gate_checks (so they reach the JSON), may print a
     /// verdict table, and returns the number of failed criteria.
-    std::function<int(SweepReport&, std::ostream&)> evaluate;
+    std::function<int(SweepReport&, std::ostream&)> evaluate{};
     /// Task errors are expected (fault-injection experiments like
     /// chaos_campaign): they don't fail the sweep's exit code; only failed
     /// checks do.

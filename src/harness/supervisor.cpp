@@ -26,6 +26,13 @@ namespace alps::harness {
 
 namespace {
 
+/// Retry backoff: initial delay, doubling per retry, capped.
+constexpr int kBackoffInitialMs = 10;
+constexpr int kBackoffMaxMs = 250;
+/// Flight-recorder ring capacity per worker thread: the newest N telemetry
+/// records survive into the crash dump.
+constexpr std::size_t kTraceTailRecords = 65536;
+
 /// How a single execution ended.
 enum class RunClass {
     kOk,        ///< result frame received, task succeeded
@@ -233,13 +240,13 @@ RunSupervisor::Attempt RunSupervisor::run_isolated(const Task& task,
         // into a crash dump. Skipped if a session is somehow already attached
         // (tracing disables isolation, so this is belt-and-braces).
         telemetry::SessionConfig scfg;
-        scfg.ring_capacity = cfg_.trace_tail_records;
+        scfg.ring_capacity = kTraceTailRecords;
         scfg.wrap = true;
         telemetry::Session flight(scfg);
         if (!telemetry::active() && !trace_path.empty()) {
             telemetry::attach(flight);
             telemetry::set_scope(static_cast<std::uint32_t>(ctx.index));
-            arm_child_crash_dump(trace_path, cfg_.trace_tail_records);
+            arm_child_crash_dump(trace_path, kTraceTailRecords);
         }
 
         TaskOutcome out;
@@ -371,7 +378,7 @@ void RunSupervisor::emit_forensics(const Attempt& attempt, const Task& task,
 }
 
 TaskOutcome RunSupervisor::run(const Task& task, const TaskContext& ctx) const {
-    int backoff_ms = cfg_.backoff_initial_ms;
+    int backoff_ms = kBackoffInitialMs;
     for (int attempt = 1;; ++attempt) {
         Attempt a = cfg_.isolate ? run_isolated(task, ctx, attempt)
                                  : run_inline(task, ctx);
@@ -390,7 +397,7 @@ TaskOutcome RunSupervisor::run(const Task& task, const TaskContext& ctx) const {
         if (!out_of_attempts) {
             bump("harness.runs_retried");
             std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-            backoff_ms = std::min(backoff_ms * 2, cfg_.backoff_max_ms);
+            backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
             continue;
         }
 

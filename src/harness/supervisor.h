@@ -50,15 +50,9 @@ struct SupervisorConfig {
     double run_timeout_s = 0.0;
     /// Executions per task before a crash/timeout quarantines it.
     int max_attempts = 3;
-    /// Retry backoff: initial delay, doubling per retry, capped.
-    int backoff_initial_ms = 10;
-    int backoff_max_ms = 250;
     /// Where flight-recorder dumps land (created on demand); "" disables
     /// the crash-dump half of forensics.
     std::string forensics_dir;
-    /// Flight-recorder ring capacity per worker thread: the newest N
-    /// telemetry records survive into the crash dump.
-    std::size_t trace_tail_records = 65536;
 };
 
 /// Sweep identity needed to render a single-run repro command

@@ -9,15 +9,14 @@
 namespace alps::os {
 
 BsdPolicy::BsdPolicy(BsdPolicyConfig cfg) : cfg_(cfg) {
-    ALPS_EXPECT(cfg_.stat_tick > util::Duration::zero());
     ALPS_EXPECT(cfg_.round_robin > util::Duration::zero());
 }
 
 int BsdPolicy::queue_index(const Proc& p) const {
     // A freshly woken process still holds its kernel sleep priority (PWAIT
     // class) until it returns to user mode.
-    const double pri = p.wake_boost ? cfg_.sleep_pri : p.usrpri;
-    const double span = cfg_.max_pri + 1.0;
+    const double pri = p.wake_boost ? kSleepPri : p.usrpri;
+    const double span = kMaxPri + 1.0;
     int idx = static_cast<int>(pri / (span / kNumQueues));
     return std::clamp(idx, 0, kNumQueues - 1);
 }
@@ -26,8 +25,8 @@ void BsdPolicy::recompute_priority(Proc& p) const {
     // resetpriority() clamps only the upper bound: a negative nice drops
     // below PUSER by design, so a privileged daemon outranks user-mode
     // processes even after its wakeup boost is spent.
-    const double pri = cfg_.puser + p.estcpu / 4.0 + 2.0 * p.nice;
-    p.usrpri = std::clamp(pri, 0.0, cfg_.max_pri);
+    const double pri = kPuser + p.estcpu / 4.0 + 2.0 * p.nice;
+    p.usrpri = std::clamp(pri, 0.0, kMaxPri);
 }
 
 double BsdPolicy::decay_factor(double loadavg) {
@@ -109,8 +108,8 @@ bool BsdPolicy::yields_to(const Proc& running, const Proc& cand) const {
 void BsdPolicy::charge(Proc& p, util::Duration ran) {
     ALPS_EXPECT(ran >= util::Duration::zero());
     const double ticks =
-        static_cast<double>(ran.count()) / static_cast<double>(cfg_.stat_tick.count());
-    p.estcpu = std::min(p.estcpu + ticks, cfg_.estcpu_limit);
+        static_cast<double>(ran.count()) / static_cast<double>(kStatTick.count());
+    p.estcpu = std::min(p.estcpu + ticks, kEstcpuLimit);
     recompute_priority(p);
 }
 
@@ -168,7 +167,7 @@ void BsdPolicy::second_tick(std::span<Proc* const> procs, double loadavg,
         // no scan, and requeueing below is O(1) unlink + append.
         const bool queued = p->rq_index >= 0;
         const double new_estcpu = std::clamp(
-            d * p->estcpu + static_cast<double>(p->nice), 0.0, cfg_.estcpu_limit);
+            d * p->estcpu + static_cast<double>(p->nice), 0.0, kEstcpuLimit);
         if (new_estcpu == p->estcpu) continue;
         const int old_index = queue_index(*p);
         p->estcpu = new_estcpu;

@@ -25,20 +25,22 @@
 namespace alps::os {
 
 struct BsdPolicyConfig {
-    /// Statclock period: one estcpu "tick" of CPU use.
-    util::Duration stat_tick = util::msec(10);
     /// Round-robin interval (RR slice among equal-priority processes).
     util::Duration round_robin = util::msec(100);
-    double puser = 50.0;      ///< base user priority (PUSER)
-    double max_pri = 127.0;   ///< worst priority
-    double estcpu_limit = 255.0;  ///< ESTCPULIM
-    /// Kernel sleep priority a woken process briefly holds (PWAIT class);
-    /// always beats user priorities, so sleepers preempt compute-bound work.
-    double sleep_pri = 32.0;
 };
 
 class BsdPolicy final : public SchedPolicy {
 public:
+    // The model parameters 4.4BSD compiles in.
+    /// Statclock period: one estcpu "tick" of CPU use.
+    static constexpr util::Duration kStatTick = util::msec(10);
+    static constexpr double kPuser = 50.0;         ///< base user priority (PUSER)
+    static constexpr double kMaxPri = 127.0;       ///< worst priority (MAXPRI)
+    static constexpr double kEstcpuLimit = 255.0;  ///< ESTCPULIM
+    /// Kernel sleep priority a woken process briefly holds (PWAIT class);
+    /// always beats user priorities, so sleepers preempt compute-bound work.
+    static constexpr double kSleepPri = 32.0;
+
     explicit BsdPolicy(BsdPolicyConfig cfg = {});
 
     void add(Proc& p) override;
@@ -58,10 +60,8 @@ public:
     /// estcpu/usrpri live on the Proc and must survive a migration — add()
     /// would zero the usage history and hand a migrated hog a fresh top
     /// priority. There is no per-instance state to adopt, so arriving is
-    /// just a priority recompute against this instance's config.
+    /// just a priority recompute.
     void on_migrate_in(Proc& p) override { recompute_priority(p); }
-
-    [[nodiscard]] const BsdPolicyConfig& config() const { return cfg_; }
 
 private:
     static constexpr int kNumQueues = 32;

@@ -13,11 +13,14 @@ namespace alps::os {
 using util::Duration;
 using util::TimePoint;
 
+/// Period of the schedcpu housekeeping (estcpu decay, load average).
+constexpr Duration kSchedcpuPeriod = util::sec(1);
+/// Time constant of the load-average EWMA (4.4BSD's 1-minute average).
+constexpr Duration kLoadavgTau = util::sec(60);
+
 Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)) {
     ALPS_EXPECT(cfg_.ncpus >= 1);
-    ALPS_EXPECT(cfg_.schedcpu_period > Duration::zero());
-    ALPS_EXPECT(cfg_.loadavg_tau > Duration::zero());
     // A pre-constructed policy object is inherently single-instance, so it
     // implies the shared global queue.
     ALPS_EXPECT(policy == nullptr || !cfg_.percpu_queues);
@@ -45,7 +48,7 @@ Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelC
     decision_kind_ = engine_.register_hot(&Kernel::on_decision_timer, this);
     wake_kind_ = engine_.register_hot(&Kernel::on_timer_wake, this);
     tick_kind_ = engine_.register_hot(&Kernel::on_second_tick, this);
-    engine_.schedule_after(cfg_.schedcpu_period, tick_kind_, 0);
+    engine_.schedule_after(kSchedcpuPeriod, tick_kind_, 0);
 }
 
 Kernel::~Kernel() {
@@ -846,9 +849,11 @@ void Kernel::rebalance() {
 
 void Kernel::second_tick() {
     // Load average first (an EWMA of the eligible-process count), then let
-    // the policy decay its usage estimates with it.
+    // the policy decay its usage estimates with it. GCC may fold this exp at
+    // compile time (correctly rounded); for this argument glibc's run-time
+    // exp returns the same bits, 0x3fef78992056d459.
     const double alpha =
-        std::exp(-util::to_sec(cfg_.schedcpu_period) / util::to_sec(cfg_.loadavg_tau));
+        std::exp(-util::to_sec(kSchedcpuPeriod) / util::to_sec(kLoadavgTau));
     loadavg_ = loadavg_ * alpha + static_cast<double>(eligible_count()) * (1.0 - alpha);
 
     // Charge on-CPU processes so their estcpu is current before the decay.
@@ -873,7 +878,7 @@ void Kernel::second_tick() {
         rebalance();
     }
 
-    engine_.schedule_after(cfg_.schedcpu_period, tick_kind_, 0);
+    engine_.schedule_after(kSchedcpuPeriod, tick_kind_, 0);
     schedule();
 }
 

@@ -45,10 +45,6 @@ namespace alps::os {
 struct KernelConfig {
     /// Number of CPUs (the paper's host has one).
     int ncpus = 1;
-    /// Period of the schedcpu housekeeping (estcpu decay, load average).
-    util::Duration schedcpu_period = util::sec(1);
-    /// Time constant of the load-average EWMA (4.4BSD's 1-minute average).
-    util::Duration loadavg_tau = util::sec(60);
     /// Signal-delivery latency model. Zero (default) delivers SIGSTOP to a
     /// *running* process instantly — the idealization. A real kernel only
     /// acts on the signal when the process next enters the kernel, i.e. at

@@ -9,10 +9,13 @@ namespace alps::os::policies {
 
 using util::Duration;
 
+/// Slice floor (kernel.sched_min_granularity_ns).
+constexpr Duration kMinGranularity = util::usec(750);
+/// Wakeup preemption threshold (kernel.sched_wakeup_granularity_ns).
+constexpr Duration kWakeupGranularity = util::msec(1);
+
 CfsPolicy::CfsPolicy(CfsPolicyConfig cfg) : cfg_(cfg) {
     ALPS_EXPECT(cfg_.sched_latency > Duration::zero());
-    ALPS_EXPECT(cfg_.min_granularity > Duration::zero());
-    ALPS_EXPECT(cfg_.wakeup_granularity >= Duration::zero());
 }
 
 CfsPolicy::Timing& CfsPolicy::state(const Proc& p) {
@@ -108,7 +111,7 @@ bool CfsPolicy::preempts(const Proc& cand, const Proc& running) const {
     // candidate.
     const Timing& c = state(cand);
     const Timing& r = state(running);
-    const double gran = static_cast<double>(cfg_.wakeup_granularity.count()) *
+    const double gran = static_cast<double>(kWakeupGranularity.count()) *
                         static_cast<double>(kWeightNice0) / c.weight;
     return r.vruntime - c.vruntime > gran;
 }
@@ -143,7 +146,7 @@ void CfsPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loadavg*/
 util::Duration CfsPolicy::slice() const {
     const auto runnable = queue_.size() + boosted_size_ + 1;  // + the incumbent
     const auto share = cfg_.sched_latency / static_cast<std::int64_t>(runnable);
-    return std::max(share, cfg_.min_granularity);
+    return std::max(share, kMinGranularity);
 }
 
 double CfsPolicy::vruntime(const Proc& p) const { return state(p).vruntime; }

@@ -37,10 +37,6 @@ namespace alps::os::policies {
 struct CfsPolicyConfig {
     /// Target period in which every runnable process runs once.
     util::Duration sched_latency = util::msec(6);
-    /// Slice floor (kernel.sched_min_granularity_ns).
-    util::Duration min_granularity = util::usec(750);
-    /// Wakeup preemption threshold (kernel.sched_wakeup_granularity_ns).
-    util::Duration wakeup_granularity = util::msec(1);
 };
 
 class CfsPolicy final : public SchedPolicy {

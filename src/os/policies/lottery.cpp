@@ -11,7 +11,6 @@ using util::Duration;
 
 LotteryPolicy::LotteryPolicy(LotteryPolicyConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
-    ALPS_EXPECT(cfg_.max_compensation >= 1.0);
     // The base currency is worth exactly its issued tickets (rate 1:1); its
     // funding tracks issuance so base holdings never dilute each other.
     currencies_.push_back({0.0, 0.0});
@@ -79,7 +78,7 @@ void LotteryPolicy::enqueue(Proc& p) {
     // Leaving the CPU mid-quantum earns a compensation factor quantum/stint,
     // held until the next win (set here; consumed in pop()).
     if (t.stint > Duration::zero() && t.stint < cfg_.quantum) {
-        t.comp = std::min(cfg_.max_compensation,
+        t.comp = std::min(kMaxCompensation,
                           util::to_sec(cfg_.quantum) / util::to_sec(t.stint));
     } else {
         t.comp = 1.0;

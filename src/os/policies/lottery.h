@@ -36,8 +36,6 @@ struct LotteryPolicyConfig {
     util::Duration quantum = util::msec(100);
     /// Seed for the draw stream; same seed + same event order = same draws.
     std::uint64_t seed = 0xa1b5'10'77e41ULL;
-    /// Compensation-ticket cap: 1/f inflation is clamped to this factor.
-    double max_compensation = 64.0;
 };
 
 class LotteryPolicy final : public SchedPolicy {
@@ -45,6 +43,8 @@ public:
     using Config = LotteryPolicyConfig;
     using CurrencyId = std::int32_t;
     static constexpr CurrencyId kBaseCurrency = 0;
+    /// Compensation-ticket cap: 1/f inflation is clamped to this factor.
+    static constexpr double kMaxCompensation = 64.0;
 
     explicit LotteryPolicy(LotteryPolicyConfig cfg = {});
 

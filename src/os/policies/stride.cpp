@@ -7,9 +7,11 @@ namespace alps::os::policies {
 
 using util::Duration;
 
+/// stride1: the stride of a single ticket (2^20, as in the paper).
+constexpr double kStride1 = 1048576.0;
+
 StridePolicy::StridePolicy(StridePolicyConfig cfg) : cfg_(cfg) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
-    ALPS_EXPECT(cfg_.stride1 > 0.0);
 }
 
 StridePolicy::Striding& StridePolicy::state(const Proc& p) {
@@ -35,7 +37,7 @@ void StridePolicy::add(Proc& p) {
     s = Striding{};
     s.known = true;
     s.tickets = static_cast<double>(nice_to_weight(p.nice));
-    s.stride = cfg_.stride1 / s.tickets;
+    s.stride = kStride1 / s.tickets;
     // client_init: a new process owes one full stride before its first
     // quantum, so a flood of spawns starts in ticket order, not all at once.
     s.remain = s.stride;
@@ -126,7 +128,7 @@ void StridePolicy::charge(Proc& p, Duration ran) {
     // CPU; see the header caveat).
     const double active = queued_tickets_ + s.tickets;
     ALPS_ENSURE(active > 0.0);
-    global_pass_ += (cfg_.stride1 / active) * quanta;
+    global_pass_ += (kStride1 / active) * quanta;
     // Snapshot the leave credit now: if the process sleeps after this charge
     // the policy hears nothing until wakeup, and this snapshot — taken at
     // the exact moment it left the CPU — is its remain.
@@ -144,7 +146,7 @@ void StridePolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loadav
 void StridePolicy::set_tickets(const Proc& p, double tickets) {
     ALPS_EXPECT(tickets > 0.0);
     Striding& s = state(p);
-    const double new_stride = cfg_.stride1 / tickets;
+    const double new_stride = kStride1 / tickets;
     const bool queued = p.rq_index >= 0;
     if (queued) {
         queued_tickets_ -= s.tickets;

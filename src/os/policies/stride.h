@@ -45,8 +45,6 @@ namespace alps::os::policies {
 struct StridePolicyConfig {
     /// Scheduling quantum (pass advances by one stride per quantum of CPU).
     util::Duration quantum = util::msec(100);
-    /// stride1: the stride of a single ticket (2^20, as in the paper).
-    double stride1 = 1048576.0;
 };
 
 class StridePolicy final : public SchedPolicy {

@@ -1,10 +1,10 @@
 // Pluggable kernel scheduling policy.
 //
 // The default is the 4.4BSD multilevel-feedback policy (bsd_policy.h), the
-// scheduler underneath FreeBSD 4.8 on which the paper ran. The baselines in
-// src/sched (stride, lottery) implement the same interface, which lets the
-// baseline benches swap an in-kernel proportional-share policy for the BSD
-// one while keeping the rest of the machine identical.
+// scheduler underneath FreeBSD 4.8 on which the paper ran. The policies in
+// src/os/policies (lottery, stride, cfs) implement the same interface, which
+// lets an experiment swap an in-kernel policy for the BSD one by name
+// (KernelConfig::policy) while keeping the rest of the machine identical.
 #pragma once
 
 #include <span>

@@ -47,20 +47,6 @@ std::string TextTable::render() const {
     return out.str();
 }
 
-std::string TextTable::render_csv() const {
-    std::ostringstream out;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) out << ',';
-            out << row[c];
-        }
-        out << '\n';
-    };
-    emit_row(headers_);
-    for (const auto& row : rows_) emit_row(row);
-    return out.str();
-}
-
 void TextTable::print(std::ostream& os) const { os << render(); }
 
 std::string fmt(double value, int decimals) {

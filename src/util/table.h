@@ -1,7 +1,8 @@
-// Plain-text table and CSV emission for the benchmark harnesses.
+// Plain-text tables for the experiment reports.
 //
-// Every figure/table bench prints (a) a human-readable fixed-width table that
-// mirrors the paper's presentation and (b) optional CSV for replotting.
+// Every figure/table experiment prints a human-readable fixed-width table
+// that mirrors the paper's presentation; the JSON payload carries the
+// machine-readable numbers.
 #pragma once
 
 #include <iosfwd>
@@ -20,10 +21,6 @@ public:
 
     /// Renders with columns padded to their widest cell.
     [[nodiscard]] std::string render() const;
-
-    /// Renders as CSV (no quoting: cells in this codebase never contain
-    /// commas or newlines; enforced by a contract check in add_row).
-    [[nodiscard]] std::string render_csv() const;
 
     void print(std::ostream& os) const;
 

@@ -1,6 +1,5 @@
 #include "web/cluster.h"
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,20 +101,6 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
         gc.mode = traffic::GeneratorConfig::Mode::kOpenLoop;
         gc.arrival.base_rps =
             i == 0 ? cfg.base_rps * cfg.protected_rps_mult : cfg.base_rps;
-        if (cfg.diurnal_amplitude > 0.0) {
-            gc.arrival.diurnal.amplitude = cfg.diurnal_amplitude;
-            gc.arrival.diurnal.period = cfg.diurnal_period;
-            // Golden-ratio phase offsets: per-site peaks spread evenly, so
-            // the cluster-level load stays smooth while each site swings.
-            gc.arrival.diurnal.phase =
-                static_cast<double>(i) * 0.618033988749895 -
-                std::floor(static_cast<double>(i) * 0.618033988749895);
-        }
-        if (cfg.burst_multiplier > 1.0) {
-            gc.arrival.burst.multiplier = cfg.burst_multiplier;
-            gc.arrival.burst.mean_normal = util::sec(5);
-            gc.arrival.burst.mean_burst = util::sec(1);
-        }
         if (flash_member(cfg, i)) {
             traffic::FlashCrowd spike;
             spike.start = TimePoint{} + cfg.flash_start;

@@ -1,7 +1,7 @@
 // Production-scale web hosting on one simulated machine (the web_scale
 // sweep): hundreds to thousands of WebSites share a per-CPU-queue kernel,
-// driven open-loop by traffic::Generators (Poisson/MMPP arrivals, diurnal
-// envelopes, flash-crowd spikes) instead of the §5 fixed client pools.
+// driven open-loop by traffic::Generators (flat Poisson arrivals with
+// flash-crowd spikes) instead of the §5 fixed client pools.
 //
 // The capacity-planning question it answers: one site ("site A", index 0)
 // buys a protected share; a deterministic subset of the others is hit by a
@@ -61,13 +61,7 @@ struct WebScaleConfig {
     util::Duration queue_timeout = util::sec(15);
 
     // ---- open-loop traffic ----
-    double base_rps = 4.0;  ///< per-site steady arrival rate
-    /// Sinusoidal rate envelope amplitude in [0,1); 0 = flat. Each site gets
-    /// a deterministic phase offset so the cluster's load stays smooth.
-    double diurnal_amplitude = 0.0;
-    util::Duration diurnal_period = util::sec(60);
-    /// MMPP burst modulation on every site's arrivals (0 = plain Poisson).
-    double burst_multiplier = 0.0;
+    double base_rps = 4.0;  ///< per-site steady (flat Poisson) arrival rate
     // Flash crowd: sites in row r = i / ncpus with r % flash_stride == 1
     // spike together — exactly one site per core per member row, so the
     // surge is spread evenly across scheduling domains and membership is

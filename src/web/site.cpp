@@ -84,7 +84,11 @@ private:
 // ----------------------------------------------------------------------------
 // Master
 
-/// The Apache parent: wakes up every master_period, pays a little CPU, and
+/// Master housekeeping cadence and its (small) CPU cost.
+constexpr Duration kMasterPeriod = util::sec(1);
+constexpr Duration kMasterCpu = util::usec(200);
+
+/// The Apache parent: wakes up every kMasterPeriod, pays a little CPU, and
 /// regulates the worker pool like prefork's idle-spare maintenance.
 class WebSite::MasterBehavior final : public os::Behavior {
 public:
@@ -94,10 +98,10 @@ public:
         if (just_ran_) {
             just_ran_ = false;
             site_.regulate();
-            return os::SleepAction{site_.cfg_.master_period, this};
+            return os::SleepAction{kMasterPeriod, this};
         }
         just_ran_ = true;
-        return os::RunAction{site_.cfg_.master_cpu};
+        return os::RunAction{kMasterCpu};
     }
 
 private:

@@ -70,9 +70,6 @@ struct SiteConfig {
     /// The default (exponential, 10 µs floor) is the seed model's draw,
     /// bit-identically; production runs use the heavy-tailed kinds.
     traffic::ServiceModel service{};
-    /// Master housekeeping cadence and its (small) CPU cost.
-    util::Duration master_period = util::sec(1);
-    util::Duration master_cpu = util::usec(200);
     std::uint64_t seed = 7;
     // ---- cluster placement (per-CPU-queue kernels) ----
     /// Scheduling domain for this site's master and workers; -1 = kernel

@@ -34,6 +34,19 @@ bool run_simulation_until(sim::Engine& engine, TimePoint deadline, DoneFn done) 
     return true;
 }
 
+/// Figure 6: B executes bursts of this much CPU ...
+constexpr Duration kIoBurst = util::msec(80);
+/// ... then sleeps this long (the paper: 240 ms, i.e. one burst per 3 cycles
+/// of CPU share at 33.3%).
+constexpr Duration kIoSleep = util::msec(240);
+
+/// Table 3: ignored at the start of each phase when fitting slopes (forks
+/// and kernel-priority transients perturb the first cycles).
+constexpr Duration kSettle = util::msec(600);
+
+/// Fault campaign: clean cycles after injection stops.
+constexpr int kDrainCycles = 10;
+
 }  // namespace
 
 // ----------------------------------------------------------------------------
@@ -54,7 +67,7 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
     scfg.quantum = cfg.quantum;
     scfg.lazy_measurement = cfg.lazy_measurement;
     scfg.io_accounting = cfg.io_accounting;
-    core::SimAlps alps(kernel, scfg, cfg.cost);
+    core::SimAlps alps(kernel, scfg);
 
     // Per-cycle accuracy instrumentation: read the true (simulated) rusage
     // at each cycle boundary, as the paper's instrumented ALPS does.
@@ -124,7 +137,7 @@ SimRunResult run_stride_engine_experiment(const SimRunConfig& cfg) {
     core::StrideEngineConfig ecfg;
     ecfg.quantum = cfg.quantum;
     ecfg.lazy_measurement = cfg.lazy_measurement;
-    core::SimStrideAlps alps(kernel, ecfg, cfg.cost);
+    core::SimStrideAlps alps(kernel, ecfg);
 
     metrics::ExactCycleLog log([&kernel](core::EntityId id) {
         return kernel.cpu_time(static_cast<os::Pid>(id));
@@ -197,7 +210,7 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
 
     // B runs CPU-bound until its cumulative consumption reaches
     // steady_cycles worth of its per-cycle share, then alternates
-    // io_burst of CPU with io_sleep of blocking.
+    // kIoBurst of CPU with kIoSleep of blocking.
     const Duration initial_cpu =
         cfg.quantum * (cfg.shares[1] * static_cast<Share>(cfg.steady_cycles));
 
@@ -205,7 +218,7 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
         kernel.spawn("A", 100, std::make_unique<os::CpuBoundBehavior>());
     const os::Pid pid_b = kernel.spawn(
         "B", 100,
-        std::make_unique<os::PhasedIoBehavior>(cfg.io_burst, cfg.io_sleep, initial_cpu));
+        std::make_unique<os::PhasedIoBehavior>(kIoBurst, kIoSleep, initial_cpu));
     const os::Pid pid_c =
         kernel.spawn("C", 100, std::make_unique<os::CpuBoundBehavior>());
 
@@ -214,17 +227,17 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
     alps.manage(pid_c, cfg.shares[2]);
 
     IoRunResult res;
-    // Onset: B finishes `initial_cpu + io_burst` of CPU, consuming its share
+    // Onset: B finishes `initial_cpu + kIoBurst` of CPU, consuming its share
     // (shares[1] quanta) per cycle.
     res.io_onset_cycle = static_cast<std::uint64_t>(
-        (initial_cpu + cfg.io_burst).count() /
+        (initial_cpu + kIoBurst).count() /
         (cfg.quantum.count() * cfg.shares[1]));
 
     const auto target =
         static_cast<std::size_t>(cfg.steady_cycles + cfg.observe_cycles);
     const Duration cycle_len = cfg.quantum * total;
     const Duration max_wall = cycle_len * static_cast<std::int64_t>(4 * (target + 10)) +
-                              cfg.io_sleep * static_cast<std::int64_t>(target);
+                              kIoSleep * static_cast<std::int64_t>(target);
     run_simulation_until(engine, TimePoint{} + max_wall,
                          [&] { return log.cycle_count() >= target; });
 
@@ -272,7 +285,7 @@ MultiAlpsResult run_multi_alps_experiment(const MultiAlpsConfig& cfg) {
         core::SchedulerConfig scfg;
         scfg.quantum = cfg.quantum;
         auto alps = std::make_unique<core::SimAlps>(
-            kernel, scfg, cfg.cost, "alps-" + std::string(1, static_cast<char>('A' + g)),
+            kernel, scfg, core::CostModel{}, "alps-" + std::string(1, static_cast<char>('A' + g)),
             /*uid=*/g);
         std::array<os::Pid, 3> pids{};
         for (int m = 0; m < 3; ++m) {
@@ -318,7 +331,7 @@ MultiAlpsResult run_multi_alps_experiment(const MultiAlpsConfig& cfg) {
             const TimePoint begin =
                 std::max(bounds[static_cast<std::size_t>(phase)],
                          TimePoint{} + group_start[static_cast<std::size_t>(g)]) +
-                cfg.settle;
+                kSettle;
             const TimePoint end = bounds[static_cast<std::size_t>(phase) + 1];
             std::vector<const metrics::ConsumptionSeries*> series;
             std::vector<Share> shares;
@@ -350,20 +363,18 @@ FaultRunResult run_fault_experiment(const FaultRunConfig& cfg) {
     ALPS_EXPECT(!cfg.shares.empty());
     ALPS_EXPECT(cfg.fault_cycles > 0);
     ALPS_EXPECT(cfg.warmup_cycles >= 0);
-    ALPS_EXPECT(cfg.drain_cycles >= 0);
 
     sim::Engine engine;
     os::Kernel kernel(engine);
 
     core::SchedulerConfig scfg;
     scfg.quantum = cfg.quantum;
-    scfg.faults = cfg.policy;
 
     FaultRunResult res;
     std::vector<os::Pid> pids;
 
     {
-        core::SimAlps alps(kernel, scfg, cfg.cost, "alps", /*uid=*/0, cfg.faults);
+        core::SimAlps alps(kernel, scfg, {}, "alps", /*uid=*/0, cfg.faults);
 
         metrics::ExactCycleLog log([&kernel](core::EntityId id) {
             return kernel.cpu_time(static_cast<os::Pid>(id));
@@ -381,7 +392,7 @@ FaultRunResult run_fault_experiment(const FaultRunConfig& cfg) {
         // Generous deadline: faults slow cycles down (quarantined entities
         // free-run, shrinking everyone's measured progress per cycle).
         const auto total_cycles = static_cast<std::size_t>(
-            cfg.warmup_cycles + cfg.fault_cycles + cfg.drain_cycles);
+            cfg.warmup_cycles + cfg.fault_cycles + kDrainCycles);
         const Duration max_wall =
             cycle_len * static_cast<std::int64_t>(6 * (total_cycles + 10));
         const TimePoint deadline = TimePoint{} + max_wall;

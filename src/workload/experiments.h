@@ -35,7 +35,6 @@ struct SimRunConfig {
     int warmup_cycles = 5;
     bool lazy_measurement = true;  ///< §2.3 optimization (off = ablation)
     bool io_accounting = true;
-    core::CostModel cost{};
     /// Hard stop; zero = derived from the cycle length automatically.
     util::Duration max_wall{0};
     /// Kernel signal-delivery latency model (see KernelConfig): 0 = ideal
@@ -84,13 +83,9 @@ struct SimRunResult {
 
 struct IoRunConfig {
     util::Duration quantum = util::msec(10);
-    /// Shares of processes A, B, C; B is the one that performs I/O.
+    /// Shares of processes A, B, C; B is the one that performs I/O (bursts
+    /// of 80 ms of CPU, then 240 ms asleep — the paper's Figure 6).
     std::array<util::Share, 3> shares{1, 2, 3};
-    /// B executes bursts of this much CPU ...
-    util::Duration io_burst = util::msec(80);
-    /// ... then sleeps this long (the paper: 240 ms, i.e. one burst per
-    /// 3 cycles of CPU share at 33.3%).
-    util::Duration io_sleep = util::msec(240);
     /// Cycles of steady CPU-bound execution before B starts I/O.
     int steady_cycles = 30;
     /// Cycles to observe after the I/O onset.
@@ -118,10 +113,6 @@ struct MultiAlpsConfig {
     util::Duration phase2_start = util::sec(3);
     util::Duration phase3_start = util::sec(6);
     util::Duration end = util::sec(15);
-    /// Ignored at the start of each phase when fitting slopes (forks and
-    /// kernel-priority transients perturb the first cycles).
-    util::Duration settle = util::msec(600);
-    core::CostModel cost{};
 };
 
 struct MultiAlpsResult {
@@ -150,12 +141,8 @@ struct FaultRunConfig {
     /// Injected failure modes (see FaultPlan); enabled only during the fault
     /// phase — setup and drain always run on a clean channel.
     core::FaultPlan faults{};
-    /// The scheduler's degradation policy under test.
-    core::FaultPolicy policy{};
     int warmup_cycles = 5;    ///< clean cycles before injection starts
     int fault_cycles = 100;   ///< cycles with injection enabled (measured)
-    int drain_cycles = 10;    ///< clean cycles after injection stops
-    core::CostModel cost{};
 };
 
 struct FaultRunResult {

@@ -73,7 +73,7 @@ ShardedRunResult run_sharded_experiment(const ShardedRunConfig& cfg) {
         os::Kernel& kernel = *kernels.back();
 
         alps.push_back(std::make_unique<core::SimAlps>(
-            kernel, acfg, cfg.cost, "alps" + std::to_string(g), /*uid=*/0));
+            kernel, acfg, core::CostModel{}, "alps" + std::to_string(g), /*uid=*/0));
         logs.push_back(std::make_unique<metrics::ExactCycleLog>(
             [&kernel](core::EntityId id) {
                 return kernel.cpu_time(static_cast<os::Pid>(id));

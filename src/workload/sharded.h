@@ -47,7 +47,6 @@ struct ShardedRunConfig {
     /// (0 = no cross-shard process traffic). Hops are staggered one source
     /// group per boundary, which keeps the drain order S-invariant.
     int hop_period = 3;
-    core::CostModel cost{};
     std::string kernel_policy = "bsd";
     std::uint64_t policy_seed = 0xa1b5'5eedULL;
     /// When set, exports sharded-engine totals ("sharded.") plus the usual

@@ -20,6 +20,7 @@ public:
         bool suspended = false;
         int resumed_count = 0;
         int suspended_count = 0;
+        int read_count = 0;  ///< read attempts, failed ones included
         // --- scripted faults (decremented as they fire; 0 = healthy) ---
         int fail_reads = 0;     ///< next N reads return ok=false
         int lose_signals = 0;   ///< next N suspend/resume report kOk, no effect
@@ -29,6 +30,7 @@ public:
     core::Sample read_progress(core::EntityId id) override {
         ++reads;
         Entity& e = entities.at(id);
+        ++e.read_count;
         core::Sample s;
         if (e.fail_reads > 0) {
             --e.fail_reads;

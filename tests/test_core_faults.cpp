@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "alps/fault.h"
 #include "alps/scheduler.h"
@@ -152,7 +154,7 @@ TEST(Degradation, DeniedSuspendIsRetriedUntilDelivered) {
     EXPECT_GE(sched.health().control_failures, 3u);
     EXPECT_GE(sched.health().reissues, 1u);
     EXPECT_TRUE(sched.contains(1));
-    EXPECT_FALSE(sched.quarantined(1));  // 3 denials < quarantine_after
+    EXPECT_FALSE(sched.quarantined(1));  // 3 denials < 4 (quarantine)
     // Once the denials drained, the mock state tracks the desired state.
     EXPECT_EQ(mc.entities[1].suspended, !sched.eligible(1));
     EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
@@ -182,6 +184,44 @@ TEST(Degradation, PersistentReadFailureQuarantinesThenDropsEntity) {
     EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
     // The survivor is unaffected and still being scheduled.
     EXPECT_TRUE(sched.contains(2));
+}
+
+TEST(Degradation, DarkChannelFollowsTheExactRetryBackoffQuarantineDropSchedule) {
+    MockControl mc;
+    mc.ensure(1);
+    mc.ensure(2);
+    Scheduler sched(mc, config());
+    sched.add(1, 1);
+    sched.add(2, 1);
+    step(mc, sched, 3);
+    const HealthReport before = sched.health();
+    mc.entities[1].fail_reads = 1000000;  // the channel to 1 goes dark
+
+    // Per tick from the first failed read: how often entity 1 was read, and
+    // its state afterwards (Q = quarantined, D = dropped, . = managed).
+    std::vector<int> reads;
+    std::string state;
+    for (int i = 0; i < 40 && sched.contains(1); ++i) {
+        const int r0 = mc.entities[1].read_count;
+        step(mc, sched);
+        if (mc.entities[1].read_count == r0 && reads.empty()) continue;
+        reads.push_back(mc.entities[1].read_count - r0);
+        state += !sched.contains(1) ? 'D' : sched.quarantined(1) ? 'Q' : '.';
+    }
+    // Each failed measurement is 1 read + 2 same-tick retries. Between
+    // failures the entity waits 1, 2, then 4 ticks; the 4th failure
+    // quarantines it before the 8-tick backoff cap is ever reached. In
+    // quarantine it is probed every tick, and the 12th consecutive failure
+    // drops it.
+    EXPECT_EQ(reads, (std::vector<int>{3, 3, 0, 3, 0, 0, 0, 3,  // backoff
+                                       3, 3, 3, 3, 3, 3, 3, 3}));  // probes
+    EXPECT_EQ(state, ".......QQQQQQQQD");
+    const HealthReport after = sched.health();
+    EXPECT_EQ(after.read_failures - before.read_failures, 12u);
+    EXPECT_EQ(after.retries - before.retries, 24u);
+    EXPECT_EQ(after.quarantines - before.quarantines, 1u);
+    EXPECT_EQ(after.drops - before.drops, 1u);
+    EXPECT_FALSE(mc.entities[1].suspended);  // released on the way out
 }
 
 TEST(Degradation, QuarantinedEntityRecoversWhenChannelReturns) {

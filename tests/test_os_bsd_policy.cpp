@@ -26,7 +26,7 @@ TEST(BsdPolicy, NewProcessStartsAtBasePriority) {
     Proc p = make_proc(1);
     pol.add(p);
     EXPECT_DOUBLE_EQ(p.estcpu, 0.0);
-    EXPECT_DOUBLE_EQ(p.usrpri, pol.config().puser);
+    EXPECT_DOUBLE_EQ(p.usrpri, BsdPolicy::kPuser);
 }
 
 TEST(BsdPolicy, ChargeRaisesEstcpuAndWorsensPriority) {
@@ -35,7 +35,7 @@ TEST(BsdPolicy, ChargeRaisesEstcpuAndWorsensPriority) {
     pol.add(p);
     pol.charge(p, msec(100));  // 10 stat ticks
     EXPECT_DOUBLE_EQ(p.estcpu, 10.0);
-    EXPECT_DOUBLE_EQ(p.usrpri, pol.config().puser + 10.0 / 4.0);
+    EXPECT_DOUBLE_EQ(p.usrpri, BsdPolicy::kPuser + 10.0 / 4.0);
 }
 
 TEST(BsdPolicy, EstcpuClampsAtLimit) {
@@ -43,8 +43,8 @@ TEST(BsdPolicy, EstcpuClampsAtLimit) {
     Proc p = make_proc(1);
     pol.add(p);
     pol.charge(p, sec(60));
-    EXPECT_DOUBLE_EQ(p.estcpu, pol.config().estcpu_limit);
-    EXPECT_LE(p.usrpri, pol.config().max_pri);
+    EXPECT_DOUBLE_EQ(p.estcpu, BsdPolicy::kEstcpuLimit);
+    EXPECT_LE(p.usrpri, BsdPolicy::kMaxPri);
 }
 
 TEST(BsdPolicy, NiceWorsensPriority) {

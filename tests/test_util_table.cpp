@@ -16,13 +16,6 @@ TEST(TextTable, RendersAlignedColumns) {
     EXPECT_NE(out.find("| longer | 2   |"), std::string::npos);
 }
 
-TEST(TextTable, CsvOutput) {
-    TextTable t({"a", "b"});
-    t.add_row({"1", "2"});
-    t.add_row({"3", "4"});
-    EXPECT_EQ(t.render_csv(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(TextTable, RowArityMismatchViolatesContract) {
     TextTable t({"a", "b"});
     EXPECT_THROW(t.add_row({"only-one"}), ContractViolation);
