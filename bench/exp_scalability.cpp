@@ -97,7 +97,10 @@ void present(const harness::SweepReport& report, std::ostream& out) {
             pred = util::fmt(metrics::breakdown_threshold(fit), 0);
         }
         // Observed threshold: first N whose error leaves the controlled band.
-        std::string obs = ">" + std::to_string(ns.back());
+        // Appended, not ">" + to_string(): GCC 12 at -O3 raises a false
+        // -Wrestrict on the operator+ form, which -Werror builds reject.
+        std::string obs = ">";
+        obs += std::to_string(ns.back());
         for (const int n : ns) {
             if (report.metric_mean(point_name(n, q), "error_pct") > 15.0) {
                 obs = std::to_string(n);

@@ -378,8 +378,10 @@ harness::Result sharded_engine_task(bool full, int only_shards) {
             const double wall = seconds_since(t0);
             const double rate =
                 static_cast<double>(sharded.total_events_fired()) / wall;
-            const std::string tag =
-                "s" + std::to_string(shards) + (threaded ? "_threaded" : "");
+            // Appended: see the -Wrestrict note in exp_scalability.cpp.
+            std::string tag = "s";
+            tag += std::to_string(shards);
+            if (threaded) tag += "_threaded";
             res.metric("sharded_" + tag + "_events_per_sec", rate);
             if (shards == 8 && !threaded) {
                 res.metric("sharded_mux_events_per_sec", rate);

@@ -68,7 +68,6 @@ void register_all_experiments() {
         register_policy_zoo_experiment();
         register_many_core_experiment();
         register_web_scale_experiment();
-        register_sharded_run_experiment();
         register_fig6_io_experiment();
         register_multi_alps_experiment();
         register_web_section5_experiment();

@@ -102,11 +102,6 @@ void register_many_core_experiment();
 /// Honors --ncpus, --sites, and --flash-crowd to narrow the grid.
 void register_web_scale_experiment();
 
-/// Sharded-engine determinism gate: the 8-group machine bit-identical at
-/// 1/2/8 shards, serial and threaded, per kernel policy ("sharded_run").
-/// Honors --shards and --kernel-policy to narrow the grid.
-void register_sharded_run_experiment();
-
 /// Figure 6 (I/O redistribution) and the I/O-mix waterfill comparison
 /// ("fig6_io").
 void register_fig6_io_experiment();

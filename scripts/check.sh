@@ -71,24 +71,6 @@ if [[ "${ALPS_WEB_SCALE_SKIP:-0}" != "1" ]]; then
     --flash-crowd 8 --isolate --run-timeout 300 --jobs 4 --quiet --no-json
 fi
 
-# --- Sharded-engine TSan leg: lockstep differential replay at 8 shards ---
-# The sharded_run experiment under ThreadSanitizer: every kernel policy runs
-# the 8-group machine at 8 shards, serial-multiplexed and genuinely threaded,
-# and the experiment's evaluate() gate fails unless the consumed checksums are
-# bit-identical — a race in the barrier/channel/handoff protocol surfaces
-# either as a TSan report or as a checksum split between the two modes.
-# (The isolated barrier/SPSC churn tests already ran in build-tsan's ctest.)
-# ALPS_SHARDED_SKIP=1 skips the leg.
-if [[ "${ALPS_SHARDED_SKIP:-0}" != "1" ]]; then
-  cmake -B build-tsan-bench -S . \
-    -DALPS_SANITIZE=thread \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan-bench -j "$JOBS" --target alps-sweep
-  build-tsan-bench/tools/alps-sweep --experiment sharded_run --shards 8 \
-    --jobs 2 --quiet --no-json
-fi
-
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 run_suite build-asan address,undefined "$@"
@@ -221,9 +203,6 @@ if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
     ALPS_KERNEL_POLICY="$policy" build-perf/tests/test_policy_matrix
   done
   build-perf/tools/alps-sweep --experiment policy_zoo --quiet --out build-perf
-  # The sharded determinism gate again in Release (the TSan leg above runs it
-  # instrumented): its evaluate() criteria land in BENCH_sharded_run.json.
-  build-perf/tools/alps-sweep --experiment sharded_run --quiet --out build-perf
 fi
 
 # --- Chaos leg: the sweep harness must survive its own runs dying ---
@@ -322,4 +301,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web/sharded smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + sharded determinism gate + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + chaos leg passed"

@@ -27,10 +27,6 @@ constexpr int kQuarantineAfter = 4;
 /// After this many consecutive failures the entity is dropped from the cycle
 /// entirely (its share and allowance leave the accounting).
 constexpr int kDropAfter = 12;
-/// Cap on the cross-tick measurement backoff after failed reads, in ticks
-/// (backoff is 1, 2, 4, ... up to this). Quarantine at the kQuarantineAfter-th
-/// failure comes first, so in practice the waits are 1, 2, 4.
-constexpr int kMaxBackoffTicks = 8;
 static_assert(kDropAfter > kQuarantineAfter);
 
 // ----- telemetry (all no-ops without an attached sink) -----
@@ -496,11 +492,11 @@ TickStats Scheduler::tick() {
             if (note_failure(e)) {
                 enter_quarantine(id, e);
             } else {
-                // Cross-tick exponential backoff: 1, 2, 4, ... ticks.
-                const int shift = std::min(e.fail_streak - 1, 6);
-                const auto backoff = static_cast<std::uint64_t>(
-                    std::min(1 << shift, kMaxBackoffTicks));
-                e.update = count_ + backoff;
+                // Cross-tick exponential backoff. Quarantine on the
+                // kQuarantineAfter-th failure comes first, so the waits are
+                // 1, 2, 4 ticks and the shift needs no cap.
+                ALPS_ENSURE(e.fail_streak < kQuarantineAfter);
+                e.update = count_ + (std::uint64_t{1} << (e.fail_streak - 1));
             }
             continue;
         }

@@ -42,9 +42,8 @@ struct SweepOptions {
     /// Site count for experiments that sweep hosting scale (web_scale):
     /// restricts the grid to this one cluster size. 0 = the full grid.
     int sites = 0;
-    /// Shard count for experiments that sweep the sharded engine
-    /// (sharded_run, sim_perf's sharded point): restricts the grid to this
-    /// one shard count. 0 = the full grid.
+    /// Shard count for sim_perf's sharded_engine point: restricts it to
+    /// this one shard count. 0 = the full grid.
     int shards = 0;
     /// Flash-crowd intensity override for web_scale: restricts the grid to
     /// points with this arrival multiplier. < 0 = the full grid.

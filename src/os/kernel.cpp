@@ -132,91 +132,6 @@ void Kernel::reap(Pid pid) {
     soa_uid_[static_cast<std::size_t>(pid)] = 0;
 }
 
-MigratedProc Kernel::extradite(Pid pid) {
-    Proc& p = proc_mut(pid);
-    ALPS_EXPECT(p.state == RunState::kRunnable);
-    ALPS_EXPECT(!p.stopped);
-    ALPS_EXPECT(p.on_cpu < 0);
-    // Runnable off-CPU with no stop in flight means no engine events
-    // reference the process; the handle can cross to an engine this one has
-    // never heard of.
-    ALPS_EXPECT(p.sleep_event == 0 && p.pending_stop_event == 0);
-
-    MigratedProc handle;
-    handle.name = std::move(p.name);
-    handle.uid = p.uid;
-    handle.nice = p.nice;
-    handle.behavior = std::move(p.behavior);
-    handle.cpu_consumed = p.cpu_consumed;
-    handle.run_remaining = p.run_remaining;
-    handle.phase_lazy_pending = p.phase_lazy_pending;
-    handle.pinned = p.pinned;
-
-    dom(p).dequeue(p);
-    dom(p).remove(p);
-    // Retire the pid exactly as do_exit + reap would: per-uid cache, creation
-    // order, table slot, SoA row.
-    std::vector<Proc*>& members = by_uid_[p.uid];
-    ALPS_ENSURE(members[p.uid_index] == &p);
-    members.erase(members.begin() + static_cast<std::ptrdiff_t>(p.uid_index));
-    for (std::size_t i = p.uid_index; i < members.size(); ++i) {
-        members[i]->uid_index = i;
-    }
-    ALPS_ENSURE(ordered_[p.ordered_index] == &p);
-    ordered_.erase(ordered_.begin() + static_cast<std::ptrdiff_t>(p.ordered_index));
-    for (std::size_t i = p.ordered_index; i < ordered_.size(); ++i) {
-        ordered_[i]->ordered_index = i;
-    }
-    p.~Proc();
-    table_[static_cast<std::size_t>(pid)] = nullptr;
-    soa_base_ns_[static_cast<std::size_t>(pid)] = 0;
-    soa_flags_[static_cast<std::size_t>(pid)] = 0;
-    soa_uid_[static_cast<std::size_t>(pid)] = 0;
-    ++extraditions_;
-    return handle;
-}
-
-Pid Kernel::adopt(MigratedProc&& handle, int home_cpu) {
-    ALPS_EXPECT(handle.behavior != nullptr);
-    ALPS_EXPECT(home_cpu >= -1 && home_cpu < cfg_.ncpus);
-    const Pid pid = next_pid_++;
-    Proc* owned = engine_.arena().create<Proc>();
-    Proc& p = *owned;
-    p.pid = pid;
-    p.name = std::move(handle.name);
-    p.uid = handle.uid;
-    p.nice = handle.nice;
-    p.state = RunState::kRunnable;
-    p.behavior = std::move(handle.behavior);
-    p.cpu_consumed = handle.cpu_consumed;
-    p.run_remaining = handle.run_remaining;
-    p.phase_lazy_pending = handle.phase_lazy_pending;
-    p.last_charge = now();
-    if (cfg_.percpu_queues) {
-        p.home_cpu = home_cpu >= 0 ? home_cpu : (pid - 1) % cfg_.ncpus;
-        p.pinned = handle.pinned;
-    }
-    ALPS_ENSURE(static_cast<std::size_t>(pid) == table_.size());
-    table_.push_back(owned);
-    soa_base_ns_.push_back(0);
-    soa_flags_.push_back(0);
-    soa_uid_.push_back(0);
-    sync_soa(p);
-    p.ordered_index = ordered_.size();
-    ordered_.push_back(&p);
-    std::vector<Proc*>& members = by_uid_[p.uid];
-    p.uid_index = members.size();
-    members.push_back(&p);
-    dom(p).add(p);
-    p.enqueue_time = now();
-    dom(p).enqueue(p);
-    ++adoptions_;
-    // Unlike spawn, no next_action: the process resumes its interrupted
-    // phase (run_remaining / the lazy-demand flag travelled with it).
-    schedule();
-    return pid;
-}
-
 const Proc* Kernel::lookup(Pid pid) const {
     if (pid <= 0 || static_cast<std::size_t>(pid) >= table_.size()) return nullptr;
     return table_[static_cast<std::size_t>(pid)];

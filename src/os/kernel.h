@@ -70,23 +70,6 @@ struct KernelConfig {
     bool percpu_queues = false;
 };
 
-/// A process in flight between kernels: everything that must survive a
-/// cross-kernel migration (the sharded engine's shard-to-shard hand-off —
-/// see os::ShardLink). Produced by Kernel::extradite(), consumed by
-/// Kernel::adopt(); the behaviour object carries the process's phase program
-/// wherever it goes (behaviours only see the kernel through their action
-/// context, so they are kernel-agnostic by construction).
-struct MigratedProc {
-    std::string name;
-    Uid uid = 0;
-    int nice = 0;
-    std::unique_ptr<Behavior> behavior;
-    util::Duration cpu_consumed{0};   ///< rusage continuity across kernels
-    util::Duration run_remaining{0};  ///< the interrupted run phase resumes
-    bool phase_lazy_pending = false;
-    bool pinned = false;
-};
-
 class Kernel {
 public:
     /// The kernel drives (and is driven by) the given event engine. When no
@@ -116,24 +99,6 @@ public:
 
     /// Removes a zombie from the process table.
     void reap(Pid pid);
-
-    /// Removes a live process from this kernel entirely and returns it as a
-    /// migration handle for another kernel's adopt(). Contract: the process
-    /// is runnable, off-CPU, and not job-stopped (the sharded hand-off
-    /// migrates only queued processes — a sleeper's timer lives in this
-    /// kernel's engine and cannot follow it). The pid is retired, never
-    /// reused, and reported dead by alive()/exists() from here on.
-    [[nodiscard]] MigratedProc extradite(Pid pid);
-
-    /// Installs a migrated process under a fresh pid (returned), preserving
-    /// its consumed CPU and interrupted phase. The adopt side of
-    /// extradite(); placement follows spawn()'s home_cpu/pinned rules except
-    /// that `pinned` defaults to the flag the process travelled with.
-    Pid adopt(MigratedProc&& handle, int home_cpu = -1);
-
-    /// Processes handed to other kernels / received from them.
-    [[nodiscard]] std::uint64_t extraditions() const { return extraditions_; }
-    [[nodiscard]] std::uint64_t adoptions() const { return adoptions_; }
 
     // ----- the user-visible control surface -----
 
@@ -334,8 +299,6 @@ private:
     std::uint64_t context_switches_ = 0;
     std::uint64_t migrations_ = 0;  ///< cross-domain moves (steal + rebalance)
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
-    std::uint64_t extraditions_ = 0;  ///< processes handed to other kernels
-    std::uint64_t adoptions_ = 0;     ///< processes received from other kernels
     double loadavg_ = 0.0;
 
     // SoA mirror of the fields the sampling hot path reads, pid-indexed in

@@ -80,8 +80,11 @@ PosixAlpsRunner::PosixAlpsRunner(core::SchedulerConfig cfg)
     : control_(host_), scheduler_(control_, cfg) {}
 
 RunTotals PosixAlpsRunner::run_for(Duration wall) {
+    // The request is consumed on the way out, not cleared on the way in: a
+    // stop that arrives before the loop starts must still end the run.
+    const RunTotals totals = run_alps_loop(scheduler_, wall, &stop_);
     stop_.store(false, std::memory_order_relaxed);
-    return run_alps_loop(scheduler_, wall, &stop_);
+    return totals;
 }
 
 // ----------------------------------------------------------------------------
@@ -108,7 +111,6 @@ core::EntityId PosixGroupAlpsRunner::manage_group(std::string name, util::Share 
 }
 
 RunTotals PosixGroupAlpsRunner::run_for(Duration wall) {
-    stop_.store(false, std::memory_order_relaxed);
     TimePoint next_refresh = monotonic_now();
     auto pre_tick = [this, &next_refresh] {
         const TimePoint now = monotonic_now();
@@ -116,7 +118,9 @@ RunTotals PosixGroupAlpsRunner::run_for(Duration wall) {
         next_refresh = now + refresh_period_;
         control_.refresh_all();
     };
-    return run_alps_loop(scheduler_, wall, &stop_, pre_tick);
+    const RunTotals totals = run_alps_loop(scheduler_, wall, &stop_, pre_tick);
+    stop_.store(false, std::memory_order_relaxed);
+    return totals;
 }
 
 }  // namespace alps::posix

@@ -43,10 +43,11 @@ public:
     [[nodiscard]] core::Scheduler& scheduler() { return scheduler_; }
 
     /// Blocks and schedules for `wall` (or until request_stop() from another
-    /// thread).
+    /// thread or a signal handler).
     RunTotals run_for(util::Duration wall);
 
-    /// Asynchronously ends a run_for in progress (signal-safe).
+    /// Asynchronously ends the run_for in progress, or makes the next one
+    /// resume everything and return at once (signal-safe).
     void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
 private:
@@ -74,6 +75,7 @@ public:
     [[nodiscard]] core::Scheduler& scheduler() { return scheduler_; }
     [[nodiscard]] core::GroupProcessControl& groups() { return control_; }
 
+    /// Same contract as PosixAlpsRunner::run_for/request_stop.
     RunTotals run_for(util::Duration wall);
     void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 

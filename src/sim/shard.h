@@ -66,7 +66,8 @@ struct ShardMessage {
     TimePoint at{};
     /// Hot kind *in the destination shard's engine* (0 = use `cb`). Hot
     /// kinds are per-engine handles, so senders must use a kind the
-    /// destination registered — see os::ShardLink for the pattern.
+    /// destination registered — see sharded_engine_task in
+    /// bench/exp_sim_perf.cpp for the pattern.
     Engine::HotKind hot = 0;
     std::uint64_t arg = 0;
     Engine::Callback cb;

@@ -36,7 +36,7 @@ enum WellKnownName : std::uint16_t {
     kNameQuarantine = 6,  ///< entity entered quarantine
     kNameDrop = 7,        ///< entity dropped after repeated failures
     kNameEpoch = 8,       ///< sharded engine: lockstep boundary; track = shard
-    kNameHop = 9,         ///< cross-shard migration adopted; value = new pid
+    kNameHop = 9,         ///< retired cross-shard migration; kept so old traces decode
     kWellKnownNameCount = 10,
 };
 

@@ -1,11 +1,15 @@
 // POSIX backend tests. Parser tests are pure; the process-control tests fork
 // real children and exercise /proc + signals; the end-to-end test runs the
-// real ALPS loop briefly. Tolerances are generous: the host is shared.
+// real ALPS loop briefly, and the alpsctl case drives the real binary.
+// Tolerances are generous: the host is shared.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 
 #include "alps/group_control.h"
@@ -258,6 +262,52 @@ TEST(GroupControlOnPosix, TracksRealChildrenOfUser) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     EXPECT_LT((groups.read_progress(g).cpu_time - frozen).count(), msec(30).count());
     groups.resume(g);
+}
+
+// ----------------------------------------------------------------------------
+// The alpsctl binary
+
+char proc_state(pid_t pid) {
+    const auto st = read_proc_stat(pid);
+    return st ? st->state : '?';
+}
+
+TEST(Alpsctl, SigtermResumesEveryTenant) {
+    // A plain `kill` of the driver must end it through release_all(), not
+    // leave its ineligible tenant SIGSTOPped. Shares 1:9 at a 50 ms quantum
+    // keep the low-share child stopped for most of each 500 ms cycle; the
+    // signal goes out mid-run (admission stops both children, the first
+    // tick resumes the high-share one) while ALPS holds the low one stopped.
+    ChildSet children;
+    const pid_t low = children.add_busy();
+    const pid_t high = children.add_busy();
+    pin_to_cpu(low, 0);
+    pin_to_cpu(high, 0);
+
+    const std::string low_arg = std::to_string(low) + "=1";
+    const std::string high_arg = std::to_string(high) + "=9";
+    const pid_t ctl = ::fork();
+    ASSERT_GE(ctl, 0);
+    if (ctl == 0) {
+        ::execl(ALPS_ALPSCTL_PATH, "alpsctl", "--quantum", "50ms", "--duration", "20",
+                "--quiet", low_arg.c_str(), high_arg.c_str(), static_cast<char*>(nullptr));
+        ::_exit(127);
+    }
+
+    bool saw_stop = false;
+    for (int i = 0; i < 2500 && !saw_stop; ++i) {  // up to ~5 s
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        saw_stop = proc_state(low) == 'T' && proc_state(high) == 'R';
+    }
+    ::kill(ctl, SIGTERM);
+    int status = 0;
+    ASSERT_EQ(::waitpid(ctl, &status, 0), ctl);
+    ASSERT_TRUE(saw_stop) << "alpsctl never stopped the low-share child";
+
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "alpsctl did not exit normally on SIGTERM (status " << status << ")";
+    EXPECT_NE(proc_state(low), 'T');
+    EXPECT_NE(proc_state(high), 'T');
 }
 
 }  // namespace

@@ -53,8 +53,8 @@ void print_usage(std::ostream& out) {
            "               (many_core, web_scale: runs only that grid column)\n"
            "  --sites N    hosted-site count for web_scale: runs only that\n"
            "               cluster size\n"
-           "  --shards N   shard count for sharded-engine sweeps (sharded_run,\n"
-           "               sim_perf's sharded point): runs only that count\n"
+           "  --shards N   shard count for sim_perf's sharded_engine point:\n"
+           "               runs only that count\n"
            "  --flash-crowd X\n"
            "               flash-crowd arrival multiplier for web_scale: runs\n"
            "               only points with that intensity (0 disables the\n"

@@ -12,8 +12,8 @@
 //
 // Options:
 //   --quantum <N>[ms]   ALPS quantum (default 10 ms)
-//   --duration <N>[s]   run time (default 10 s); Ctrl-C stops early and
-//                       resumes every managed process
+//   --duration <N>[s]   run time (default 10 s); Ctrl-C, SIGTERM or SIGHUP
+//                       stops early and resumes every managed process
 //   --user NAME=SHARE   schedule a user's whole process set (repeatable;
 //                       NAME may be a numeric uid)
 //   PID=SHARE           schedule one process (repeatable)
@@ -50,8 +50,22 @@ int usage(const char* argv0) {
 }
 
 void (*g_request_stop)() = nullptr;
-void on_sigint(int) {
+void on_stop_signal(int) {
     if (g_request_stop != nullptr) g_request_stop();
+}
+
+/// Routes SIGINT, SIGTERM and SIGHUP to runner.request_stop(), so every way
+/// of ending alpsctl short of SIGKILL returns through run_for(), which
+/// resumes every managed process before it returns.
+template <class Runner>
+void stop_on_signals(Runner& runner) {
+    static Runner* target = nullptr;
+    target = &runner;
+    g_request_stop = [] { target->request_stop(); };
+    struct sigaction sa {};
+    sa.sa_handler = on_stop_signal;
+    ::sigemptyset(&sa.sa_mask);
+    for (const int sig : {SIGINT, SIGTERM, SIGHUP}) ::sigaction(sig, &sa, nullptr);
 }
 
 int run_pid_mode(const Options& opt) {
@@ -69,13 +83,11 @@ int run_pid_mode(const Options& opt) {
             return 1;
         }
         before.push_back(s.cpu_time);
-        runner.scheduler().add(t.pid, t.share);
     }
-
-    static posix::PosixAlpsRunner* runner_ptr = nullptr;
-    runner_ptr = &runner;
-    g_request_stop = [] { runner_ptr->request_stop(); };
-    ::signal(SIGINT, on_sigint);
+    // Admission suspends each target, so from the first add() on every
+    // signal must end in run_for()'s release.
+    stop_on_signals(runner);
+    for (const Target& t : opt.pid_targets) runner.scheduler().add(t.pid, t.share);
 
     const posix::RunTotals totals = runner.run_for(opt.duration);
     if (opt.quiet) return 0;
@@ -111,14 +123,10 @@ int run_user_mode(const Options& opt) {
     cfg.quantum = opt.quantum;
     cfg.lazy_measurement = opt.lazy;
     posix::PosixGroupAlpsRunner runner(cfg);
+    stop_on_signals(runner);
     for (const Target& t : opt.user_targets) {
         runner.manage_user(t.name, t.uid, t.share);
     }
-
-    static posix::PosixGroupAlpsRunner* runner_ptr = nullptr;
-    runner_ptr = &runner;
-    g_request_stop = [] { runner_ptr->request_stop(); };
-    ::signal(SIGINT, on_sigint);
 
     const posix::RunTotals totals = runner.run_for(opt.duration);
     if (!opt.quiet) {
