@@ -171,9 +171,8 @@ harness::Result policy_task(bool full) {
 
 // Sampling-scan throughput: the ALPS per-quantum measurement hot path over a
 // populated kernel with every process state represented (running, queued,
-// sleeping, stopped). Times (a) the per-pid sample() loop the driver's
-// guarded_read path issues and (b) the batched measure() entry that reads the
-// whole pid set in one pass over the SoA-packed accounting arrays.
+// sleeping, stopped). Times the per-pid sample() loop the driver's
+// guarded_read path issues — the only way to read a process.
 harness::Result kernel_scan_task(bool full) {
     sim::Engine eng;
     os::Kernel kernel(eng, nullptr, os::KernelConfig{.ncpus = 4});
@@ -197,43 +196,22 @@ harness::Result kernel_scan_task(bool full) {
     eng.run_until(eng.now() + util::msec(50));
 
     const std::int64_t rounds = full ? 2'000 : 400;
-    harness::Result res;
     std::uint64_t checksum = 0;
-    {
-        const auto t0 = Clock::now();
-        for (std::int64_t r = 0; r < rounds; ++r) {
-            for (const os::Pid pid : pids) {
-                const auto s = kernel.sample(pid);
-                checksum += static_cast<std::uint64_t>(s.cpu_time.count()) +
-                            (s.blocked ? 1u : 0u) + (s.stopped ? 2u : 0u) +
-                            (s.alive ? 4u : 0u);
-            }
+    const auto t0 = Clock::now();
+    for (std::int64_t r = 0; r < rounds; ++r) {
+        for (const os::Pid pid : pids) {
+            const auto s = kernel.sample(pid);
+            checksum += static_cast<std::uint64_t>(s.cpu_time.count()) +
+                        (s.blocked ? 1u : 0u) + (s.stopped ? 2u : 0u) +
+                        (s.alive ? 4u : 0u);
         }
-        const double wall = seconds_since(t0);
-        res.metric("kernel_scan_samples_per_sec",
-                   static_cast<double>(rounds) * kProcs / wall);
     }
-    {
-        // The batched entry the ALPS tick now uses: one measure() call per
-        // round reads every pid in a single pass over the SoA arrays.
-        std::vector<os::Kernel::SampleView> views(pids.size());
-        const auto t0 = Clock::now();
-        for (std::int64_t r = 0; r < rounds; ++r) {
-            kernel.measure(pids, views.data());
-            for (const auto& s : views) {
-                checksum += static_cast<std::uint64_t>(s.cpu_time.count()) +
-                            (s.blocked ? 1u : 0u) + (s.stopped ? 2u : 0u) +
-                            (s.alive ? 4u : 0u);
-            }
-        }
-        const double wall = seconds_since(t0);
-        res.metric("kernel_scan_batch_samples_per_sec",
-                   static_cast<double>(rounds) * kProcs / wall);
-    }
-    // Feed the checksum back so the scan loops cannot be dead-code-eliminated
+    const double wall = seconds_since(t0);
+    // Feed the checksum back so the scan loop cannot be dead-code-eliminated
     // (modulo keeps the metric exactly representable as a double).
-    res.metric("kernel_scan_checksum", static_cast<double>(checksum % 1'000'003));
-    return res;
+    return harness::Result{}
+        .metric("kernel_scan_samples_per_sec", static_cast<double>(rounds) * kProcs / wall)
+        .metric("kernel_scan_checksum", static_cast<double>(checksum % 1'000'003));
 }
 
 // Traffic-subsystem hot path: thinning-sampled arrival draws through a full
@@ -455,8 +433,6 @@ void present(const harness::SweepReport& report, std::ostream& out) {
                util::fmt(report.metric_mean("policy", "policy_ops_per_sec"), 0)});
     t.add_row({"kernel_scan", "samples/sec (per-pid)",
                util::fmt(report.metric_mean("kernel_scan", "kernel_scan_samples_per_sec"), 0)});
-    t.add_row({"kernel_scan", "samples/sec (batched measure)",
-               util::fmt(report.metric_mean("kernel_scan", "kernel_scan_batch_samples_per_sec"), 0)});
     t.add_row({"web_arrivals", "arrival draws/sec",
                util::fmt(report.metric_mean("web_arrivals", "web_arrival_draws_per_sec"), 0)});
     t.add_row({"web_arrivals", "request-table ops/sec",

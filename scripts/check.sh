@@ -42,8 +42,8 @@ run_suite build-tsan thread "$@"
 # --- Many-core TSan smoke: per-CPU run queues under the race detector ---
 # Runs the 64-core column of the many_core sweep (quick scale) in its own
 # ThreadSanitizer tree (the main TSan tree builds with bench OFF): per-CPU
-# domains, steal/rebalance migration, the SoA sampling mirror, and the batched
-# measure() path all execute while the harness pool is genuinely parallel.
+# domains, steal/rebalance migration, and the per-entity sample() reads all
+# execute while the harness pool is genuinely parallel.
 # ALPS_MANY_CORE_SKIP=1 skips the leg.
 if [[ "${ALPS_MANY_CORE_SKIP:-0}" != "1" ]]; then
   cmake -B build-tsan-bench -S . \
@@ -158,12 +158,10 @@ gate("tracing-disabled overhead", "engine", "engine_events_per_sec", trace_tol_p
 gate("timer ops (cancel-heavy)", "timer_ops", "timer_cancel_heavy_ops_per_sec", tol_pct)
 gate("timer ops (expire)", "timer_ops", "timer_expire_ops_per_sec", tol_pct)
 gate("timer ops (far-future)", "timer_ops", "timer_far_future_ops_per_sec", tol_pct)
-# The per-quantum proc-table scan (the simulated /proc read path). Both the
-# per-pid sample() loop and the batched measure() entry are gated: the SoA
-# mirror exists for exactly this scan, so a regression here means the ALPS
-# measurement tick got slower machine-wide.
+# The per-quantum proc-table scan (the simulated /proc read path): the
+# per-pid sample() loop, the only way the ALPS tick reads a process, so a
+# regression here means the measurement tick got slower machine-wide.
 gate("kernel scan (per-pid)", "kernel_scan", "kernel_scan_samples_per_sec", tol_pct)
-gate("kernel scan (batched)", "kernel_scan", "kernel_scan_batch_samples_per_sec", tol_pct)
 # The traffic subsystem's hot paths: thinning-sampled arrival draws and
 # request-table churn. web_scale drives both millions of times per run.
 gate("web arrivals (draws)", "web_arrivals", "web_arrival_draws_per_sec", tol_pct)

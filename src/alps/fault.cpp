@@ -56,17 +56,6 @@ Sample FaultInjectingControl::read_progress(EntityId id) {
     return s;
 }
 
-void FaultInjectingControl::read_progress_batch(std::span<const EntityId> ids,
-                                                Sample* out) {
-    if (!enabled_ && inner_.supports_batch_read()) {
-        inner_.read_progress_batch(ids, out);
-        return;
-    }
-    // Enabled (or un-batched inner): per-id calls keep the Rng stream and
-    // the stale/reuse bookkeeping identical to unbatched operation.
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = read_progress(ids[i]);
-}
-
 ControlResult FaultInjectingControl::signal(EntityId id, bool is_resume) {
     if (!enabled_) {
         return is_resume ? inner_.resume(id) : inner_.suspend(id);

@@ -77,8 +77,9 @@ struct InjectedCounts {
 /// ProcessControl decorator injecting the FaultPlan's failure modes.
 ///
 /// Determinism: one Rng, consumed in call order. The decorated scheduler
-/// must itself be deterministic (it is: std::map iteration order) for a
-/// campaign to be reproducible — which the tests assert.
+/// must itself be deterministic (it is: its entity table is a flat vector
+/// sorted by id, walked in that order every tick) for a campaign to be
+/// reproducible — which the tests assert.
 ///
 /// While disabled (the initial state and after disable()), every call is a
 /// verbatim pass-through and the Rng is not consumed, so setup (manage/add)
@@ -97,14 +98,6 @@ public:
     [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
     Sample read_progress(EntityId id) override;
-    /// Batching is only a pass-through privilege: while faults are enabled
-    /// every read must consume the Rng in per-call order, so the decorator
-    /// withdraws batch support (the caller re-checks each tick) and the
-    /// batch entry below degrades to the per-id loop.
-    [[nodiscard]] bool supports_batch_read() const override {
-        return !enabled_ && inner_.supports_batch_read();
-    }
-    void read_progress_batch(std::span<const EntityId> ids, Sample* out) override;
     ControlResult suspend(EntityId id) override;
     ControlResult resume(EntityId id) override;
 

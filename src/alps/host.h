@@ -5,6 +5,11 @@
 //
 // ProcessControl implementations (single-process and group-principal) are
 // built on top of this, so the ALPS core is oblivious to the backend.
+//
+// read_pid is the only read path: each tick the scheduler reads every due
+// entity once, in entity order. What a read costs the simulated ALPS comes
+// from the Table-1 cost model (core::CostModel), not from how fast a backend
+// performs it.
 #pragma once
 
 #include <cstddef>
@@ -28,14 +33,8 @@ public:
     /// `ok=false` if the read failed transiently (retryable).
     virtual Sample read_pid(HostPid pid) = 0;
 
-    /// True when read_pids below is genuinely batched (one pass through the
-    /// host's accounting) rather than the default per-pid loop.
+    /// Only perfbench's TimedHost uses these; they go with it (ROADMAP item 2).
     [[nodiscard]] virtual bool supports_batch_read() const { return false; }
-
-    /// Batched read_pid: fills out[i] with the equivalent of read_pid(
-    /// pids[i]) for the whole span, in order. `out` must have room for
-    /// pids.size() entries. Backends with a one-pass sampling path (the
-    /// simulated kernel's SoA accounting arrays) override this.
     virtual void read_pids(std::span<const HostPid> pids, Sample* out) {
         for (std::size_t i = 0; i < pids.size(); ++i) out[i] = read_pid(pids[i]);
     }
@@ -63,13 +62,6 @@ public:
     explicit PidProcessControl(ProcessHost& host) : host_(host) {}
 
     Sample read_progress(EntityId id) override { return host_.read_pid(id); }
-    [[nodiscard]] bool supports_batch_read() const override {
-        return host_.supports_batch_read();
-    }
-    // EntityId and HostPid are both int64 by design; the span passes through.
-    void read_progress_batch(std::span<const EntityId> ids, Sample* out) override {
-        host_.read_pids(ids, out);
-    }
     ControlResult suspend(EntityId id) override { return host_.stop_pid(id); }
     ControlResult resume(EntityId id) override { return host_.cont_pid(id); }
 

@@ -12,9 +12,7 @@
 // all processes of a user — as one entity (see group_control.h).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "util/time.h"
 
@@ -74,21 +72,6 @@ public:
     /// lazy-measurement optimization (paper §2.3) minimizes. A transient
     /// failure is reported via Sample::ok, not by throwing.
     virtual Sample read_progress(EntityId id) = 0;
-
-    /// True when read_progress_batch below is genuinely batched (one pass
-    /// through the backend) rather than the default per-id loop. Dynamic,
-    /// not static: a decorator can batch only while it is a pass-through
-    /// (see FaultInjectingControl) and the caller re-checks every tick.
-    [[nodiscard]] virtual bool supports_batch_read() const { return false; }
-
-    /// Batched read: fills out[i] with the equivalent of read_progress(
-    /// ids[i]) for the whole span, in order. `out` must have room for
-    /// ids.size() entries. The contract is equivalence to the per-id calls
-    /// issued back-to-back — per-entity failures are still reported through
-    /// Sample::ok/alive, never by throwing.
-    virtual void read_progress_batch(std::span<const EntityId> ids, Sample* out) {
-        for (std::size_t i = 0; i < ids.size(); ++i) out[i] = read_progress(ids[i]);
-    }
 
     /// Makes the entity ineligible to run (moves it to the ineligible group).
     virtual ControlResult suspend(EntityId id) = 0;

@@ -346,54 +346,6 @@ TickStats Scheduler::tick() {
         }
     };
 
-    // --- Batched measurement prefetch ---
-    // Pre-collect exactly the ids the eligible path of the loop below will
-    // read this tick (same predicate, same entity order) and fetch them in
-    // one backend pass when the channel supports it. The quarantined-probe
-    // and lost-SIGSTOP verification paths keep per-id reads: they are rare,
-    // fault-driven, and interleave control ops with their reads.
-    batch_ids_.clear();
-    if (control_.supports_batch_read()) {
-        for (const auto& [id, e] : entities_) {
-            if (!e.quarantined && e.eligible &&
-                (!cfg_.lazy_measurement || e.update <= count_)) {
-                batch_ids_.push_back(id);
-            }
-        }
-    }
-    bool batch_valid = false;
-    if (batch_ids_.size() > 1) {
-        batch_samples_.resize(batch_ids_.size());
-        try {
-            control_.read_progress_batch(batch_ids_, batch_samples_.data());
-            batch_valid = true;
-        } catch (...) {
-            ++health_.exceptions;  // fall back to per-id reads below
-        }
-    }
-    std::size_t batch_cursor = 0;
-    // The prefetched sample if one exists for this id, with guarded_read's
-    // same-tick retry semantics on a failed entry; a plain guarded_read
-    // when no batch was fetched.
-    const auto measure_eligible = [&](EntityId id) -> Sample {
-        if (!batch_valid) return guarded_read(id, stats);
-        ALPS_EXPECT(batch_cursor < batch_ids_.size() &&
-                    batch_ids_[batch_cursor] == id);
-        Sample s = batch_samples_[batch_cursor++];
-        for (int attempt = 0; !s.ok && attempt < kMaxReadRetries; ++attempt) {
-            ++stats.retries;
-            ++health_.retries;
-            try {
-                s = control_.read_progress(id);
-            } catch (...) {
-                ++health_.exceptions;
-                s = Sample{};
-                s.ok = false;
-            }
-        }
-        return s;
-    };
-
     // --- Measurement loop (Figure 3, first for-all) ---
     for (auto& [id, e] : entities_) {
         if (e.quarantined) {
@@ -485,7 +437,7 @@ TickStats Scheduler::tick() {
         if (cfg_.lazy_measurement && e.update > count_) continue;
 
         e.touched = true;
-        const Sample s = measure_eligible(id);
+        const Sample s = guarded_read(id, stats);
         if (!s.ok) {
             ++stats.read_failures;
             ++health_.read_failures;
@@ -530,9 +482,6 @@ TickStats Scheduler::tick() {
         }
         charge(e, s);
     }
-    // Predicate drift between prefetch and loop would desynchronize the
-    // cursor and charge samples to the wrong entities — make it loud.
-    ALPS_ENSURE(!batch_valid || batch_cursor == batch_ids_.size());
 
     // Entities that vanished take their remaining allowance with them;
     // entities whose channel never recovered are dropped the same way (a

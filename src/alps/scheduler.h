@@ -275,11 +275,6 @@ private:
     SchedulerConfig cfg_;
 
     EntityTable entities_;
-    /// Scratch for the batched measurement path (tick() pre-collects the
-    /// ids it will measure and reads them in one backend pass); members so
-    /// the per-tick hot path does not allocate.
-    std::vector<EntityId> batch_ids_;
-    std::vector<Sample> batch_samples_;
     Share total_shares_ = 0;
     double tc_ns_ = 0.0;  ///< remaining cycle time, in ns (t_c)
     std::uint64_t count_ = 0;

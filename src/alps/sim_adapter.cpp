@@ -25,25 +25,6 @@ Sample SimProcessHost::read_pid(HostPid pid) {
     return s;
 }
 
-void SimProcessHost::read_pids(std::span<const HostPid> pids, Sample* out) {
-    batch_pid_scratch_.clear();
-    batch_pid_scratch_.reserve(pids.size());
-    for (const HostPid p : pids) {
-        batch_pid_scratch_.push_back(static_cast<os::Pid>(p));
-    }
-    batch_view_scratch_.resize(pids.size());
-    kernel_.measure(batch_pid_scratch_, batch_view_scratch_.data());
-    for (std::size_t i = 0; i < pids.size(); ++i) {
-        const os::Kernel::SampleView& v = batch_view_scratch_[i];
-        Sample s;
-        s.cpu_time = v.cpu_time;
-        s.blocked = v.blocked;
-        s.stopped = v.stopped;
-        s.alive = v.alive;
-        out[i] = s;
-    }
-}
-
 ControlResult SimProcessHost::stop_pid(HostPid pid) {
     const auto p = static_cast<os::Pid>(pid);
     if (!kernel_.alive(p)) return ControlResult::kGone;

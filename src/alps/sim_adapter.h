@@ -30,10 +30,6 @@ public:
     explicit SimProcessHost(os::Kernel& kernel) : kernel_(kernel) {}
 
     Sample read_pid(HostPid pid) override;
-    /// One kernel pass over the SoA accounting arrays per tick instead of
-    /// one sample() call per entity (the batched Kernel::measure entry).
-    [[nodiscard]] bool supports_batch_read() const override { return true; }
-    void read_pids(std::span<const HostPid> pids, Sample* out) override;
     ControlResult stop_pid(HostPid pid) override;
     ControlResult cont_pid(HostPid pid) override;
     std::vector<HostPid> pids_of_user(HostUid uid) override;
@@ -44,9 +40,6 @@ private:
     /// Reused by pids_of_user so the once-per-second membership refresh does
     /// not allocate (single-threaded with its scheduler, like all hosts).
     std::vector<os::Pid> pid_scratch_;
-    /// Reused by read_pids (HostPid is int64, the kernel's Pid is int32).
-    std::vector<os::Pid> batch_pid_scratch_;
-    std::vector<os::Kernel::SampleView> batch_view_scratch_;
 };
 
 /// The ALPS process body: sleep to the next quantum boundary, tick, pay the

@@ -1,16 +1,10 @@
 #include "metrics/cycle_log.h"
 
-#include <algorithm>
-
 #include "util/stats.h"
 
 namespace alps::metrics {
 
-core::Scheduler::CycleObserver CycleLog::observer() {
-    return [this](const core::CycleRecord& rec) { observe(rec); };
-}
-
-double CycleLog::cycle_rms_error(const core::CycleRecord& rec) {
+double cycle_rms_error(const core::CycleRecord& rec) {
     double total = 0.0;
     util::Share total_shares = 0;
     for (std::size_t i = 0; i < rec.consumed.size(); ++i) {
@@ -29,18 +23,7 @@ double CycleLog::cycle_rms_error(const core::CycleRecord& rec) {
     return util::rms_relative_error(actual, ideal);
 }
 
-double CycleLog::mean_rms_relative_error(std::size_t warmup, std::size_t limit) const {
-    if (warmup >= records_.size()) return 0.0;
-    const std::size_t end =
-        limit == 0 ? records_.size() : std::min(records_.size(), warmup + limit);
-    util::RunningStats stats;
-    for (std::size_t i = warmup; i < end; ++i) {
-        stats.add(cycle_rms_error(records_[i]));
-    }
-    return stats.mean();
-}
-
-std::vector<double> CycleLog::cycle_fractions(const core::CycleRecord& rec) {
+std::vector<double> cycle_fractions(const core::CycleRecord& rec) {
     double total = 0.0;
     for (const auto& c : rec.consumed) total += static_cast<double>(c.count());
     std::vector<double> out(rec.consumed.size(), 0.0);

@@ -6,43 +6,22 @@
 // The ideal consumption of process i in a cycle is its proportional share of
 // what the group actually received: share_i / S × total consumed — ALPS
 // promises proportionality of whatever CPU the kernel grants (§2.1), not an
-// absolute rate.
+// absolute rate. ExactCycleLog (exact_cycle_log.h) collects the records;
+// these functions score one of them.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "alps/scheduler.h"
 
 namespace alps::metrics {
 
-class CycleLog {
-public:
-    /// Wire into a scheduler: sched.set_cycle_observer(log.observer()).
-    [[nodiscard]] core::Scheduler::CycleObserver observer();
+/// RMS of per-process relative errors within one cycle. Cycles in which the
+/// group consumed nothing yield 0.
+[[nodiscard]] double cycle_rms_error(const core::CycleRecord& rec);
 
-    void observe(const core::CycleRecord& rec) { records_.push_back(rec); }
-
-    [[nodiscard]] std::size_t cycle_count() const { return records_.size(); }
-    [[nodiscard]] const std::vector<core::CycleRecord>& records() const {
-        return records_;
-    }
-
-    /// RMS of per-process relative errors within one cycle. Cycles in which
-    /// the group consumed nothing yield 0.
-    [[nodiscard]] static double cycle_rms_error(const core::CycleRecord& rec);
-
-    /// Mean of the per-cycle RMS relative error over cycles
-    /// [warmup, warmup+limit); limit 0 means "to the end".
-    [[nodiscard]] double mean_rms_relative_error(std::size_t warmup = 0,
-                                                 std::size_t limit = 0) const;
-
-    /// Fraction of the cycle's consumption received by each entity of one
-    /// cycle, in record order (the Figure-6 "Share (%)" series, as fractions).
-    [[nodiscard]] static std::vector<double> cycle_fractions(const core::CycleRecord& rec);
-
-private:
-    std::vector<core::CycleRecord> records_;
-};
+/// Fraction of the cycle's consumption received by each entity of one cycle,
+/// in record order (the Figure-6 "Share (%)" series, as fractions).
+[[nodiscard]] std::vector<double> cycle_fractions(const core::CycleRecord& rec);
 
 }  // namespace alps::metrics

@@ -46,7 +46,7 @@ double ExactCycleLog::mean_rms_relative_error(std::size_t warmup, std::size_t li
         limit == 0 ? records_.size() : std::min(records_.size(), warmup + limit);
     util::RunningStats stats;
     for (std::size_t i = warmup; i < end; ++i) {
-        stats.add(CycleLog::cycle_rms_error(records_[i]));
+        stats.add(cycle_rms_error(records_[i]));
     }
     return stats.mean();
 }

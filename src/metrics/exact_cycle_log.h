@@ -8,8 +8,6 @@
 // allowances. This log does the equivalent: at every cycle end it snapshots
 // each entity's true cumulative CPU through a caller-provided reader and
 // differences consecutive snapshots.
-//
-// (The algorithm-internal view is still available via CycleLog.)
 #pragma once
 
 #include <functional>
@@ -39,8 +37,8 @@ public:
         return records_;
     }
 
-    /// Mean of per-cycle RMS relative error (same metric as CycleLog, on
-    /// exact data). Cycles [warmup, warmup+limit); limit 0 = to the end.
+    /// Mean of per-cycle RMS relative error (cycle_rms_error, on exact
+    /// data). Cycles [warmup, warmup+limit); limit 0 = to the end.
     [[nodiscard]] double mean_rms_relative_error(std::size_t warmup = 0,
                                                  std::size_t limit = 0) const;
 

@@ -79,7 +79,7 @@ FairnessReport analyze_fairness(std::span<const core::CycleRecord> records,
         double total_shares = 0.0;
         if (!cycle_totals(rec, total, total_shares)) continue;
         ratio.add(cycle_time_ratio(rec));
-        rms.add(CycleLog::cycle_rms_error(rec));
+        rms.add(cycle_rms_error(rec));
         report.max_complaint = std::max(report.max_complaint, cycle_max_complaint(rec));
         ++report.cycles;
     }

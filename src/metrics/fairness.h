@@ -10,8 +10,8 @@
 //     was starved while another ran. Reported as the mean over cycles.
 //   * RMS share error: the paper's §3.1 metric — per-cycle RMS of relative
 //     errors against ideal proportional consumption, meaned over cycles
-//     (identical to CycleLog::mean_rms_relative_error, included here so one
-//     report carries all three numbers).
+//     (identical to ExactCycleLog::mean_rms_relative_error, included here so
+//     one report carries all three numbers).
 //   * max justified-complaint gap: the largest relative shortfall any entity
 //     could justifiably complain about — max over cycles and entities of
 //     (ideal_i − consumed_i) / ideal_i, counting only shortfalls (an entity

@@ -41,9 +41,6 @@ Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelC
     decision_events_.assign(static_cast<std::size_t>(cfg_.ncpus), 0);
     last_on_cpu_.assign(static_cast<std::size_t>(cfg_.ncpus), kNoPid);
     table_.push_back(nullptr);  // slot 0: kNoPid, never issued
-    soa_base_ns_.push_back(0);
-    soa_flags_.push_back(0);
-    soa_uid_.push_back(0);
     if (cfg_.percpu_queues) tick_scratch_.resize(static_cast<std::size_t>(cfg_.ncpus));
     decision_kind_ = engine_.register_hot(&Kernel::on_decision_timer, this);
     wake_kind_ = engine_.register_hot(&Kernel::on_timer_wake, this);
@@ -95,10 +92,6 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
     }
     ALPS_ENSURE(static_cast<std::size_t>(pid) == table_.size());
     table_.push_back(owned);
-    soa_base_ns_.push_back(0);
-    soa_flags_.push_back(0);
-    soa_uid_.push_back(0);
-    sync_soa(p);
     p.ordered_index = ordered_.size();
     ordered_.push_back(&p);
     std::vector<Proc*>& members = by_uid_[uid];
@@ -127,9 +120,6 @@ void Kernel::reap(Pid pid) {
     }
     p.~Proc();  // arena-backed: destroy in place, the arena keeps the bytes
     table_[static_cast<std::size_t>(pid)] = nullptr;
-    soa_base_ns_[static_cast<std::size_t>(pid)] = 0;
-    soa_flags_[static_cast<std::size_t>(pid)] = 0;  // !kSoaAlive: never sampled again
-    soa_uid_[static_cast<std::size_t>(pid)] = 0;
 }
 
 const Proc* Kernel::lookup(Pid pid) const {
@@ -169,41 +159,14 @@ bool Kernel::is_blocked(Pid pid) const { return proc(pid).blocked(); }
 
 Kernel::SampleView Kernel::sample(Pid pid) const {
     SampleView s;
-    if (pid <= 0 || static_cast<std::size_t>(pid) >= table_.size()) return s;
-    const std::size_t i = static_cast<std::size_t>(pid);
-    const std::uint8_t f = soa_flags_[i];
-    if ((f & kSoaAlive) == 0) return s;  // unknown, reaped, or zombie
-    s.cpu_time = Duration{soa_base_ns_[i] +
-                          ((f & kSoaOnCpu) != 0 ? now().since_epoch.count() : 0)};
-    s.blocked = (f & kSoaBlocked) != 0;
-    s.stopped = (f & kSoaStopped) != 0;
+    const Proc* p = lookup(pid);
+    if (p == nullptr || p->state == RunState::kZombie) return s;
+    s.cpu_time = p->cpu_consumed;
+    if (p->on_cpu >= 0) s.cpu_time += now() - p->last_charge;
+    s.blocked = p->blocked();
+    s.stopped = p->stopped;
     s.alive = true;
     return s;
-}
-
-void Kernel::measure(std::span<const Pid> pids, SampleView* out) const {
-    ALPS_EXPECT(out != nullptr || pids.empty());
-    // One clock read for the whole batch: every on-CPU process is charged to
-    // the same instant, which is also what a sequence of sample() calls sees
-    // (simulated time cannot advance between them).
-    const std::int64_t now_ns = now().since_epoch.count();
-    const std::size_t table_size = table_.size();
-    for (std::size_t k = 0; k < pids.size(); ++k) {
-        const Pid pid = pids[k];
-        SampleView s;
-        if (pid > 0 && static_cast<std::size_t>(pid) < table_size) {
-            const std::size_t i = static_cast<std::size_t>(pid);
-            const std::uint8_t f = soa_flags_[i];
-            if ((f & kSoaAlive) != 0) {
-                s.cpu_time =
-                    Duration{soa_base_ns_[i] + ((f & kSoaOnCpu) != 0 ? now_ns : 0)};
-                s.blocked = (f & kSoaBlocked) != 0;
-                s.stopped = (f & kSoaStopped) != 0;
-                s.alive = true;
-            }
-        }
-        out[k] = s;
-    }
 }
 
 std::vector<Pid> Kernel::pids_of_uid(Uid uid) const {
@@ -255,13 +218,8 @@ const SchedPolicy& Kernel::policy_on(int cpu) const {
 }
 
 std::size_t Kernel::eligible_count() const {
-    // Flags-only SoA scan (a contiguous byte per pid): the schedcpu loadavg
-    // input no longer walks the Proc records.
-    std::size_t n = 0;
-    for (const std::uint8_t f : soa_flags_) {
-        if ((f & kSoaWantsCpu) != 0 && (f & kSoaStopped) == 0) ++n;
-    }
-    return n;
+    return static_cast<std::size_t>(std::count_if(
+        ordered_.begin(), ordered_.end(), [](const Proc* p) { return p->eligible(); }));
 }
 
 // ----------------------------------------------------------------------------
@@ -299,7 +257,6 @@ void Kernel::send_signal(Pid pid, Signal sig) {
             }
             if (!p.stopped) return;
             p.stopped = false;
-            sync_soa(p);
             // 4.4BSD setrunnable(): estcpu was frozen while stopped (schedcpu
             // skips stopped processes); updatepri now credits whole seconds
             // of stop time, exactly like a long sleep.
@@ -319,7 +276,6 @@ void Kernel::send_signal(Pid pid, Signal sig) {
 void Kernel::apply_stop(Proc& p) {
     p.stopped = true;
     p.stop_start = now();
-    sync_soa(p);
     if (p.state == RunState::kRunnable && p.on_cpu < 0) {
         dom(p).dequeue(p);
     }
@@ -356,7 +312,6 @@ void Kernel::do_wake(Proc& p) {
     dom(p).on_wakeup(p, slept);
     p.state = RunState::kRunnable;
     p.wchan = nullptr;
-    sync_soa(p);
     if (!p.stopped) {
         // The waker leaves the kernel at its sleep priority: it preempts any
         // user-mode process until its own first dispatch.
@@ -384,7 +339,6 @@ void Kernel::do_exit(Proc& p) {
     }
     p.state = RunState::kZombie;
     p.wchan = nullptr;
-    sync_soa(p);
     // Zombies are invisible to pids_of_uid: drop the process from the per-uid
     // cache here (not at reap), keeping the survivors' creation order.
     std::vector<Proc*>& members = by_uid_[p.uid];
@@ -450,7 +404,6 @@ void Kernel::begin_sleep(Proc& p, bool timed, TimePoint wake_at, WaitChannel cha
     p.state = RunState::kSleeping;
     p.wchan = chan;
     p.sleep_start = now();
-    sync_soa(p);
     ++p.voluntary_sleeps;
     if (timed) {
         p.sleep_event =
@@ -476,7 +429,6 @@ void Kernel::charge_running(int cpu) {
         dom(p).charge(p, ran);
     }
     p.last_charge = now();
-    sync_soa(p);
 }
 
 void Kernel::resolve_phase(int cpu) {
@@ -512,7 +464,6 @@ void Kernel::dispatch(Proc& p, int cpu) {
     p.last_charge = now();
     p.slice_end = now() + dom(p).slice();
     ++p.dispatches;
-    sync_soa(p);
     if (p.pid != last_on_cpu_[static_cast<std::size_t>(cpu)]) {
         ++context_switches_;
         last_on_cpu_[static_cast<std::size_t>(cpu)] = p.pid;
@@ -538,7 +489,6 @@ void Kernel::vacate(int cpu) {
     if (p->state == RunState::kRunning) p->state = RunState::kRunnable;
     p->on_cpu = -1;
     running_[static_cast<std::size_t>(cpu)] = nullptr;
-    sync_soa(*p);
     if (telemetry::active()) {
         telemetry::span_end_at(
             static_cast<std::uint64_t>(now().since_epoch.count()),
@@ -583,14 +533,7 @@ void Kernel::schedule() {
         // A signal may have stopped (or a hook killed) a process on a CPU.
         for (int c = 0; c < cfg_.ncpus; ++c) {
             Proc* p = running_[static_cast<std::size_t>(c)];
-            if (p != nullptr && (p->stopped || p->state == RunState::kZombie)) {
-                const bool was_zombie = p->state == RunState::kZombie;
-                vacate(c);
-                if (was_zombie) {
-                    p->state = RunState::kZombie;
-                    sync_soa(*p);
-                }
-            }
+            if (p != nullptr && (p->stopped || p->state == RunState::kZombie)) vacate(c);
         }
 
         // 2. Preemption and round-robin decisions, one queue head per
@@ -795,22 +738,6 @@ void Kernel::second_tick() {
 
     engine_.schedule_after(kSchedcpuPeriod, tick_kind_, 0);
     schedule();
-}
-
-void Kernel::sync_soa(const Proc& p) {
-    const std::size_t i = static_cast<std::size_t>(p.pid);
-    std::uint8_t f = 0;
-    if (p.state != RunState::kZombie) f |= kSoaAlive;
-    if (p.state == RunState::kSleeping) f |= kSoaBlocked;
-    if (p.state == RunState::kRunnable || p.state == RunState::kRunning) {
-        f |= kSoaWantsCpu;
-    }
-    if (p.stopped) f |= kSoaStopped;
-    if (p.on_cpu >= 0) f |= kSoaOnCpu;
-    soa_flags_[i] = f;
-    soa_base_ns_[i] = p.cpu_consumed.count() -
-                      (p.on_cpu >= 0 ? p.last_charge.since_epoch.count() : 0);
-    soa_uid_[i] = p.uid;
 }
 
 void Kernel::export_metrics(telemetry::MetricsRegistry& reg,

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -122,7 +121,8 @@ public:
     /// Everything one ALPS measurement needs about a process, read with a
     /// single table lookup (the per-quantum sampling hot path; cpu_time +
     /// is_blocked + proc().stopped would pay the lookup three times).
-    /// `alive == false` (with zeroed fields) for unknown and zombie pids.
+    /// `alive == false` (with zeroed fields) for unknown, reaped and zombie
+    /// pids.
     struct SampleView {
         util::Duration cpu_time{0};
         bool blocked = false;
@@ -130,13 +130,6 @@ public:
         bool alive = false;
     };
     [[nodiscard]] SampleView sample(Pid pid) const;
-
-    /// Batched sampling: fills out[i] with sample(pids[i]) for the whole
-    /// span in one pass. This is the ALPS per-tick measurement entry point:
-    /// the clock is read once and the loop walks the SoA accounting arrays
-    /// (soa_* below) instead of chasing one Proc record per call. `out` must
-    /// have room for pids.size() entries.
-    void measure(std::span<const Pid> pids, SampleView* out) const;
 
     /// Live pids owned by `uid`, in creation order (kvm_getprocs analogue).
     [[nodiscard]] std::vector<Pid> pids_of_uid(Uid uid) const;
@@ -244,13 +237,6 @@ private:
     /// Moves `p` (already off `from`'s queues) into `to`'s domain.
     void migrate(Proc& p, int to);
 
-    // ----- SoA sampling mirror -----
-
-    /// Refreshes `p`'s row in the SoA accounting arrays. Called from every
-    /// site that changes the fields sample()/measure() read (state, stopped,
-    /// on_cpu, cpu_consumed/last_charge, uid at spawn).
-    void sync_soa(const Proc& p);
-
     // Trampolines for the engine's devirtualized (hot) dispatch: the three
     // recurring timer kinds that dominate steady-state event traffic. They
     // fire with `this` as ctx, so the event loop never builds a std::function.
@@ -300,22 +286,6 @@ private:
     std::uint64_t migrations_ = 0;  ///< cross-domain moves (steal + rebalance)
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
     double loadavg_ = 0.0;
-
-    // SoA mirror of the fields the sampling hot path reads, pid-indexed in
-    // lockstep with table_ (slot 0 unused, reaped slots zeroed). sample()
-    // and the batched measure() walk these contiguous arrays instead of
-    // chasing Proc records — the per-quantum ALPS scan touches 13 bytes per
-    // pid instead of a ~300-byte PCB spread across the arena.
-    static constexpr std::uint8_t kSoaAlive = 1u << 0;
-    static constexpr std::uint8_t kSoaBlocked = 1u << 1;
-    static constexpr std::uint8_t kSoaStopped = 1u << 2;
-    static constexpr std::uint8_t kSoaOnCpu = 1u << 3;
-    static constexpr std::uint8_t kSoaWantsCpu = 1u << 4;  ///< runnable|running
-    /// cpu_consumed, minus last_charge when on CPU — so the live reading is
-    /// base + now (one add, no branch on the charge timestamp).
-    std::vector<std::int64_t> soa_base_ns_;
-    std::vector<std::uint8_t> soa_flags_;
-    std::vector<Uid> soa_uid_;
 
     /// Per-domain scratch for second_tick under percpu_queues (rebuilt from
     /// ordered_ each tick; member to avoid per-tick allocation).

@@ -1,7 +1,9 @@
 #include "posix/cli.h"
 
+#include <algorithm>
 #include <charconv>
 #include <iostream>
+#include <limits>
 
 namespace alps::posix::cli {
 
@@ -35,6 +37,7 @@ std::optional<util::Duration> parse_duration(std::string_view s, util::Duration 
     }
     const auto n = parse_int(s);
     if (!n || *n <= 0) return std::nullopt;
+    if (*n > std::numeric_limits<std::int64_t>::max() / unit.count()) return std::nullopt;
     return util::Duration{unit.count() * *n};
 }
 
@@ -76,6 +79,11 @@ std::optional<Options> parse_args(int argc, const char* const* argv, UserLookup 
             }
             t.uid = *uid;
             t.share = a->second;
+            if (std::any_of(opt.user_targets.begin(), opt.user_targets.end(),
+                            [&](const Target& u) { return u.uid == t.uid; })) {
+                std::cerr << "alpsctl: uid " << t.uid << " given twice\n";
+                return std::nullopt;
+            }
             opt.user_targets.push_back(std::move(t));
         } else {
             const auto a = parse_assignment(arg);
@@ -86,6 +94,11 @@ std::optional<Options> parse_args(int argc, const char* const* argv, UserLookup 
             t.name = a->first;
             t.pid = *pid;
             t.share = a->second;
+            if (std::any_of(opt.pid_targets.begin(), opt.pid_targets.end(),
+                            [&](const Target& p) { return p.pid == t.pid; })) {
+                std::cerr << "alpsctl: pid " << t.pid << " given twice\n";
+                return std::nullopt;
+            }
             opt.pid_targets.push_back(std::move(t));
         }
     }

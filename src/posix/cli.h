@@ -33,8 +33,9 @@ struct Options {
 [[nodiscard]] std::optional<std::pair<std::string, util::Share>> parse_assignment(
     std::string_view s);
 
-/// Parses a duration argument: "<N>" or "<N>ms" (N > 0). Bare numbers mean
-/// the given default unit.
+/// Parses a duration argument: "<N>", "<N>ms" or "<N>s" (N > 0). Bare
+/// numbers mean the given default unit. N times its unit must fit in int64
+/// nanoseconds.
 [[nodiscard]] std::optional<util::Duration> parse_duration(std::string_view s,
                                                            util::Duration unit);
 
@@ -45,7 +46,8 @@ using UserLookup = std::optional<core::HostUid> (*)(const std::string&);
                                                         UserLookup lookup);
 
 /// Full argv parse. Returns nullopt (with a message on stderr for semantic
-/// errors) when the command line is invalid.
+/// errors) when the command line is invalid, including a pid or uid given
+/// twice — all of it before any target is touched.
 [[nodiscard]] std::optional<Options> parse_args(int argc, const char* const* argv,
                                                 UserLookup lookup);
 

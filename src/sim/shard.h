@@ -4,7 +4,7 @@
 // own timing wheel, arena, and hot-callback table. Simulated time advances in
 // fixed *epochs* (the quantum / ALPS sampling period): within an epoch every
 // shard runs its own events with no synchronization at all; cross-shard
-// traffic (migrations, steals, driver wakeups, batched measure() results)
+// traffic (migrations, steals, driver wakeups, sampled process state)
 // travels over lossless SPSC channels and is delivered only at epoch
 // boundaries. The epoch length is the classic conservative-PDES lookahead: a
 // message posted during epoch e cannot be due before the boundary that ends

@@ -242,7 +242,7 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
                          [&] { return log.cycle_count() >= target; });
 
     for (const auto& rec : log.records()) {
-        const auto fr = metrics::CycleLog::cycle_fractions(rec);
+        const auto fr = metrics::cycle_fractions(rec);
         std::array<double, 3> f{0.0, 0.0, 0.0};
         for (std::size_t i = 0; i < rec.ids.size(); ++i) {
             if (rec.ids[i] == pid_a) f[0] = fr[i];

@@ -29,48 +29,29 @@ CycleRecord make_record(std::vector<util::Share> shares, std::vector<Duration> c
 }
 
 // ----------------------------------------------------------------------------
-// CycleLog
+// Per-cycle scoring (cycle_rms_error, cycle_fractions)
 
 TEST(CycleLog, PerfectCycleHasZeroError) {
     const auto rec = make_record({1, 2, 3}, {msec(10), msec(20), msec(30)});
-    EXPECT_DOUBLE_EQ(CycleLog::cycle_rms_error(rec), 0.0);
+    EXPECT_DOUBLE_EQ(cycle_rms_error(rec), 0.0);
 }
 
 TEST(CycleLog, KnownErrorValue) {
     // Shares 1:1, consumption 15/5 of a 20 total: ideal 10/10, rel errs ±0.5.
     const auto rec = make_record({1, 1}, {msec(15), msec(5)});
-    EXPECT_NEAR(CycleLog::cycle_rms_error(rec), 0.5, 1e-12);
+    EXPECT_NEAR(cycle_rms_error(rec), 0.5, 1e-12);
 }
 
 TEST(CycleLog, EmptyCycleIsZero) {
     const auto rec = make_record({1, 2}, {Duration::zero(), Duration::zero()});
-    EXPECT_DOUBLE_EQ(CycleLog::cycle_rms_error(rec), 0.0);
-}
-
-TEST(CycleLog, MeanSkipsWarmupAndHonorsLimit) {
-    CycleLog log;
-    log.observe(make_record({1, 1}, {msec(20), Duration::zero()}, 0));  // err 1.0
-    log.observe(make_record({1, 1}, {msec(10), msec(10)}, 1));          // err 0.0
-    log.observe(make_record({1, 1}, {msec(15), msec(5)}, 2));           // err 0.5
-    EXPECT_EQ(log.cycle_count(), 3u);
-    EXPECT_NEAR(log.mean_rms_relative_error(0), 0.5, 1e-12);
-    EXPECT_NEAR(log.mean_rms_relative_error(1), 0.25, 1e-12);
-    EXPECT_NEAR(log.mean_rms_relative_error(1, 1), 0.0, 1e-12);
-    EXPECT_DOUBLE_EQ(log.mean_rms_relative_error(5), 0.0);  // past the end
+    EXPECT_DOUBLE_EQ(cycle_rms_error(rec), 0.0);
 }
 
 TEST(CycleLog, FractionsSumToOne) {
     const auto rec = make_record({1, 2, 3}, {msec(12), msec(18), msec(30)});
-    const auto f = CycleLog::cycle_fractions(rec);
+    const auto f = cycle_fractions(rec);
     EXPECT_NEAR(f[0] + f[1] + f[2], 1.0, 1e-12);
     EXPECT_NEAR(f[0], 0.2, 1e-12);
-}
-
-TEST(CycleLog, ObserverWiresThrough) {
-    CycleLog log;
-    auto obs = log.observer();
-    obs(make_record({1}, {msec(5)}));
-    EXPECT_EQ(log.cycle_count(), 1u);
 }
 
 // ----------------------------------------------------------------------------
@@ -121,6 +102,28 @@ TEST(ExactCycleLog, NewEntityMidRunRebaselines) {
 
 TEST(ExactCycleLog, NullReaderViolatesContract) {
     EXPECT_THROW(ExactCycleLog(nullptr), util::ContractViolation);
+}
+
+TEST(ExactCycleLog, MeanSkipsWarmupAndHonorsLimit) {
+    std::map<core::EntityId, Duration> cpu{{1, msec(0)}, {2, msec(0)}};
+    ExactCycleLog log([&](core::EntityId id) { return cpu.at(id); });
+    const auto end_cycle = [&](std::uint64_t index) {
+        log.observe(make_record({1, 1}, {Duration::zero(), Duration::zero()}, index));
+    };
+    end_cycle(0);  // baseline
+    cpu[1] += msec(20);
+    end_cycle(1);  // 20/0: err 1.0
+    cpu[1] += msec(10);
+    cpu[2] += msec(10);
+    end_cycle(2);  // 10/10: err 0.0
+    cpu[1] += msec(15);
+    cpu[2] += msec(5);
+    end_cycle(3);  // 15/5: err 0.5
+    EXPECT_EQ(log.cycle_count(), 3u);
+    EXPECT_NEAR(log.mean_rms_relative_error(0), 0.5, 1e-12);
+    EXPECT_NEAR(log.mean_rms_relative_error(1), 0.25, 1e-12);
+    EXPECT_NEAR(log.mean_rms_relative_error(1, 1), 0.0, 1e-12);
+    EXPECT_DOUBLE_EQ(log.mean_rms_relative_error(5), 0.0);  // past the end
 }
 
 TEST(ExactCycleLog, MeanErrorMatchesCycleLogMath) {

@@ -318,6 +318,77 @@ TEST(Kernel, QueriesOnUnknownPidViolateContract) {
     EXPECT_FALSE(m.kernel.alive(99));
 }
 
+TEST(Kernel, SampleAgreesWithTheSplitQueriesInEveryState) {
+    // sample() is the one read the ALPS tick makes per process; it must say
+    // exactly what cpu_time(), is_blocked(), proc().stopped and alive() say.
+    Machine m;
+    const Pid hog = m.cpu_hog();
+    const Pid io = m.kernel.spawn(
+        "io", 0, std::make_unique<PhasedIoBehavior>(msec(30), msec(100)));
+    const Proc& p = m.kernel.proc(io);  // valid until the reap below
+
+    const auto expect_live_agrees = [&](Pid pid) {
+        const Kernel::SampleView s = m.kernel.sample(pid);
+        EXPECT_TRUE(s.alive);
+        EXPECT_TRUE(m.kernel.alive(pid));
+        EXPECT_EQ(s.cpu_time, m.kernel.cpu_time(pid));
+        EXPECT_EQ(s.blocked, m.kernel.is_blocked(pid));
+        EXPECT_EQ(s.stopped, m.kernel.proc(pid).stopped);
+    };
+    const auto expect_dead = [&](Pid pid) {
+        const Kernel::SampleView s = m.kernel.sample(pid);
+        EXPECT_FALSE(s.alive);
+        EXPECT_FALSE(m.kernel.alive(pid));
+        EXPECT_EQ(s.cpu_time, Duration::zero());
+        EXPECT_FALSE(s.blocked);
+        EXPECT_FALSE(s.stopped);
+    };
+    const auto step_until = [&](auto reached) {
+        for (int i = 0; i < 2000 && !reached(); ++i) m.run_for(msec(1));
+        return reached();
+    };
+
+    // Queued behind the hog's first slice.
+    m.run_for(msec(10));
+    ASSERT_TRUE(p.state == RunState::kRunnable && p.on_cpu < 0 && !p.stopped);
+    expect_live_agrees(io);
+    expect_live_agrees(hog);  // running, mid-stretch
+
+    // Running, mid-stretch: the reading includes the uncharged tail.
+    ASSERT_TRUE(step_until([&] {
+        return p.state == RunState::kRunning && p.last_charge < m.kernel.now();
+    }));
+    expect_live_agrees(io);
+    expect_live_agrees(hog);  // queued
+
+    // Sleeping on its I/O.
+    ASSERT_TRUE(step_until([&] { return p.state == RunState::kSleeping; }));
+    expect_live_agrees(io);
+
+    // Stopped while sleeping (job control keeps it asleep).
+    m.kernel.send_signal(io, Signal::kStop);
+    ASSERT_TRUE(p.state == RunState::kSleeping && p.stopped);
+    expect_live_agrees(io);
+
+    // The sleep expires while stopped: runnable but stopped.
+    ASSERT_TRUE(step_until([&] { return p.state == RunState::kRunnable; }));
+    ASSERT_TRUE(p.stopped);
+    expect_live_agrees(io);
+
+    // Zombie, then reaped: never sampled as alive again.
+    m.kernel.send_signal(io, Signal::kKill);
+    ASSERT_TRUE(m.kernel.exists(io));
+    expect_dead(io);
+    m.kernel.reap(io);
+    ASSERT_FALSE(m.kernel.exists(io));
+    expect_dead(io);
+
+    // Never issued, and the reserved kNoPid.
+    expect_dead(io + 100);
+    expect_dead(kNoPid);
+    expect_live_agrees(hog);
+}
+
 TEST(Kernel, ZeroLengthSleepScriptProgresses) {
     Machine m;
     std::vector<Action> script{RunAction{msec(5)}, SleepAction{Duration::zero()},

@@ -310,5 +310,32 @@ TEST(Alpsctl, SigtermResumesEveryTenant) {
     EXPECT_NE(proc_state(high), 'T');
 }
 
+TEST(Alpsctl, RejectsBadInputWithoutFreezingTenant) {
+    // Command lines that parse token by token but cannot be run — a pid
+    // given twice, a duration past int64 nanoseconds — must be refused with
+    // the usage exit before any target is admitted (admission SIGSTOPs it).
+    ChildSet children;
+    const pid_t child = children.add_busy();
+    const std::string once = std::to_string(child) + "=1";
+    const std::string twice = std::to_string(child) + "=2";
+    const auto run_alpsctl = [](const char* flag, const char* value, const char* a,
+                                const char* b) {
+        const pid_t ctl = ::fork();
+        if (ctl == 0) {
+            ::execl(ALPS_ALPSCTL_PATH, "alpsctl", flag, value, "--quiet", a, b,
+                    static_cast<char*>(nullptr));
+            ::_exit(127);
+        }
+        int status = 0;
+        if (ctl < 0 || ::waitpid(ctl, &status, 0) != ctl) return -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+    };
+
+    EXPECT_EQ(run_alpsctl("--duration", "1", once.c_str(), twice.c_str()), 2);
+    EXPECT_NE(proc_state(child), 'T');
+    EXPECT_EQ(run_alpsctl("--duration", "9300000000s", once.c_str(), nullptr), 2);
+    EXPECT_NE(proc_state(child), 'T');
+}
+
 }  // namespace
 }  // namespace alps::posix

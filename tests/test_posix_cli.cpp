@@ -47,6 +47,16 @@ TEST(CliDuration, ParsesUnits) {
     EXPECT_FALSE(parse_duration("", sec(1)));
 }
 
+TEST(CliDuration, RejectsCountThatOverflowsNanoseconds) {
+    // INT64_MAX ns is 9223372036.85 s: the largest whole second fits, the
+    // next one (and anything larger) would wrap negative.
+    EXPECT_EQ(parse_duration("9223372036s", msec(1)), sec(9'223'372'036));
+    EXPECT_FALSE(parse_duration("9223372037s", msec(1)));
+    EXPECT_FALSE(parse_duration("9300000000s", msec(1)));
+    EXPECT_FALSE(parse_duration("9300000000", sec(1)));
+    EXPECT_FALSE(parse_duration("9223372036855ms", sec(1)));
+}
+
 TEST(CliUser, ResolvesNumericAndNamed) {
     EXPECT_EQ(resolve_user("1001", fake_lookup), 1001);
     EXPECT_EQ(resolve_user("alice", fake_lookup), 1001);
@@ -102,6 +112,23 @@ TEST(CliArgs, RejectsEmptyAndMixedAndUnknown) {
     EXPECT_FALSE(parse({"--duration", "x"}));
     EXPECT_FALSE(parse({"0=1"}));    // pid must be positive
     EXPECT_FALSE(parse({"-9=1"}));   // not an option, not a valid pid
+}
+
+TEST(CliArgs, RejectsOverflowingQuantumAndDuration) {
+    EXPECT_FALSE(parse({"--duration", "9300000000s", "42=1"}));
+    EXPECT_FALSE(parse({"--quantum", "9300000000s", "42=1"}));
+    EXPECT_FALSE(parse({"--quantum", "9223372036855", "42=1"}));  // bare = ms
+}
+
+TEST(CliArgs, RejectsRepeatedPid) {
+    EXPECT_FALSE(parse({"--duration", "1", "111=1", "111=2"}));
+    EXPECT_FALSE(parse({"111=1", "222=1", "111=1"}));
+}
+
+TEST(CliArgs, RejectsRepeatedUser) {
+    EXPECT_FALSE(parse({"--user", "alice=1", "--user", "alice=2"}));
+    // The same account by name and by number is the same principal.
+    EXPECT_FALSE(parse({"--user", "alice=1", "--user", "1001=2"}));
 }
 
 }  // namespace

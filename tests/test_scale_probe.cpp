@@ -70,11 +70,9 @@ TEST(ShardedScale, LargeProcPopulationAcrossShards) {
     // population's total CPU must equal the machine's exact capacity.
     util::Duration consumed{0};
     std::uint64_t alive = 0;
-    std::vector<os::Kernel::SampleView> views;
     for (unsigned s = 0; s < kShards; ++s) {
-        views.resize(pids[s].size());
-        kernels[s]->measure(pids[s], views.data());
-        for (const auto& v : views) {
+        for (const os::Pid pid : pids[s]) {
+            const os::Kernel::SampleView v = kernels[s]->sample(pid);
             consumed += v.cpu_time;
             alive += v.alive ? 1 : 0;
         }
