@@ -148,7 +148,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "expected output here, not a sweep failure.\n";
 }
 
-int evaluate(harness::SweepReport& report, std::ostream& out) {
+void evaluate(harness::SweepReport& report, std::ostream& out) {
     Criteria criteria(report);
 
     bool supervised = false;
@@ -220,7 +220,6 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
                 ? "\nSUPERVISION POLICY HOLDS (0 failing criteria)\n"
                 : "\nSUPERVISION POLICY VIOLATED (" + std::to_string(failed) +
                       " failing criteria)\n");
-    return failed;
 }
 
 }  // namespace

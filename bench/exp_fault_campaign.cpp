@@ -94,7 +94,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "invariant-gap columns stay at zero (self-healing + accounting hold).\n";
 }
 
-int evaluate(harness::SweepReport& report, std::ostream& out) {
+void evaluate(harness::SweepReport& report, std::ostream& out) {
     Criteria criteria(report);
 
     // Liveness: at every fault rate, nothing is left wedged after the drain
@@ -136,7 +136,6 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     out << (failed == 0 ? "\nDEGRADATION POLICY HOLDS (0 failing criteria)\n"
                         : "\nDEGRADATION POLICY VIOLATED (" + std::to_string(failed) +
                               " failing criteria)\n");
-    return failed;
 }
 
 }  // namespace

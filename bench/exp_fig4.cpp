@@ -1,7 +1,9 @@
 // Table 2 / Figure 4 / Figure 5 as a harness experiment: nine workloads ×
 // seven quantum lengths, `repetitions` runs per point (de-phased by warmup
 // offset), mean RMS relative error and ALPS overhead per point. Figure 5 is
-// the overhead column of the same grid at Q = 10/20/40 ms.
+// the overhead column of the same grid at Q = 10/20/40 ms. The evaluate hook
+// judges the paper's Fig 4 accuracy and Fig 5 overhead claims on that grid.
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -121,6 +123,47 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "overhead shrinks with longer quanta.\n";
 }
 
+void evaluate(harness::SweepReport& report, std::ostream& out) {
+    Criteria criteria(report, "Paper");
+
+    // Accuracy (Fig 4): the six common workloads at Q = 20 ms, and the skewed
+    // worst case at Q = 10 ms.
+    double worst_common = 0.0;
+    for (const ShareModel model : {ShareModel::kLinear, ShareModel::kEqual}) {
+        for (const int n : kProcCounts) {
+            worst_common = std::max(
+                worst_common, report.metric_mean(point_name(model, n, 20), "rms_error_pct"));
+        }
+    }
+    criteria.check("error for linear/equal workloads (Fig 4)", "<5%",
+                   util::fmt(worst_common, 2) + "% worst", worst_common < 5.0);
+    const double skew_err =
+        report.metric_mean(point_name(ShareModel::kSkewed, 20, 10), "rms_error_pct");
+    criteria.check("skewed worst case but bounded (Fig 4)", "<=27%",
+                   util::fmt(skew_err, 2) + "%",
+                   skew_err > worst_common && skew_err < 27.0);
+
+    // Overhead (Fig 5): every model at n = 10, Q = 10 and 40 ms.
+    double worst_ovh = 0.0;
+    for (const ShareModel model : workload::kAllModels) {
+        for (const int q : {10, 40}) {
+            worst_ovh = std::max(
+                worst_ovh, report.metric_mean(point_name(model, 10, q), "overhead_pct"));
+        }
+    }
+    const double equal10_q10 =
+        report.metric_mean(point_name(ShareModel::kEqual, 10, 10), "overhead_pct");
+    const double equal10_q40 =
+        report.metric_mean(point_name(ShareModel::kEqual, 10, 40), "overhead_pct");
+    criteria.check("overhead under 1% (Fig 5 / §7)", "<1%",
+                   util::fmt(worst_ovh, 3) + "% worst", worst_ovh < 1.0);
+    criteria.check("overhead shrinks with quantum (Fig 5)", "monotone",
+                   util::fmt(equal10_q10, 3) + "% -> " + util::fmt(equal10_q40, 3) + "%",
+                   equal10_q10 > equal10_q40);
+    out << "\n";
+    criteria.print(out);
+}
+
 }  // namespace
 
 void register_fig4_experiment() {
@@ -130,6 +173,7 @@ void register_fig4_experiment() {
             "Accuracy: mean RMS relative error vs quantum length (Table 2 + Figure 4)",
         .make_tasks = make_tasks,
         .present = present,
+        .evaluate = evaluate,
     });
 }
 

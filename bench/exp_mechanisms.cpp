@@ -410,7 +410,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "paying <1% sampling overhead.\n";
 }
 
-int evaluate(harness::SweepReport& report, std::ostream& out) {
+void evaluate(harness::SweepReport& report, std::ostream& out) {
     Criteria criteria(report);
     const double min_factor = lazy_factor_range(report).first;
     criteria.check("lazy measurement saves >= 1.8x in every cell (§2.3)", "1.8x-5.9x",
@@ -459,7 +459,7 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     criteria.check("lottery error exceeds stride's", "every workload",
                    std::to_string(lottery_worse) + "/9 workloads", lottery_worse == 9);
     out << "\n";
-    return criteria.print(out);
+    criteria.print(out);
 }
 
 }  // namespace

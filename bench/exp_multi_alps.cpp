@@ -233,7 +233,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "uncoordinated user-level schedulers stop coexisting.\n";
 }
 
-int evaluate(harness::SweepReport& report, std::ostream& out) {
+void evaluate(harness::SweepReport& report, std::ostream& out) {
     Criteria criteria(report);
     const double table3_err = report.metric_mean("table3", "mean_relative_error");
     criteria.check("multi-ALPS mean relative error (Table 3)", "< 3% (paper 0.93%)",
@@ -253,7 +253,7 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
                    util::fmt(worst, 2) + "% at M=" + std::to_string(worst_m),
                    worst < kWithinAppBoundPct);
     out << "\n";
-    return criteria.print(out);
+    criteria.print(out);
 }
 
 }  // namespace

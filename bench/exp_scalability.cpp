@@ -1,6 +1,8 @@
 // Figures 8 & 9 + the §4.2 threshold analysis as a harness experiment: the
 // (N, quantum) grid fans out in parallel; the fits over the in-control region
-// are recomputed from the aggregated points at presentation time.
+// are recomputed from the aggregated points at presentation time, and the
+// evaluate hook judges the breakdown claims from the same fit.
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -59,6 +61,20 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     return tasks;
 }
 
+/// §4.2's U_Q(N) line at quantum `q`, fitted over the in-control region
+/// (the Ns whose runs missed no quantum boundary); nullopt below two points.
+std::optional<util::LinearFit> in_control_fit(const harness::SweepReport& report, int q) {
+    std::vector<double> xs, ys;
+    for (const int n : proc_counts(report.full_scale)) {
+        if (report.metric_mean(point_name(n, q), "boundaries_missed") == 0.0) {
+            xs.push_back(n);
+            ys.push_back(report.metric_mean(point_name(n, q), "overhead_pct"));
+        }
+    }
+    if (xs.size() < 2) return std::nullopt;
+    return util::linear_fit(xs, ys);
+}
+
 void present(const harness::SweepReport& report, std::ostream& out) {
     const std::vector<int> ns = proc_counts(report.full_scale);
 
@@ -82,19 +98,11 @@ void present(const harness::SweepReport& report, std::ostream& out) {
     const char* paper_obs[] = {"40", "60", "90"};
     int qi = 0;
     for (const int q : kQuanta) {
-        std::vector<double> xs, ys;
-        for (const int n : ns) {
-            if (report.metric_mean(point_name(n, q), "boundaries_missed") == 0.0) {
-                xs.push_back(n);
-                ys.push_back(report.metric_mean(point_name(n, q), "overhead_pct"));
-            }
-        }
         std::string fit_str = "n/a";
         std::string pred = "n/a";
-        if (xs.size() >= 2) {
-            const util::LinearFit fit = util::linear_fit(xs, ys);
-            fit_str = util::fmt(fit.slope, 4) + "*N + " + util::fmt(fit.intercept, 4);
-            pred = util::fmt(metrics::breakdown_threshold(fit), 0);
+        if (const auto fit = in_control_fit(report, q)) {
+            fit_str = util::fmt(fit->slope, 4) + "*N + " + util::fmt(fit->intercept, 4);
+            pred = util::fmt(metrics::breakdown_threshold(*fit), 0);
         }
         // Observed threshold: first N whose error leaves the controlled band.
         // Appended, not ">" + to_string(): GCC 12 at -O3 raises a false
@@ -116,6 +124,23 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "breakdown order 10ms < 20ms < 40ms.\n";
 }
 
+void evaluate(harness::SweepReport& report, std::ostream& out) {
+    Criteria criteria(report, "Paper");
+    const auto fit = in_control_fit(report, 10);
+    const double n_star = fit ? metrics::breakdown_threshold(*fit) : 0.0;
+    criteria.check("predicted breakdown N* at 10 ms (§4.2)", "39",
+                   fit ? util::fmt(n_star, 0) : "n/a", n_star > 30 && n_star < 48);
+    const double missed_at_20 =
+        report.metric_mean(point_name(20, 10), "boundaries_missed", 1);
+    criteria.check("in control below threshold (Fig 9)", "no missed boundaries",
+                   util::fmt(missed_at_20, 0) + " missed at N=20", missed_at_20 == 0);
+    const double err_at_100 = report.metric_mean(point_name(100, 10), "error_pct");
+    criteria.check("loss of control past threshold (Fig 9)", "error explodes",
+                   util::fmt(err_at_100, 0) + "% at N=100", err_at_100 > 30.0);
+    out << "\n";
+    criteria.print(out);
+}
+
 }  // namespace
 
 void register_scalability_experiment() {
@@ -125,6 +150,7 @@ void register_scalability_experiment() {
             "Scalability: overhead and accuracy vs process count (Figures 8-9, §4.2)",
         .make_tasks = make_tasks,
         .present = present,
+        .evaluate = evaluate,
     });
 }
 

@@ -145,7 +145,7 @@ void present(const harness::SweepReport& report, std::ostream& out) {
            "grows toward short quanta (3 sites x ~51 procs sampled).\n";
 }
 
-int evaluate(harness::SweepReport& report, std::ostream& out) {
+void evaluate(harness::SweepReport& report, std::ostream& out) {
     Criteria criteria(report);
     const auto share = [&](const std::string& point, int site) {
         return report.metric_mean(point, "rps_site" + std::to_string(site)) /
@@ -195,7 +195,7 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     criteria.check("overhead falls as the refresh period grows", "monotone",
                    series + " %", falling);
     out << "\n";
-    return criteria.print(out);
+    criteria.print(out);
 }
 
 }  // namespace

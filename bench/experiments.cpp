@@ -1,6 +1,5 @@
 #include "../bench/experiments.h"
 
-#include <cmath>
 #include <ostream>
 #include <string>
 
@@ -19,49 +18,24 @@ workload::SimRunConfig table2_config(workload::ShareModel model, int n, int quan
     return cfg;
 }
 
-IoRegimes io_regimes(const workload::IoRunResult& r) {
-    IoRegimes g;
-    for (std::size_t i = static_cast<std::size_t>(r.io_onset_cycle) + 2;
-         i < r.fractions.size(); ++i) {
-        const auto& f = r.fractions[i];
-        if (f[1] < 0.08) {
-            g.a_blocked.add(f[0]);
-            g.c_blocked.add(f[2]);
-        } else if (f[1] > 0.25) {
-            g.a_active.add(f[0]);
-            g.b_active.add(f[1]);
-            g.c_active.add(f[2]);
-        }
-    }
-    return g;
-}
-
-bool redistributes_one_to_three(double a_blocked_mean, double c_blocked_mean,
-                                double blocked_cycles) {
-    return blocked_cycles > 5 && std::abs(a_blocked_mean - 0.25) < 0.04 &&
-           std::abs(c_blocked_mean - 0.75) < 0.04;
-}
-
 Criteria::Criteria(harness::SweepReport& report, const std::string& reference)
     : report_(report), table_({"Criterion", reference, "Measured", "Verdict"}) {}
 
 void Criteria::check(const std::string& criterion, const std::string& expected,
                      const std::string& measured, bool ok) {
     table_.add_row({criterion, expected, measured, ok ? "PASS" : "FAIL"});
-    report_.gate_checks.push_back({criterion, expected, measured, ok});
-    if (!ok) ++failures_;
+    report_.checks.push_back({criterion, expected, measured, ok});
 }
 
 int Criteria::print(std::ostream& out) const {
     table_.print(out);
-    return failures_;
+    return report_.failed_checks();
 }
 
 void register_all_experiments() {
     static const bool once = [] {
         register_fig4_experiment();
         register_scalability_experiment();
-        register_reproduction_gate_experiment();
         register_fault_campaign_experiment();
         register_chaos_campaign_experiment();
         register_sim_perf_experiment();

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "harness/sink.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "workload/distributions.h"
 #include "workload/experiments.h"
@@ -36,20 +35,8 @@ std::string workload_name(workload::ShareModel model, int n);
 workload::SimRunConfig table2_config(workload::ShareModel model, int n, int quantum_ms,
                                      bool full);
 
-/// Figure 6's regimes, from two cycles after the I/O onset on: the A/B/C
-/// shares of the cycles where B is blocked (B < 8%) or active (B > 25%).
-struct IoRegimes {
-    util::RunningStats a_blocked, c_blocked, a_active, b_active, c_active;
-};
-IoRegimes io_regimes(const workload::IoRunResult& r);
-
-/// Figure 6's criterion (fig6_io and the reproduction gate): while B is
-/// blocked, A gets 25 ± 4 % and C 75 ± 4 %, over more than 5 cycles.
-bool redistributes_one_to_three(double a_blocked_mean, double c_blocked_mean,
-                                double blocked_cycles);
-
-/// An evaluate hook's criteria: every verdict is appended to
-/// report.gate_checks (so it reaches the JSON) and to a PASS/FAIL table.
+/// An evaluate hook's criteria: every verdict is appended to report.checks
+/// (so it reaches the JSON and the exit code) and to a PASS/FAIL table.
 class Criteria {
 public:
     /// `reference` heads the column of what each criterion expects.
@@ -65,7 +52,6 @@ public:
 private:
     harness::SweepReport& report_;
     util::TextTable table_;
-    int failures_ = 0;
 };
 
 /// Table 2, Figure 4 (accuracy vs quantum length across the nine workloads)
@@ -74,9 +60,6 @@ void register_fig4_experiment();
 
 /// Figures 8 & 9 + §4.2 threshold analysis ("fig8_fig9").
 void register_scalability_experiment();
-
-/// Every shape criterion from DESIGN.md in one run ("reproduction_gate").
-void register_reproduction_gate_experiment();
 
 /// Robustness under injected control-channel faults ("fault_campaign").
 void register_fault_campaign_experiment();

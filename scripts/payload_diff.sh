@@ -6,16 +6,18 @@
 #
 #   scripts/payload_diff.sh BASE [--full] [EXPERIMENT...]
 #
-# Without EXPERIMENT arguments it runs every experiment `alps-sweep --list`
-# names except sim_perf, whose payload holds host timings. Each runs as
+# Without EXPERIMENT arguments it runs every experiment that both sides'
+# `alps-sweep --list` name, except sim_perf, whose payload holds host
+# timings; experiments registered on one side only are listed as
+# "only in BASE" / "only in HEAD". Each runs as
 #   alps-sweep --experiment X --quiet --json-payload-only --jobs 1
 # at reduced scale; --full adds a second run of each at the paper's full
 # scale (web_scale --full alone takes 40-60 s per side).
 #
-# BASE is checked out into a temporary git worktree under $TMPDIR (default
-# /tmp) and built there; the worktree is removed on exit. The working tree
-# builds into build-payload/. Exits 0 when everything matches, 1 on any
-# difference, 2 on a usage or build error.
+# BASE is exported with `git archive` into a temporary directory under
+# $TMPDIR (default /tmp) and built there; the directory is removed on exit.
+# The working tree builds into build-payload/. Exits 0 when every run
+# matches, 1 on any difference, 2 on a usage or build error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,12 +45,7 @@ base_sha=$(git rev-parse --verify --quiet "$BASE^{commit}") || {
 }
 
 tmp=$(mktemp -d -t alps-payload.XXXXXX)
-cleanup() {
-  git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-  git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 build() {  # build SOURCE_DIR BUILD_DIR
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DALPS_BUILD_TESTS=OFF \
@@ -60,7 +57,8 @@ build() {  # build SOURCE_DIR BUILD_DIR
   fi
 }
 
-git worktree add --detach "$tmp/base" "$base_sha" >/dev/null
+mkdir "$tmp/base"
+git archive "$base_sha" | tar -x -C "$tmp/base"
 echo "building base ${base_sha:0:12} ..."
 build "$tmp/base" "$tmp/base/build"
 echo "building working tree ..."
@@ -68,8 +66,15 @@ build . build-payload
 
 base_sweep=$tmp/base/build/tools/alps-sweep
 head_sweep=build-payload/tools/alps-sweep
+registered() { "$1" --list | sed 's/ — .*//' | grep -vx sim_perf | sort; }
+registered "$base_sweep" >"$tmp/base.list"
+registered "$head_sweep" >"$tmp/head.list"
+only_base=$(comm -23 "$tmp/base.list" "$tmp/head.list" | paste -sd' ')
+only_head=$(comm -13 "$tmp/base.list" "$tmp/head.list" | paste -sd' ')
+[[ -z $only_base ]] || echo "only in BASE: $only_base"
+[[ -z $only_head ]] || echo "only in HEAD: $only_head"
 if [[ ${#EXPERIMENTS[@]} -eq 0 ]]; then
-  mapfile -t EXPERIMENTS < <("$head_sweep" --list | sed 's/ — .*//' | grep -vx sim_perf)
+  mapfile -t EXPERIMENTS < <(comm -12 "$tmp/base.list" "$tmp/head.list")
 fi
 
 # run SWEEP OUT_DIR EXPERIMENT SCALE -> prints the exit code. Both sides
@@ -96,7 +101,7 @@ for scale in "${SCALES[@]}"; do
     if [[ ! -f $base_json || ! -f $head_json ]]; then
       verdict="MISSING payload"
     elif ! cmp -s "$base_json" "$head_json"; then
-      verdict="DIFFERS ($(cmp "$base_json" "$head_json" | sed 's/.*: //'))"
+      verdict="DIFFERS ($(cmp "$base_json" "$head_json" | sed 's/.*: //' || true))"
     elif ! cmp -s "$tmp/out/base/$scale/$exp/stdout.txt" \
                   "$tmp/out/head/$scale/$exp/stdout.txt"; then
       verdict="report (stdout) differs"

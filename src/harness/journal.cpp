@@ -18,7 +18,9 @@ namespace alps::harness {
 namespace {
 
 constexpr char kJournalMagic[8] = {'A', 'L', 'P', 'S', 'J', 'R', 'N', '1'};
-constexpr std::uint32_t kJournalVersion = 1;
+// Bump on any change to the header or outcome record layout: load() treats
+// another version's journal as unreadable (a fresh run), never misparses it.
+constexpr std::uint32_t kJournalVersion = 2;
 
 std::string encode_header(const JournalHeader& h) {
     wire::Encoder e;

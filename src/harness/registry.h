@@ -2,11 +2,11 @@
 //
 // An Experiment names a parameter grid (built lazily so --full can change the
 // grid), an optional paper-style text presentation, and an optional
-// cross-point evaluation (used by the reproduction gate, whose criteria
-// combine several points). The alps-sweep CLI and the tests pull
-// experiments from here; registration is explicit (register_* functions
-// called from bench/experiments.h's register_all) to avoid relying on static
-// initializers surviving static-library linking.
+// evaluation that judges the experiment's claims across its points. The
+// alps-sweep CLI and the tests pull experiments from here; registration is
+// explicit (register_* functions called from bench/experiments.h's
+// register_all) to avoid relying on static initializers surviving
+// static-library linking.
 #pragma once
 
 #include <functional>
@@ -76,10 +76,10 @@ struct Experiment {
     std::function<std::vector<Task>(const SweepOptions&)> make_tasks;
     /// Optional: prints the paper-style tables from the finished sweep.
     std::function<void(const SweepReport&, std::ostream&)> present{};
-    /// Optional: cross-point criteria (reproduction gate). Appends its
-    /// verdicts to report.gate_checks (so they reach the JSON), may print a
-    /// verdict table, and returns the number of failed criteria.
-    std::function<int(SweepReport&, std::ostream&)> evaluate{};
+    /// Optional: the experiment's claims, judged over the finished sweep.
+    /// Appends one verdict per criterion to report.checks (the JSON's
+    /// `checks` and `failed_checks`) and may print a verdict table.
+    std::function<void(SweepReport&, std::ostream&)> evaluate{};
     /// Task errors are expected (fault-injection experiments like
     /// chaos_campaign): they don't fail the sweep's exit code; only failed
     /// checks do.

@@ -33,7 +33,8 @@ struct TaskContext {
     telemetry::MetricsRegistry* metrics = nullptr;
 };
 
-/// One task's output: ordered named metrics + optional criterion verdicts.
+/// One task's output: ordered named metrics. Verdicts are not a task's
+/// business: an experiment's evaluate hook judges the finished sweep.
 class Result {
 public:
     struct Metric {
@@ -41,29 +42,12 @@ public:
         double value = 0.0;
     };
 
-    /// Criterion check recorded by gate-style experiments: the paper's value,
-    /// ours, and the verdict. Any failed check fails the sweep (exit code).
-    struct Check {
-        std::string criterion;
-        std::string paper;
-        std::string measured;
-        bool passed = true;
-    };
-
     Result& metric(std::string name, double value) {
         metrics_.push_back({std::move(name), value});
         return *this;
     }
 
-    Result& check(std::string criterion, std::string paper, std::string measured,
-                  bool passed) {
-        checks_.push_back(
-            {std::move(criterion), std::move(paper), std::move(measured), passed});
-        return *this;
-    }
-
     [[nodiscard]] const std::vector<Metric>& metrics() const { return metrics_; }
-    [[nodiscard]] const std::vector<Check>& checks() const { return checks_; }
 
     /// Value of a named metric; `fallback` when absent.
     [[nodiscard]] double value_of(const std::string& name, double fallback = 0.0) const {
@@ -73,16 +57,8 @@ public:
         return fallback;
     }
 
-    [[nodiscard]] bool all_checks_passed() const {
-        for (const Check& c : checks_) {
-            if (!c.passed) return false;
-        }
-        return true;
-    }
-
 private:
     std::vector<Metric> metrics_;
-    std::vector<Check> checks_;
 };
 
 /// One unit of parallel work in a sweep.

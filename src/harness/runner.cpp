@@ -1,12 +1,16 @@
 #include "harness/runner.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -167,6 +171,21 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
                         " belongs to a different sweep (experiment/seed/scale/"
                         "policy/task-count mismatch); delete it or drop --resume");
                 }
+                // The header cannot tell grids of equal size apart (--ncpus 16
+                // vs 64): every recorded outcome must be the task its index
+                // names in this sweep.
+                for (const auto& [index, outcome] : loaded.outcomes) {
+                    if (index >= tasks.size() || outcome.point != tasks[index].point ||
+                        outcome.rep != tasks[index].rep ||
+                        outcome.params != tasks[index].params) {
+                        throw std::runtime_error(
+                            "journal: " + jpath + " records task " +
+                            std::to_string(index) + " as " + outcome.point + " rep " +
+                            std::to_string(outcome.rep) +
+                            ", which is not this sweep's task; delete it or drop "
+                            "--resume");
+                    }
+                }
                 if (loaded.discarded_bytes > 0) {
                     std::cerr << "journal: discarded " << loaded.discarded_bytes
                               << " invalid trailing byte(s) of " << jpath
@@ -293,27 +312,38 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
             out = argv[++i];
             return true;
         };
-        // A whole-string unsigned number >= `min`; strtoul alone would fold
-        // "abc" to 0, silently selecting the hardware-concurrency default.
+        // A whole-string unsigned number in [`min`, the option type's max].
+        // strtoull alone would fold "abc" to 0 (the hardware-concurrency
+        // default), wrap "-1" to 2^64 - 1, and let the cast truncate
+        // 4294967297 to 1.
         const auto count = [&](auto& out, std::uint64_t min = 0) {
+            using T = std::remove_reference_t<decltype(out)>;
             if (i + 1 >= argc) return false;
             const char* v = argv[++i];
             char* end = nullptr;
+            errno = 0;
             const std::uint64_t n = std::strtoull(v, &end, 0);
-            if (end == v || *end != '\0') {
-                std::cerr << arg << ": not a number: " << v << "\n";
+            if (std::isdigit(static_cast<unsigned char>(v[0])) == 0 || *end != '\0' ||
+                errno == ERANGE) {
+                std::cerr << arg << ": not a non-negative integer: " << v << "\n";
                 return false;
             }
-            out = static_cast<std::remove_reference_t<decltype(out)>>(n);
-            return n >= min;
+            if (n < min || n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+                std::cerr << arg << ": out of range: " << v << "\n";
+                return false;
+            }
+            out = static_cast<T>(n);
+            return true;
         };
+        // A finite number >= 0: strtod also reads "nan" and "inf", and NaN
+        // passes every `< 0` test (a NaN --run-timeout disarms the watchdog).
         const auto non_negative = [&](double& out) {
             if (i + 1 >= argc) return false;
             const char* v = argv[++i];
             char* end = nullptr;
             out = std::strtod(v, &end);
-            if (end == v || *end != '\0' || out < 0.0) {
-                std::cerr << arg << ": not a non-negative number: " << v << "\n";
+            if (end == v || *end != '\0' || !std::isfinite(out) || out < 0.0) {
+                std::cerr << arg << ": not a finite non-negative number: " << v << "\n";
                 return false;
             }
             return true;
@@ -383,7 +413,7 @@ int run_and_report(std::string_view name, const SweepOptions& options) {
     }
     const bool repro_mode = options.only_task >= 0;
     if (repro_mode) {
-        // Presentation and gate evaluation expect the full grid; a single
+        // Presentation and evaluation expect the full grid; a single
         // replayed task just reports what it did.
         for (const TaskOutcome& t : report.tasks) {
             std::cout << "task " << options.only_task << " (" << t.point << " rep "
@@ -392,12 +422,10 @@ int run_and_report(std::string_view name, const SweepOptions& options) {
         }
     } else {
         if (experiment->present) experiment->present(report, std::cout);
-        if (experiment->evaluate) {
-            report.failed_checks += experiment->evaluate(report, std::cout);
-        }
+        if (experiment->evaluate) experiment->evaluate(report, std::cout);
     }
     const int failures =
-        report.failed_checks +
+        report.failed_checks() +
         (experiment->tolerate_task_errors ? 0 : report.task_errors);
     if (!options.out_dir.empty()) {
         const std::string path =

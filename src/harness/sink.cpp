@@ -25,10 +25,17 @@ double SweepReport::metric_mean(const std::string& point, const std::string& met
     return fallback;
 }
 
+int SweepReport::failed_checks() const {
+    int failed = 0;
+    for (const Check& c : checks) {
+        if (!c.passed) ++failed;
+    }
+    return failed;
+}
+
 void aggregate_points(SweepReport& report) {
     report.points.clear();
     report.task_errors = 0;
-    report.failed_checks = 0;
 
     // Group by point in first-appearance order; accumulate per-metric stats.
     struct Accum {
@@ -41,9 +48,6 @@ void aggregate_points(SweepReport& report) {
         if (!t.ok) {
             ++report.task_errors;
             continue;
-        }
-        for (const Result::Check& c : t.result.checks()) {
-            if (!c.passed) ++report.failed_checks;
         }
         Accum* acc = nullptr;
         for (Accum& a : accums) {
@@ -123,18 +127,14 @@ util::Json report_to_json(const SweepReport& report, bool include_run) {
     doc.set("points", std::move(points));
 
     util::Json checks = util::Json::array();
-    const auto push_check = [&checks](const Result::Check& c) {
+    for (const Check& c : report.checks) {
         util::Json jc = util::Json::object();
         jc.set("criterion", c.criterion);
         jc.set("paper", c.paper);
         jc.set("measured", c.measured);
         jc.set("passed", c.passed);
         checks.push(std::move(jc));
-    };
-    for (const TaskOutcome& t : report.tasks) {
-        for (const Result::Check& c : t.result.checks()) push_check(c);
     }
-    for (const Result::Check& c : report.gate_checks) push_check(c);
     if (checks.size() > 0) doc.set("checks", std::move(checks));
 
     util::Json errors = util::Json::array();
@@ -163,7 +163,7 @@ util::Json report_to_json(const SweepReport& report, bool include_run) {
         supervision.push(std::move(js));
     }
     if (supervision.size() > 0) doc.set("supervision", std::move(supervision));
-    doc.set("failed_checks", static_cast<std::int64_t>(report.failed_checks));
+    doc.set("failed_checks", static_cast<std::int64_t>(report.failed_checks()));
 
     if (include_run) {
         // Everything non-deterministic lives here, after the metric payload.

@@ -53,6 +53,16 @@ struct PointAggregate {
     std::vector<MetricAggregate> metrics;  ///< first-appearance order
 };
 
+/// One criterion verdict from an experiment's evaluate hook: what the paper
+/// reports, what this run measured, and whether the claim holds. Any failed
+/// check fails the sweep (exit code).
+struct Check {
+    std::string criterion;
+    std::string paper;
+    std::string measured;
+    bool passed = true;
+};
+
 /// The finished sweep.
 struct SweepReport {
     std::string experiment;
@@ -60,10 +70,9 @@ struct SweepReport {
     bool full_scale = false;
     std::vector<TaskOutcome> tasks;      ///< task-index order
     std::vector<PointAggregate> points;  ///< first-appearance order
-    /// Cross-point criteria appended by the experiment's evaluate hook.
-    std::vector<Result::Check> gate_checks;
+    /// Criteria appended by the experiment's evaluate hook.
+    std::vector<Check> checks;
     int task_errors = 0;                 ///< tasks that threw
-    int failed_checks = 0;               ///< failures among task + gate checks
     // Non-deterministic run facts (excluded from the metric payload):
     unsigned jobs = 0;
     double wall_seconds = 0.0;
@@ -80,9 +89,12 @@ struct SweepReport {
     /// Mean of `metric` at `point`; `fallback` when either is absent.
     [[nodiscard]] double metric_mean(const std::string& point, const std::string& metric,
                                      double fallback = 0.0) const;
+
+    /// The checks that did not pass.
+    [[nodiscard]] int failed_checks() const;
 };
 
-/// Builds aggregates (report.points, counters) from report.tasks in order.
+/// Builds report.points and report.task_errors from report.tasks in order.
 void aggregate_points(SweepReport& report);
 
 /// Serializes the report. The "run" object (jobs, wall-clock, git sha) is

@@ -160,14 +160,6 @@ std::string encode_outcome(std::uint64_t task_index, const TaskOutcome& outcome)
         e.str(m.name);
         e.f64(m.value);
     }
-    const auto& checks = outcome.result.checks();
-    e.u32(static_cast<std::uint32_t>(checks.size()));
-    for (const Result::Check& c : checks) {
-        e.str(c.criterion);
-        e.str(c.paper);
-        e.str(c.measured);
-        e.u8(c.passed ? 1 : 0);
-    }
     return e.take();
 }
 
@@ -206,19 +198,6 @@ bool decode_outcome(std::string_view payload, std::uint64_t& task_index,
         d.str(name);
         d.f64(value);
         outcome.result.metric(std::move(name), value);
-    }
-    d.u32(n);
-    for (std::uint32_t i = 0; d.ok() && i < n; ++i) {
-        std::string criterion;
-        std::string paper;
-        std::string measured;
-        std::uint8_t passed = 0;
-        d.str(criterion);
-        d.str(paper);
-        d.str(measured);
-        d.u8(passed);
-        outcome.result.check(std::move(criterion), std::move(paper), std::move(measured),
-                             passed != 0);
     }
     return d.at_end();
 }

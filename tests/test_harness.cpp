@@ -7,7 +7,9 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "harness/registry.h"
 #include "harness/result.h"
@@ -158,7 +160,10 @@ Experiment tiny_experiment() {
         for (int point = 0; point < 3; ++point) {
             for (int rep = 0; rep < 4; ++rep) {
                 Task t;
-                t.point = "p" + std::to_string(point);
+                // Appended: GCC 12 at -O3 raises a false -Wrestrict on
+                // "p" + std::to_string(), which -Werror builds reject.
+                t.point = "p";
+                t.point += std::to_string(point);
                 t.rep = rep;
                 t.params = {{"point", std::to_string(point)}};
                 t.fn = [point](const TaskContext& ctx) {
@@ -256,21 +261,32 @@ TEST(Sweep, FailedChecksAreCountedAndSerialized) {
     e.make_tasks = [](const SweepOptions&) {
         Task t;
         t.point = "gate";
-        t.fn = [](const TaskContext&) {
-            return Result{}
-                .check("criterion A", "1", "1", true)
-                .check("criterion B", "2", "3", false);
-        };
+        t.fn = [](const TaskContext&) { return Result{}.metric("x", 3.0); };
         return std::vector<Task>{std::move(t)};
+    };
+    e.evaluate = [](SweepReport& report, std::ostream&) {
+        const double x = report.metric_mean("gate", "x");
+        report.checks.push_back({"criterion A", "1", "1", true});
+        report.checks.push_back({"criterion B", "2", std::to_string(x), x == 2.0});
     };
     SweepOptions options;
     options.jobs = 1;
     options.quiet = true;
-    const SweepReport report = run_sweep(e, options, nullptr);
-    EXPECT_EQ(report.failed_checks, 1);
+    SweepReport report = run_sweep(e, options, nullptr);
+    std::ostringstream verdicts;
+    e.evaluate(report, verdicts);
+    EXPECT_EQ(report.failed_checks(), 1);
     const std::string json = report_to_json(report, false).dump(0);
     EXPECT_NE(json.find("criterion B"), std::string::npos);
     EXPECT_NE(json.find("\"passed\":false"), std::string::npos);
+    EXPECT_NE(json.find("\"failed_checks\":1"), std::string::npos);
+
+    // run_and_report (alps-sweep) runs the same hook; the failure is exit 1.
+    e.name = "checked_exit_code";
+    if (ExperimentRegistry::instance().find(e.name) == nullptr) {
+        ExperimentRegistry::instance().add(e);
+    }
+    EXPECT_EQ(run_and_report(e.name, options), 1);
 }
 
 TEST(Sweep, RunSectionCarriesJobsAndWallClock) {
@@ -282,6 +298,65 @@ TEST(Sweep, RunSectionCarriesJobsAndWallClock) {
     EXPECT_NE(with_run.find("\"wall_clock_s\""), std::string::npos);
     const std::string without = report_to_json(report, false).dump(0);
     EXPECT_EQ(without.find("\"run\""), std::string::npos);
+}
+
+// ------------------------------------------------------------- sweep flags
+
+/// parse_sweep_args over `args` (the program name is prepended).
+bool parse_args(std::vector<std::string> args, SweepOptions& options) {
+    std::string program = "alps-sweep";
+    std::vector<char*> argv{program.data()};
+    for (std::string& a : args) argv.push_back(a.data());
+    return parse_sweep_args(static_cast<int>(argv.size()), argv.data(), options);
+}
+
+TEST(SweepArgs, AcceptsInRangeValues) {
+    SweepOptions options;
+    ASSERT_TRUE(parse_args({"--jobs", "4", "--seed", "18446744073709551615",
+                            "--max-attempts", "2147483647", "--only-task", "0",
+                            "--ncpus", "64", "--run-timeout", "2.5", "--flash-crowd",
+                            "0"},
+                           options));
+    EXPECT_EQ(options.jobs, 4u);
+    EXPECT_EQ(options.seed, 18446744073709551615ULL);
+    EXPECT_EQ(options.max_attempts, 2147483647);
+    EXPECT_EQ(options.only_task, 0);
+    EXPECT_EQ(options.ncpus, 64);
+    EXPECT_EQ(options.run_timeout_s, 2.5);
+    EXPECT_EQ(options.flash_crowd, 0.0);
+}
+
+TEST(SweepArgs, RejectsNegativeCounts) {
+    // strtoull reads "-1" as 2^64 - 1: --jobs -1 would ask for four billion
+    // workers, and --only-task -1 would run the whole sweep.
+    for (const char* flag : {"--jobs", "--seed", "--max-attempts", "--only-task",
+                             "--ncpus", "--sites", "--shards"}) {
+        SweepOptions options;
+        EXPECT_FALSE(parse_args({flag, "-1"}, options)) << flag;
+        EXPECT_FALSE(parse_args({flag, " -1"}, options)) << flag;
+    }
+}
+
+TEST(SweepArgs, RejectsCountsBeyondTheOptionType) {
+    SweepOptions options;
+    // A truncating cast would make these 0 (= hardware concurrency) and 1.
+    EXPECT_FALSE(parse_args({"--jobs", "4294967296"}, options));
+    EXPECT_FALSE(parse_args({"--max-attempts", "4294967297"}, options));
+    EXPECT_FALSE(parse_args({"--ncpus", "4294967297"}, options));
+    EXPECT_FALSE(parse_args({"--only-task", "9223372036854775808"}, options));
+    EXPECT_FALSE(parse_args({"--seed", "18446744073709551616"}, options));
+    EXPECT_EQ(options.jobs, SweepOptions{}.jobs);
+    EXPECT_EQ(options.max_attempts, SweepOptions{}.max_attempts);
+}
+
+TEST(SweepArgs, RejectsNonFiniteSeconds) {
+    // NaN fails every `< 0` test: --run-timeout nan would disarm the watchdog.
+    for (const char* flag : {"--run-timeout", "--flash-crowd"}) {
+        for (const char* value : {"nan", "-nan", "inf", "-1"}) {
+            SweepOptions options;
+            EXPECT_FALSE(parse_args({flag, value}, options)) << flag << " " << value;
+        }
+    }
 }
 
 // -------------------------------------------------------------------- registry

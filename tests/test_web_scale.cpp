@@ -156,7 +156,8 @@ TEST_P(RegisteredStudy, JobsIndependentAndCriteriaPass) {
     EXPECT_EQ(harness::report_to_json(serial, /*include_run=*/false).dump(2),
               harness::report_to_json(parallel, /*include_run=*/false).dump(2));
     std::ostringstream verdicts;
-    EXPECT_EQ(e->evaluate(serial, verdicts), 0) << verdicts.str();
+    e->evaluate(serial, verdicts);
+    EXPECT_EQ(serial.failed_checks(), 0) << verdicts.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(Studies, RegisteredStudy,
