@@ -214,8 +214,8 @@ harness::Result kernel_scan_task(bool full) {
         .metric("kernel_scan_checksum", static_cast<double>(checksum % 1'000'003));
 }
 
-// Traffic-subsystem hot path: thinning-sampled arrival draws through a full
-// envelope (diurnal x MMPP x flash spike — every branch of rate_at) and the
+// Traffic-subsystem hot path: thinning-sampled arrival draws through the
+// full envelope (base x flash spike, the web_scale shape) and the
 // request-table churn the web_scale sweep rides on (create, timestamp,
 // release through the freelist, record into the per-site reservoir). A
 // thousand-site machine draws and churns these millions of times per run,
@@ -227,11 +227,6 @@ harness::Result web_arrivals_task(bool full) {
     {
         traffic::ArrivalConfig cfg;
         cfg.base_rps = 50.0;
-        cfg.diurnal.amplitude = 0.4;
-        cfg.diurnal.period = util::sec(60);
-        cfg.burst.multiplier = 4.0;
-        cfg.burst.mean_normal = util::sec(5);
-        cfg.burst.mean_burst = util::sec(1);
         traffic::FlashCrowd spike;
         spike.start = util::TimePoint{} + util::sec(30);
         spike.ramp = util::sec(2);

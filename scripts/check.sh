@@ -183,10 +183,14 @@ fi
 
 # --- Policy-matrix leg: the ALPS invariants must hold on every kernel ---
 # Runs the policy-matrix suite once per kernel scheduling policy (the same
-# binary; ALPS_KERNEL_POLICY selects the kernel under the workload), plus the
-# policy_zoo sweep itself, whose JSON must be jobs-independent and whose BSD
-# row is the paper-baseline cross-check. Reuses the Release perf tree when it
-# exists; ALPS_POLICY_MATRIX_SKIP=1 skips the leg.
+# binary; ALPS_KERNEL_POLICY selects the kernel under the workload), then
+# gates the committed payloads: policy_zoo (whose BSD row is the paper-
+# baseline cross-check) and many_core must reproduce BENCH_policy_zoo.json
+# and BENCH_many_core.json exactly at reduced scale (~1 s together), once the
+# committed files' "run" block (host timings) is stripped. Their work counts
+# and results are host-independent, so any difference is a behaviour change.
+# Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
+# skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
   cmake -B build-perf -S . \
     -DCMAKE_BUILD_TYPE=Release \
@@ -200,7 +204,25 @@ if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
     echo "--- policy matrix: $policy"
     ALPS_KERNEL_POLICY="$policy" build-perf/tests/test_policy_matrix
   done
-  build-perf/tools/alps-sweep --experiment policy_zoo --quiet --out build-perf
+  for exp in policy_zoo many_core; do
+    build-perf/tools/alps-sweep --experiment "$exp" --quiet --json-payload-only \
+      --out build-perf/payload > /dev/null
+    python3 - "BENCH_$exp.json" "build-perf/payload/BENCH_$exp.json" <<'PY'
+import difflib, json, sys
+
+committed_path, fresh_path = sys.argv[1], sys.argv[2]
+committed = json.load(open(committed_path))
+committed.pop("run", None)
+fresh = json.load(open(fresh_path))
+if committed != fresh:
+    a = json.dumps(committed, indent=2, sort_keys=True).splitlines()
+    b = json.dumps(fresh, indent=2, sort_keys=True).splitlines()
+    sys.stdout.writelines(line + "\n" for line in difflib.unified_diff(
+        a, b, committed_path, fresh_path, lineterm="", n=2))
+    raise SystemExit(f"payload gate: {fresh_path} differs from {committed_path}")
+print(f"payload gate: {fresh_path} matches {committed_path}")
+PY
+  done
 fi
 
 # --- Chaos leg: the sweep harness must survive its own runs dying ---
@@ -299,4 +321,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + payload gate + chaos leg passed"

@@ -37,8 +37,6 @@ void GroupProcessControl::join(Principal& pr, HostPid pid) {
     if (s.ok) {
         m.last_cpu = s.cpu_time;
         m.baselined = true;
-    } else {
-        ++faults_.member_read_failures;
     }
     pr.members.push_back(m);
     // The whole principal is one scheduling unit: late joiners inherit its
@@ -64,8 +62,6 @@ void GroupProcessControl::remove_member(EntityId principal, HostPid pid) {
     if (s.alive) {
         if (s.ok && it->baselined && s.cpu_time >= it->last_cpu) {
             pr.cum += s.cpu_time - it->last_cpu;
-        } else if (!s.ok) {
-            ++faults_.member_read_failures;
         }
         if (pr.suspended) host_.cont_pid(pid);  // do not leave it stopped
     }
@@ -125,7 +121,6 @@ Sample GroupProcessControl::read_progress(EntityId id) {
             // skip it this round (its consumption is picked up next time —
             // cumulative counters lose nothing).
             ++failed;
-            ++faults_.member_read_failures;
             continue;
         }
         if (!s.alive) {
@@ -142,7 +137,6 @@ Sample GroupProcessControl::read_progress(EntityId id) {
         if (s.cpu_time < m.last_cpu) {
             // The member's pid was recycled: rebaseline it instead of
             // charging the principal a negative amount.
-            ++faults_.member_rebaselines;
             m.last_cpu = s.cpu_time;
         }
         pr.cum += s.cpu_time - m.last_cpu;
@@ -177,7 +171,6 @@ ControlResult GroupProcessControl::signal_all(EntityId id, bool is_resume) {
         const ControlResult r =
             is_resume ? host_.cont_pid(m.pid) : host_.stop_pid(m.pid);
         if (r == ControlResult::kOk || r == ControlResult::kGone) continue;
-        ++faults_.member_signal_failures;
         if (r == ControlResult::kDenied || worst == ControlResult::kOk) worst = r;
     }
     return worst;

@@ -62,15 +62,6 @@ public:
     ControlResult suspend(EntityId id) override;
     ControlResult resume(EntityId id) override;
 
-    /// Member-level channel failures absorbed by the aggregation (the
-    /// principal-level health lives in the Scheduler's HealthReport).
-    struct MemberFaults {
-        std::uint64_t member_read_failures = 0;
-        std::uint64_t member_signal_failures = 0;
-        std::uint64_t member_rebaselines = 0;  ///< member CPU went backwards
-    };
-    [[nodiscard]] const MemberFaults& member_faults() const { return faults_; }
-
 private:
     struct Member {
         HostPid pid = 0;
@@ -93,7 +84,6 @@ private:
     ProcessHost& host_;
     std::map<EntityId, Principal> principals_;
     EntityId next_id_ = 1;
-    MemberFaults faults_;
     /// Reused across refresh() calls so the once-per-second membership scan
     /// does not allocate.
     std::vector<HostPid> refresh_scratch_;

@@ -348,23 +348,42 @@ TickStats Scheduler::tick() {
 
     // --- Measurement loop (Figure 3, first for-all) ---
     for (auto& [id, e] : entities_) {
-        if (e.quarantined) {
-            // Probe the channel every tick: recover, or escalate to drop.
-            e.touched = true;
-            const Sample s = guarded_read(id, stats);
-            if (!s.ok) {
-                ++stats.read_failures;
-                ++health_.read_failures;
-                note_failure(e);
+        // Quarantined entities are probed every tick. Eligible ones are
+        // measured when due (§2.3). Ineligible ones cannot have run, so they
+        // are skipped free of charge — unless the channel has ever
+        // misbehaved: then they are verified on the same lazy schedule, as a
+        // lost SIGSTOP otherwise lets the entity free-run *unmeasured*.
+        if (!e.quarantined) {
+            if (!e.eligible && !health_.degraded()) continue;
+            if (cfg_.lazy_measurement && e.update > count_) continue;
+        }
+        e.touched = true;
+        const Sample s = guarded_read(id, stats);
+        if (!s.ok) {
+            ++stats.read_failures;
+            ++health_.read_failures;
+            const bool quarantine_now = note_failure(e);
+            if (e.quarantined) {
                 if (e.fail_streak >= kDropAfter) dropped.push_back(id);
-                continue;
+            } else if (quarantine_now) {
+                enter_quarantine(id, e);
+            } else if (e.eligible) {
+                // Cross-tick exponential backoff. Quarantine on the
+                // kQuarantineAfter-th failure comes first, so the waits are
+                // 1, 2, 4 ticks and the shift needs no cap.
+                ALPS_ENSURE(e.fail_streak < kQuarantineAfter);
+                e.update = count_ + (std::uint64_t{1} << (e.fail_streak - 1));
             }
-            ++stats.measured;
-            ++total_measurements_;
-            if (!s.alive) {
-                dead.push_back(id);
-                continue;
-            }
+            continue;
+        }
+        ++stats.measured;
+        ++total_measurements_;
+        if (!s.alive) {
+            dead.push_back(id);
+            continue;
+        }
+
+        if (e.quarantined) {
             charge(e, s);
             // Reads are back; try to regain the control channel by
             // enforcing the desired state.
@@ -389,98 +408,35 @@ TickStats Scheduler::tick() {
             continue;
         }
 
-        if (!e.eligible) {
-            // Cannot have run: skip (free of charge) — unless a suspend may
-            // have been lost. Once the channel has ever misbehaved, verify
-            // ineligible entities on the same lazy schedule: a lost SIGSTOP
-            // otherwise lets the entity free-run *unmeasured*, the one
-            // failure mode the eligible-path watchdog cannot see.
-            if (!health_.degraded()) continue;
-            if (cfg_.lazy_measurement && e.update > count_) continue;
-            e.touched = true;
-            const Sample s = guarded_read(id, stats);
-            if (!s.ok) {
-                ++stats.read_failures;
-                ++health_.read_failures;
-                if (note_failure(e)) enter_quarantine(id, e);
-                continue;
-            }
-            ++stats.measured;
-            ++total_measurements_;
-            if (!s.alive) {
-                dead.push_back(id);
-                continue;
-            }
-            // Charge whatever it consumed (the tail before the stop took
-            // effect, or everything it stole while the stop was lost).
-            charge(e, s);
-            if (!s.stopped) {
-                // Lost SIGSTOP: re-issue the desired state.
-                ++stats.reissues;
-                ++health_.reissues;
-                const ControlResult r = guarded_signal(id, /*make_eligible=*/false);
-                if (r == ControlResult::kOk) {
-                    note_success(e);
-                } else if (r == ControlResult::kGone) {
-                    dead.push_back(id);
-                } else {
-                    ++stats.control_failures;
-                    ++health_.control_failures;
-                    e.suspect = true;
-                    if (note_failure(e)) enter_quarantine(id, e);
-                }
-            } else {
-                note_success(e);
-            }
-            continue;
-        }
-        if (cfg_.lazy_measurement && e.update > count_) continue;
-
-        e.touched = true;
-        const Sample s = guarded_read(id, stats);
-        if (!s.ok) {
-            ++stats.read_failures;
-            ++health_.read_failures;
-            if (note_failure(e)) {
-                enter_quarantine(id, e);
-            } else {
-                // Cross-tick exponential backoff. Quarantine on the
-                // kQuarantineAfter-th failure comes first, so the waits are
-                // 1, 2, 4 ticks and the shift needs no cap.
-                ALPS_ENSURE(e.fail_streak < kQuarantineAfter);
-                e.update = count_ + (std::uint64_t{1} << (e.fail_streak - 1));
-            }
-            continue;
-        }
-        ++stats.measured;
-        ++total_measurements_;
-        if (!s.alive) {
-            dead.push_back(id);
-            continue;
-        }
-        if (s.stopped) {
-            // Desired eligible but actually stopped: a lost or undelivered
-            // SIGCONT (or an outside party stopped it). Self-heal so no
-            // entity stays wedged longer than its measurement postponement
-            // (at most one cycle).
+        // An ineligible entity is charged before the re-send (the tail
+        // before the stop took effect, or everything it stole while the stop
+        // was lost); an eligible one after it, and not at all if it is gone.
+        // The order decides how tc_ns_ rounds.
+        const bool eligible = e.eligible;
+        if (!eligible) charge(e, s);
+        if (s.stopped != eligible) {
+            note_success(e);
+        } else {
+            // The desired state did not take — a lost SIGSTOP (the entity
+            // free-runs unmeasured) or a lost SIGCONT (it stays wedged):
+            // re-send it.
             ++stats.reissues;
             ++health_.reissues;
-            const ControlResult r = guarded_signal(id, /*make_eligible=*/true);
-            if (r == ControlResult::kOk) {
-                note_success(e);
-            } else if (r == ControlResult::kGone) {
+            const ControlResult r = guarded_signal(id, eligible);
+            if (r == ControlResult::kGone) {
                 dead.push_back(id);
                 continue;
+            }
+            if (r == ControlResult::kOk) {
+                note_success(e);
             } else {
                 ++stats.control_failures;
                 ++health_.control_failures;
                 e.suspect = true;
                 if (note_failure(e)) enter_quarantine(id, e);
             }
-        } else {
-            note_success(e);
         }
-        charge(e, s);
+        if (eligible) charge(e, s);
     }
 
     // Entities that vanished take their remaining allowance with them;

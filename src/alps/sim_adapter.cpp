@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "alps/stride_engine.h"
 #include "util/assert.h"
 
 namespace alps::core {
@@ -57,10 +58,18 @@ void SimProcessHost::pids_of_user(HostUid uid, std::vector<HostPid>& out) {
 
 AlpsDriverBehavior::AlpsDriverBehavior(Scheduler& scheduler, CostModel cost,
                                        std::function<Duration()> pre_tick)
-    : scheduler_(scheduler), cost_(cost), pre_tick_(std::move(pre_tick)) {}
+    : tick_([&scheduler] { return scheduler.tick(); }),
+      quantum_([&scheduler] { return scheduler.config().quantum; }),
+      cost_(cost),
+      pre_tick_(std::move(pre_tick)) {}
+
+AlpsDriverBehavior::AlpsDriverBehavior(StrideEngine& engine, CostModel cost)
+    : tick_([&engine] { return engine.tick(); }),
+      quantum_([&engine] { return engine.config().quantum; }),
+      cost_(cost) {}
 
 os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
-    const Duration q = scheduler_.config().quantum;
+    const Duration q = quantum_();
     if (!started_) {
         // First boundary: one quantum after spawn.
         started_ = true;
@@ -97,7 +106,7 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
 Duration AlpsDriverBehavior::lazy_run_duration(os::ProcContext) {
     Duration extra{0};
     if (pre_tick_) extra = pre_tick_();
-    const TickStats stats = scheduler_.tick();
+    const TickStats stats = tick_();
     ++ticks_;
     return cost_.tick_cost(stats) + extra;
 }

@@ -42,6 +42,8 @@ private:
     std::vector<os::Pid> pid_scratch_;
 };
 
+class StrideEngine;
+
 /// The ALPS process body: sleep to the next quantum boundary, tick, pay the
 /// tick's CPU cost, repeat.
 class AlpsDriverBehavior final : public os::Behavior {
@@ -50,6 +52,8 @@ public:
     /// second membership refresh — and returns extra CPU cost to charge.
     AlpsDriverBehavior(Scheduler& scheduler, CostModel cost,
                        std::function<util::Duration()> pre_tick = nullptr);
+    /// The same body with the allowance loop swapped for the stride engine.
+    AlpsDriverBehavior(StrideEngine& engine, CostModel cost);
 
     os::Action next_action(os::ProcContext ctx) override;
     util::Duration lazy_run_duration(os::ProcContext ctx) override;
@@ -60,7 +64,8 @@ public:
     [[nodiscard]] std::uint64_t boundaries_missed() const { return missed_; }
 
 private:
-    Scheduler& scheduler_;
+    std::function<TickStats()> tick_;
+    std::function<util::Duration()> quantum_;
     CostModel cost_;
     std::function<util::Duration()> pre_tick_;
     util::TimePoint epoch_{};

@@ -42,6 +42,8 @@
 
 namespace alps::core {
 
+class AlpsDriverBehavior;
+
 struct StrideEngineConfig {
     /// Tick period and the unit of pass advancement (like the ALPS Q).
     Duration quantum = util::msec(10);
@@ -120,8 +122,8 @@ private:
 };
 
 /// One complete stride-engine instance on the simulated kernel: host bridge,
-/// per-pid control, engine, and a driver process that sleeps to each quantum
-/// boundary and pays the tick's modeled cost — the SimAlps counterpart.
+/// per-pid control, engine, and the ALPS driver process (AlpsDriverBehavior)
+/// ticking the engine at each quantum boundary — the SimAlps counterpart.
 class SimStrideAlps {
 public:
     explicit SimStrideAlps(os::Kernel& kernel, StrideEngineConfig cfg = {},
@@ -138,19 +140,17 @@ public:
     [[nodiscard]] StrideEngine& engine() { return *engine_; }
     [[nodiscard]] const StrideEngine& engine() const { return *engine_; }
     [[nodiscard]] os::Pid driver_pid() const { return driver_pid_; }
-    /// Quantum boundaries missed while the driver was busy or runnable.
-    [[nodiscard]] std::uint64_t boundaries_missed() const;
+    /// The driver process's body (ticks run, quantum boundaries missed).
+    [[nodiscard]] const AlpsDriverBehavior& driver() const { return *driver_; }
     /// CPU consumed by the driver process (the overhead numerator).
     [[nodiscard]] util::Duration overhead_cpu() const;
 
 private:
-    class DriverBehavior;
-
     os::Kernel& kernel_;
     std::unique_ptr<ProcessHost> host_;
     std::unique_ptr<ProcessControl> control_;
     std::unique_ptr<StrideEngine> engine_;
-    DriverBehavior* driver_ = nullptr;  // owned by the kernel's Proc
+    AlpsDriverBehavior* driver_ = nullptr;  // owned by the kernel's Proc
     os::Pid driver_pid_ = os::kNoPid;
 };
 

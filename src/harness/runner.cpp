@@ -36,12 +36,29 @@ unsigned effective_jobs(unsigned requested) {
     return hw == 0 ? 1 : hw;
 }
 
+/// A whole-string unsigned number. strtoull alone would fold "abc" to 0,
+/// wrap "-1" to 2^64 - 1, and stop quietly at "12abc".
+bool parse_unsigned(const char* v, std::uint64_t& out) {
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtoull(v, &end, 0);
+    return std::isdigit(static_cast<unsigned char>(v[0])) != 0 && *end == '\0' &&
+           errno != ERANGE;
+}
+
+/// Records per telemetry ring: ALPS_TRACE_CAPACITY, a positive count, or
+/// 4M records (128 MiB, ~a full fig4 sweep). A malformed value throws.
 std::size_t trace_ring_capacity() {
-    if (const char* v = std::getenv("ALPS_TRACE_CAPACITY")) {
-        const auto n = std::strtoull(v, nullptr, 10);
-        if (n > 0) return static_cast<std::size_t>(n);
+    const char* v = std::getenv("ALPS_TRACE_CAPACITY");
+    if (v == nullptr) return std::size_t{1} << 22;
+    std::uint64_t n = 0;
+    if (!parse_unsigned(v, n) || n == 0 ||
+        n > static_cast<std::uint64_t>(std::numeric_limits<std::size_t>::max())) {
+        throw std::runtime_error(std::string("ALPS_TRACE_CAPACITY: not a positive "
+                                             "record count: ") +
+                                 v);
     }
-    return std::size_t{1} << 22;  // 4M records = 128 MiB, ~a full fig4 sweep
+    return static_cast<std::size_t>(n);
 }
 
 /// Serialized progress/ETA line, overwritten in place on a terminal-ish
@@ -116,6 +133,7 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
         options.resume = false;
     }
 
+    const std::size_t ring_capacity = trace_ring_capacity();
     std::vector<Task> tasks = experiment.make_tasks(options);
     ALPS_EXPECT(!tasks.empty());
 
@@ -146,7 +164,7 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
     report.tasks.resize(selected.size());
 
     telemetry::MetricsRegistry metrics;
-    telemetry::Session session({.ring_capacity = trace_ring_capacity()});
+    telemetry::Session session({.ring_capacity = ring_capacity});
     if (tracing) telemetry::attach(session);
 
     // ---- journal: load (resume) and open for appending.
@@ -312,19 +330,15 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
             out = argv[++i];
             return true;
         };
-        // A whole-string unsigned number in [`min`, the option type's max].
-        // strtoull alone would fold "abc" to 0 (the hardware-concurrency
-        // default), wrap "-1" to 2^64 - 1, and let the cast truncate
-        // 4294967297 to 1.
+        // A whole-string unsigned number in [`min`, the option type's max]
+        // ("abc" is not 0, the hardware-concurrency default, and the cast
+        // must not truncate 4294967297 to 1).
         const auto count = [&](auto& out, std::uint64_t min = 0) {
             using T = std::remove_reference_t<decltype(out)>;
             if (i + 1 >= argc) return false;
             const char* v = argv[++i];
-            char* end = nullptr;
-            errno = 0;
-            const std::uint64_t n = std::strtoull(v, &end, 0);
-            if (std::isdigit(static_cast<unsigned char>(v[0])) == 0 || *end != '\0' ||
-                errno == ERANGE) {
+            std::uint64_t n = 0;
+            if (!parse_unsigned(v, n)) {
                 std::cerr << arg << ": not a non-negative integer: " << v << "\n";
                 return false;
             }

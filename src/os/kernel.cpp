@@ -37,11 +37,15 @@ Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelC
                 cfg_.policy, {.seed = cfg_.policy_seed + static_cast<std::uint64_t>(d)}));
         }
     }
+    // Each domain serves a contiguous, equal CPU range: [0, ncpus) for the
+    // shared queue, {d} for per-CPU domain d. cfg_.percpu_queues is not read
+    // past this point.
+    cpus_per_domain_ = cfg_.ncpus / static_cast<int>(domains_.size());
+    tick_scratch_.resize(domains_.size());
     running_.assign(static_cast<std::size_t>(cfg_.ncpus), nullptr);
     decision_events_.assign(static_cast<std::size_t>(cfg_.ncpus), 0);
     last_on_cpu_.assign(static_cast<std::size_t>(cfg_.ncpus), kNoPid);
     table_.push_back(nullptr);  // slot 0: kNoPid, never issued
-    if (cfg_.percpu_queues) tick_scratch_.resize(static_cast<std::size_t>(cfg_.ncpus));
     decision_kind_ = engine_.register_hot(&Kernel::on_decision_timer, this);
     wake_kind_ = engine_.register_hot(&Kernel::on_timer_wake, this);
     tick_kind_ = engine_.register_hot(&Kernel::on_second_tick, this);
@@ -85,11 +89,11 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
     p.state = RunState::kRunnable;
     p.behavior = std::move(behavior);
     p.last_charge = now();
-    if (cfg_.percpu_queues) {
-        // Default placement: deal new pids round-robin across the domains.
-        p.home_cpu = home_cpu >= 0 ? home_cpu : (pid - 1) % cfg_.ncpus;
-        p.pinned = pinned;
-    }
+    // Default placement: deal new pids round-robin across the CPUs; the
+    // process queues on the domain serving that CPU (always 0 under the
+    // shared queue).
+    p.home_cpu = (home_cpu >= 0 ? home_cpu : (pid - 1) % cfg_.ncpus) / cpus_per_domain_;
+    p.pinned = pinned;
     ALPS_ENSURE(static_cast<std::size_t>(pid) == table_.size());
     table_.push_back(owned);
     p.ordered_index = ordered_.size();
@@ -109,9 +113,9 @@ void Kernel::reap(Pid pid) {
     Proc& p = proc_mut(pid);
     ALPS_EXPECT(p.state == RunState::kZombie);
     // ordered_'s iteration order IS observed — wakeup_channel wakes in
-    // creation order for determinism, second_tick hands the span to the
-    // policy, and live_pids reports creation order — so the erase must keep
-    // order (shift + reindex the tail), not swap with the tail. The stored
+    // creation order for determinism, and second_tick hands it (split per
+    // domain) to the policies — so the erase must keep order (shift +
+    // reindex the tail), not swap with the tail. The stored
     // index still removes the old O(N) pointer scan to *find* the entry.
     ALPS_ENSURE(ordered_[p.ordered_index] == &p);
     ordered_.erase(ordered_.begin() + static_cast<std::ptrdiff_t>(p.ordered_index));
@@ -183,19 +187,6 @@ void Kernel::pids_of_uid(Uid uid, std::vector<Pid>& out) const {
     for (const Proc* p : it->second) out.push_back(p->pid);
 }
 
-std::vector<Pid> Kernel::live_pids() const {
-    std::vector<Pid> out;
-    live_pids(out);
-    return out;
-}
-
-void Kernel::live_pids(std::vector<Pid>& out) const {
-    out.clear();
-    for (const Proc* p : ordered_) {
-        if (p->state != RunState::kZombie) out.push_back(p->pid);
-    }
-}
-
 util::Duration Kernel::busy_time() const {
     Duration t = busy_;
     for (const Proc* p : running_) {
@@ -214,7 +205,7 @@ Pid Kernel::running_pid_on(int cpu) const {
 
 const SchedPolicy& Kernel::policy_on(int cpu) const {
     ALPS_GUARD(cpu >= 0 && cpu < cfg_.ncpus);
-    return *domains_[cfg_.percpu_queues ? static_cast<std::size_t>(cpu) : 0];
+    return *domains_[static_cast<std::size_t>(cpu / cpus_per_domain_)];
 }
 
 std::size_t Kernel::eligible_count() const {
@@ -537,15 +528,14 @@ void Kernel::schedule() {
         }
 
         // 2. Preemption and round-robin decisions, one queue head per
-        // domain. With the shared queue there is one domain covering every
-        // CPU — exactly the pre-domain global pass; under percpu_queues each
-        // domain checks only its own CPU.
+        // domain, checked against the runners on the domain's CPUs (every
+        // CPU for the shared queue, its own CPU for a per-CPU domain).
         for (std::size_t d = 0; d < domains_.size(); ++d) {
             SchedPolicy& pol = *domains_[d];
             Proc* cand = pol.peek();
             if (cand == nullptr) continue;
-            const int c_begin = cfg_.percpu_queues ? static_cast<int>(d) : 0;
-            const int c_end = cfg_.percpu_queues ? static_cast<int>(d) + 1 : cfg_.ncpus;
+            const int c_begin = first_cpu(d);
+            const int c_end = c_begin + cpus_per_domain_;
             // Find the most preemptable runner: the one every other
             // preemptable runner would itself preempt.
             int victim = -1;
@@ -577,19 +567,19 @@ void Kernel::schedule() {
             }
         }
 
-        // 3. Fill idle CPUs — from the CPU's own domain first, then (under
-        // percpu_queues) by stealing from the most-loaded peer.
-        for (int c = 0; c < cfg_.ncpus; ++c) {
-            if (running_[static_cast<std::size_t>(c)] != nullptr) continue;
-            SchedPolicy& pol =
-                *domains_[cfg_.percpu_queues ? static_cast<std::size_t>(c) : 0];
-            Proc* next = pol.pop();
-            if (next == nullptr && cfg_.percpu_queues) next = steal_for(c);
-            if (next == nullptr) {
-                if (!cfg_.percpu_queues) break;  // shared queue drained: done
-                continue;  // this domain idles; peers may still have work
+        // 3. Fill idle CPUs — from the domain's own queue first, then by
+        // stealing from the most-loaded peer domain (the shared queue has
+        // none). A domain with nothing left leaves its other idle CPUs idle.
+        for (std::size_t d = 0; d < domains_.size(); ++d) {
+            SchedPolicy& pol = *domains_[d];
+            const int c_begin = first_cpu(d);
+            for (int c = c_begin; c < c_begin + cpus_per_domain_; ++c) {
+                if (running_[static_cast<std::size_t>(c)] != nullptr) continue;
+                Proc* next = pol.pop();
+                if (next == nullptr) next = steal_for(d);
+                if (next == nullptr) break;
+                dispatch(*next, c);
             }
-            dispatch(*next, c);
         }
 
         // 4. Once the picks are stable, resolve lazy/zero-length phases.
@@ -614,41 +604,40 @@ void Kernel::schedule() {
 }
 
 // ----------------------------------------------------------------------------
-// Cross-domain migration (percpu_queues only)
+// Cross-domain migration (a no-op with the shared queue's single domain)
 
-void Kernel::migrate(Proc& p, int to) {
+void Kernel::migrate(Proc& p, std::size_t to) {
     // Only a process that is off every queue and every CPU may move: the
     // old domain's intrusive links must not dangle into the new one.
     ALPS_GUARD(p.rq_index < 0 && p.on_cpu < 0);
     dom(p).on_migrate_out(p);
-    p.home_cpu = to;
+    p.home_cpu = static_cast<int>(to);
     dom(p).on_migrate_in(p);
     ++migrations_;
 }
 
-Proc* Kernel::steal_for(int cpu) {
+Proc* Kernel::steal_for(std::size_t thief) {
     // Victim: the peer domain with the most queued work; ties break to the
-    // lowest CPU index so the pick is deterministic.
-    int victim = -1;
+    // lowest index so the pick is deterministic.
+    std::size_t victim = domains_.size();
     std::size_t victim_load = 0;
-    for (int d = 0; d < cfg_.ncpus; ++d) {
-        if (d == cpu) continue;
-        const std::size_t load = domains_[static_cast<std::size_t>(d)]->runnable();
+    for (std::size_t d = 0; d < domains_.size(); ++d) {
+        if (d == thief) continue;
+        const std::size_t load = domains_[d]->runnable();
         if (load > victim_load) {
             victim_load = load;
             victim = d;
         }
     }
-    if (victim < 0) return nullptr;
+    if (victim == domains_.size()) return nullptr;
     // The stolen process is the victim policy's best *migratable* pick: pop
     // in priority order, skipping pinned processes (they go straight back
     // on the victim's queue with their original enqueue_time, so their
     // round-robin age is preserved). With nothing pinned the first pop wins,
     // exactly the old behavior.
-    SchedPolicy& vict = *domains_[static_cast<std::size_t>(victim)];
-    Proc* p = pop_migratable(vict);
+    Proc* p = pop_migratable(*domains_[victim]);
     if (p == nullptr) return nullptr;  // the victim's queue is all pinned
-    migrate(*p, cpu);
+    migrate(*p, thief);
     ++steals_;
     return p;
 }
@@ -669,17 +658,19 @@ Proc* Kernel::pop_migratable(SchedPolicy& from) {
 
 void Kernel::rebalance() {
     // Bounded work per schedcpu tick: at most one pass of ncpus moves. Load
-    // counts the occupant too, so one spinning process per CPU is "balanced"
-    // and a (1 running + 1 queued) vs (idle) split triggers a move.
+    // counts the occupants too, so one spinning process per CPU is "balanced"
+    // and a (1 running + 1 queued) vs (idle) split triggers a move. A single
+    // domain is always balanced.
     for (int moves = 0; moves < cfg_.ncpus; ++moves) {
-        int busiest = 0;
-        int idlest = 0;
+        std::size_t busiest = 0;
+        std::size_t idlest = 0;
         std::size_t max_load = 0;
         std::size_t min_load = 0;
-        for (int d = 0; d < cfg_.ncpus; ++d) {
-            const std::size_t load =
-                domains_[static_cast<std::size_t>(d)]->runnable() +
-                (running_[static_cast<std::size_t>(d)] != nullptr ? 1 : 0);
+        for (std::size_t d = 0; d < domains_.size(); ++d) {
+            std::size_t load = domains_[d]->runnable();
+            for (int c = first_cpu(d); c < first_cpu(d) + cpus_per_domain_; ++c) {
+                if (running_[static_cast<std::size_t>(c)] != nullptr) ++load;
+            }
             if (d == 0 || load > max_load) {
                 max_load = load;
                 busiest = d;
@@ -694,7 +685,7 @@ void Kernel::rebalance() {
         // domain is pinned, the imbalance is intentional and this tick's
         // pass stops (the next-busiest domain is at most one move away from
         // balanced anyway under the ncpus-moves bound).
-        Proc* p = pop_migratable(*domains_[static_cast<std::size_t>(busiest)]);
+        Proc* p = pop_migratable(*domains_[busiest]);
         if (p == nullptr) return;  // all of busiest's load is on-CPU or pinned
         migrate(*p, idlest);
         p->enqueue_time = now();
@@ -718,23 +709,20 @@ void Kernel::second_tick() {
     for (int c = 0; c < cfg_.ncpus; ++c) {
         if (running_[static_cast<std::size_t>(c)] != nullptr) charge_running(c);
     }
-    if (!cfg_.percpu_queues) {
-        domains_[0]->second_tick(ordered_, loadavg_, now());
-    } else {
-        // Each domain decays only its own processes: BSD's estcpu lives on
-        // the Proc, so handing every instance the whole machine would apply
-        // the decay ncpus times per tick. Rebuilt from ordered_ each tick —
-        // cheaper than maintaining per-domain membership lists through every
-        // migration, at one pointer append per live process per second.
-        for (std::vector<Proc*>& v : tick_scratch_) v.clear();
-        for (Proc* p : ordered_) {
-            tick_scratch_[static_cast<std::size_t>(domain_of(*p))].push_back(p);
-        }
-        for (std::size_t d = 0; d < domains_.size(); ++d) {
-            domains_[d]->second_tick(tick_scratch_[d], loadavg_, now());
-        }
-        rebalance();
+    // Each domain decays only its own processes: BSD's estcpu lives on the
+    // Proc, so handing every instance the whole machine would apply the
+    // decay ncpus times per tick. Rebuilt from ordered_ each tick — cheaper
+    // than maintaining per-domain membership lists through every migration,
+    // at one pointer append per process per second. The shared queue's one
+    // domain receives ordered_ itself, in creation order.
+    for (std::vector<Proc*>& v : tick_scratch_) v.clear();
+    for (Proc* p : ordered_) {
+        tick_scratch_[static_cast<std::size_t>(p->home_cpu)].push_back(p);
     }
+    for (std::size_t d = 0; d < domains_.size(); ++d) {
+        domains_[d]->second_tick(tick_scratch_[d], loadavg_, now());
+    }
+    rebalance();
 
     engine_.schedule_after(kSchedcpuPeriod, tick_kind_, 0);
     schedule();

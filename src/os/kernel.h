@@ -12,14 +12,17 @@
 //   * sleep until an instant                       -> SleepUntilAction (nanosleep)
 // Everything else — which process runs when — belongs to the kernel policy.
 //
-// SMP model (ncpus > 1): by default a single global run queue feeding all
-// CPUs, exactly like FreeBSD 4.x's SMP scheduler. The paper evaluates on a
+// SMP model: the CPUs are split into scheduling domains, each one policy
+// instance (run queues + whichqs bitmap) serving a contiguous CPU range.
+// By default there is one domain serving every CPU — a single global run
+// queue, exactly like FreeBSD 4.x's SMP scheduler (the paper evaluates on a
 // uniprocessor; multi-CPU runs back the repository's SMP extension
-// experiments. KernelConfig::percpu_queues opts into per-CPU scheduling
-// domains — one policy instance (run queues + whichqs bitmap) per CPU with
-// Proc::home_cpu affinity, an idle-steal path, and a periodic rebalance
-// hung off schedcpu — the structure of every later SMP BSD/Linux kernel,
-// and what the 16/64/256-core experiments run on (see DESIGN.md §11).
+// experiments). KernelConfig::percpu_queues makes it one domain per CPU,
+// with Proc::home_cpu affinity — the structure of every later SMP BSD/Linux
+// kernel, and what the 16/64/256-core experiments run on (see DESIGN.md
+// §11). One dispatch path serves both: an idle CPU pops its own domain,
+// then steals from the most-loaded peer domain, and a periodic rebalance
+// hung off schedcpu evens the domains out (both no-ops with one domain).
 #pragma once
 
 #include <cstdint>
@@ -88,11 +91,11 @@ public:
     // ----- process lifecycle -----
 
     /// Creates a process; its behaviour's first action takes effect
-    /// immediately. Returns the new pid. Under percpu_queues, `home_cpu`
-    /// places the process on a scheduling domain (-1 = round-robin by pid,
-    /// the default placement) and `pinned` makes that placement hard:
-    /// idle-steal and rebalance skip pinned processes (Proc::pinned).
-    /// Without per-CPU queues both are ignored.
+    /// immediately. Returns the new pid. `home_cpu` places the process on
+    /// the scheduling domain serving that CPU (-1 = round-robin by pid, the
+    /// default placement) and `pinned` makes that placement hard: idle-steal
+    /// and rebalance skip pinned processes (Proc::pinned). With the shared
+    /// queue's single domain both have no effect.
     Pid spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior, int nice = 0,
               int home_cpu = -1, bool pinned = false);
 
@@ -138,11 +141,6 @@ public:
     /// this is O(answer), not O(process table)).
     void pids_of_uid(Uid uid, std::vector<Pid>& out) const;
 
-    /// All live pids, in creation order.
-    [[nodiscard]] std::vector<Pid> live_pids() const;
-    /// Allocation-free variant: clears and refills `out`.
-    void live_pids(std::vector<Pid>& out) const;
-
     // ----- introspection (tests, metrics) -----
 
     [[nodiscard]] const Proc& proc(Pid pid) const;
@@ -150,11 +148,10 @@ public:
     [[nodiscard]] sim::Engine& engine() { return engine_; }
     [[nodiscard]] const SchedPolicy& policy() const { return *domains_[0]; }
     [[nodiscard]] SchedPolicy& policy() { return *domains_[0]; }
-    /// Domain `cpu`'s policy instance (== policy() without percpu_queues,
-    /// where all CPUs share domain 0).
+    /// The policy instance of the domain serving `cpu` (== policy() without
+    /// percpu_queues, where all CPUs share domain 0).
     [[nodiscard]] const SchedPolicy& policy_on(int cpu) const;
     [[nodiscard]] int ncpus() const { return cfg_.ncpus; }
-    [[nodiscard]] bool percpu_queues() const { return cfg_.percpu_queues; }
 
     /// Aggregate CPU busy time summed over CPUs, incl. in-progress.
     [[nodiscard]] util::Duration busy_time() const;
@@ -213,20 +210,19 @@ private:
 
     // ----- per-CPU scheduling domains -----
 
-    /// The domain a process queues on: home_cpu under percpu_queues, else 0.
-    [[nodiscard]] int domain_of(const Proc& p) const {
-        return cfg_.percpu_queues ? p.home_cpu : 0;
-    }
+    /// The policy of the domain a process queues on (Proc::home_cpu).
     [[nodiscard]] SchedPolicy& dom(const Proc& p) {
-        return *domains_[static_cast<std::size_t>(domain_of(p))];
+        return *domains_[static_cast<std::size_t>(p.home_cpu)];
     }
-    [[nodiscard]] const SchedPolicy& dom(const Proc& p) const {
-        return *domains_[static_cast<std::size_t>(domain_of(p))];
+    /// First CPU of domain `d`'s range [first_cpu(d), + cpus_per_domain_).
+    [[nodiscard]] int first_cpu(std::size_t d) const {
+        return static_cast<int>(d) * cpus_per_domain_;
     }
-    /// Idle-steal: CPU `cpu` found its own domain empty; pull the best
-    /// runnable process from the most-loaded peer domain (ties: lowest CPU
-    /// index). Returns the migrated process ready to dispatch, or nullptr.
-    Proc* steal_for(int cpu);
+    /// Idle-steal: domain `thief` has an idle CPU and an empty queue; pull
+    /// the best runnable process from the most-loaded peer domain (ties:
+    /// lowest index). Returns the migrated process ready to dispatch, or
+    /// nullptr.
+    Proc* steal_for(std::size_t thief);
     /// Periodic load balance (schedcpu cadence): move queued processes from
     /// the deepest domain to the shallowest until the spread is < 2, with a
     /// bounded number of moves per tick.
@@ -234,8 +230,8 @@ private:
     /// Pops `from`'s best non-pinned process (re-enqueueing any pinned
     /// processes popped along the way); nullptr when everything is pinned.
     Proc* pop_migratable(SchedPolicy& from);
-    /// Moves `p` (already off `from`'s queues) into `to`'s domain.
-    void migrate(Proc& p, int to);
+    /// Moves `p` (already off `from`'s queues) into domain `to`.
+    void migrate(Proc& p, std::size_t to);
 
     // Trampolines for the engine's devirtualized (hot) dispatch: the three
     // recurring timer kinds that dominate steady-state event traffic. They
@@ -252,6 +248,8 @@ private:
     /// else a single shared instance (domains_[0]) feeding every CPU — the
     /// FreeBSD 4.x model, bit-identical to the pre-domain kernel.
     std::vector<std::unique_ptr<SchedPolicy>> domains_;
+    /// CPUs each domain serves: ncpus for the shared queue, 1 per-CPU.
+    int cpus_per_domain_ = 1;
     KernelConfig cfg_;
 
     Pid next_pid_ = 1;
@@ -287,8 +285,8 @@ private:
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
     double loadavg_ = 0.0;
 
-    /// Per-domain scratch for second_tick under percpu_queues (rebuilt from
-    /// ordered_ each tick; member to avoid per-tick allocation).
+    /// Per-domain scratch for second_tick (rebuilt from ordered_ each tick;
+    /// member to avoid per-tick allocation).
     std::vector<std::vector<Proc*>> tick_scratch_;
     /// Pinned processes popped while steal_for/rebalance searched a victim
     /// queue for a migratable pick; re-enqueued before the search returns

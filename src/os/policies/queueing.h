@@ -112,12 +112,6 @@ public:
         }
     }
 
-    Proc* pop_min() {
-        Proc* p = min();
-        if (p != nullptr) erase(*p);
-        return p;
-    }
-
     void update_key(Proc& p, double key) {
         ALPS_EXPECT(contains(p));
         const auto i = static_cast<std::size_t>(pos_[static_cast<std::size_t>(p.pid)]);

@@ -49,10 +49,11 @@ struct Proc {
     std::uint64_t dispatches = 0;    ///< times placed on a CPU
     std::uint64_t voluntary_sleeps = 0;
     int on_cpu = -1;                 ///< CPU index while running, else -1
-    /// CPU affinity: the scheduling domain this process queues on when the
-    /// kernel runs per-CPU run queues (KernelConfig::percpu_queues). Always 0
-    /// under the shared global queue. Updated by the kernel when idle-steal
-    /// or the periodic rebalance migrates the process.
+    /// CPU affinity: the scheduling domain this process queues on — its CPU
+    /// when the kernel runs per-CPU run queues (KernelConfig::percpu_queues),
+    /// always 0 under the shared global queue, whose one domain serves every
+    /// CPU. Updated by the kernel when idle-steal or the periodic rebalance
+    /// migrates the process.
     int home_cpu = 0;
     /// Hard affinity: idle-steal and rebalance never migrate a pinned
     /// process, so it stays on the domain it was spawned (or last

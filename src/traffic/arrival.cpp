@@ -12,16 +12,6 @@ using util::TimePoint;
 
 namespace {
 
-double diurnal_at(const DiurnalCurve& d, TimePoint t) {
-    if (d.period <= Duration::zero() || d.amplitude == 0.0) return 1.0;
-    const double cycles =
-        static_cast<double>(t.since_epoch.count()) /
-            static_cast<double>(d.period.count()) +
-        d.phase;
-    constexpr double kTau = 6.283185307179586476925286766559;
-    return 1.0 + d.amplitude * std::sin(kTau * cycles);
-}
-
 double spike_at(const FlashCrowd& s, TimePoint t) {
     if (s.multiplier <= 1.0 || t < s.start) return 1.0;
     Duration into = t - s.start;
@@ -44,27 +34,25 @@ double spike_at(const FlashCrowd& s, TimePoint t) {
 }  // namespace
 
 double rate_envelope(const ArrivalConfig& cfg, TimePoint t) {
-    double rate = cfg.base_rps * diurnal_at(cfg.diurnal, t);
+    double rate = cfg.base_rps;
     for (const FlashCrowd& s : cfg.spikes) rate *= spike_at(s, t);
     return rate;
 }
 
 double rate_bound(const ArrivalConfig& cfg) {
-    double bound = cfg.base_rps * (1.0 + cfg.diurnal.amplitude);
+    double bound = cfg.base_rps;
     // Overlapping spikes multiply; bounding by the product of all peaks is
     // conservative but keeps the bound exact for the common disjoint case
     // read off each spike's own window.
     for (const FlashCrowd& s : cfg.spikes) {
         bound *= std::max(1.0, s.multiplier);
     }
-    if (cfg.burst.enabled()) bound *= cfg.burst.multiplier;
     return bound;
 }
 
 ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, util::Rng rng)
     : cfg_(std::move(cfg)), rng_(rng) {
     ALPS_EXPECT(cfg_.base_rps > 0.0);
-    ALPS_EXPECT(cfg_.diurnal.amplitude >= 0.0 && cfg_.diurnal.amplitude < 1.0);
     for (const FlashCrowd& s : cfg_.spikes) {
         ALPS_EXPECT(s.multiplier >= 1.0);
         ALPS_EXPECT(s.ramp >= Duration::zero() && s.hold >= Duration::zero() &&
@@ -74,38 +62,17 @@ ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, util::Rng rng)
     candidate_mean_ = Duration{static_cast<std::int64_t>(
         std::llround(1e9 / bound_))};
     ALPS_ENSURE(candidate_mean_ > Duration::zero());
-    if (cfg_.burst.enabled()) {
-        // Start in the normal state with a full dwell ahead.
-        next_switch_ = TimePoint{} + rng_.exponential(cfg_.burst.mean_normal);
-    }
-}
-
-double ArrivalProcess::rate_at(TimePoint t) {
-    double rate = rate_envelope(cfg_, t);
-    if (cfg_.burst.enabled()) {
-        // Advance the modulating chain to t. Dwell draws are independent of
-        // the candidate points, so sampling the state lazily (only when a
-        // candidate lands) is exact.
-        while (next_switch_ <= t) {
-            bursting_ = !bursting_;
-            next_switch_ = next_switch_ +
-                           rng_.exponential(bursting_ ? cfg_.burst.mean_burst
-                                                      : cfg_.burst.mean_normal);
-        }
-        if (bursting_) rate *= cfg_.burst.multiplier;
-    }
-    return rate;
 }
 
 TimePoint ArrivalProcess::next(TimePoint from) {
     // Thinning: homogeneous candidates at the bound rate, each kept with
     // probability lambda(t)/bound. The expected number of rejected
-    // candidates per arrival is bound/lambda — bounded by the spike and
-    // burst gains, which the scenario keeps modest.
+    // candidates per arrival is bound/lambda — bounded by the spike gains,
+    // which the scenario keeps modest.
     TimePoint t = from;
     for (;;) {
         t = t + rng_.exponential(candidate_mean_);
-        const double rate = rate_at(t);
+        const double rate = rate_envelope(cfg_, t);
         if (rng_.next_double() * bound_ < rate) return t;
     }
 }

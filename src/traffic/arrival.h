@@ -1,17 +1,16 @@
-// Composable open-loop arrival processes (ROADMAP item 3).
+// Open-loop arrival processes for the web workloads.
 //
 // The instantaneous request rate is a deterministic envelope over a base
-// Poisson rate, optionally modulated by a two-state MMPP:
+// Poisson rate:
 //
-//   lambda(t) = base_rps · diurnal(t) · flash(t) · burst(t)
+//   lambda(t) = base_rps · flash(t)
 //
-// where diurnal(t) is a sinusoidal day curve, flash(t) is a piecewise-linear
-// scheduled spike (ramp / hold / decay), and burst(t) switches between 1 and
-// a burst gain with exponentially distributed dwell times (a Markov-
-// modulated Poisson process). Arrivals are generated by thinning (Lewis &
-// Shedler 1979): candidate points arrive at the envelope's global upper
-// bound and are accepted with probability lambda(t)/lambda_max, so the
-// time-varying rate is sampled exactly — no per-interval discretization.
+// where flash(t) is the product of scheduled piecewise-linear spikes (ramp /
+// hold / decay) — the flash crowds web_scale and perfbench replay. Arrivals
+// are generated by thinning (Lewis & Shedler 1979): candidate points arrive
+// at the envelope's global upper bound and are accepted with probability
+// lambda(t)/lambda_max, so the time-varying rate is sampled exactly — no
+// per-interval discretization.
 //
 // Everything is driven by one util::Rng handed in by the caller, so a lane
 // seeded via util::derive_stream_seed produces the same sample path no
@@ -25,15 +24,6 @@
 
 namespace alps::traffic {
 
-/// Sinusoidal rate-of-day curve: multiplier 1 + amplitude·sin(2π(t/period +
-/// phase)), clamped to amplitude < 1 so the rate never reaches zero (the
-/// thinning loop must terminate).
-struct DiurnalCurve {
-    double amplitude = 0.0;   ///< in [0, 1): swing around the base rate
-    util::Duration period{0};  ///< 0 = flat (curve disabled)
-    double phase = 0.0;        ///< fraction of a period elapsed at t = 0
-};
-
 /// One scheduled flash-crowd spike: the rate multiplier climbs linearly
 /// from 1 to `multiplier` over [start, start+ramp], holds, then decays
 /// linearly back. A deterministic function of time — the *shape* of a crowd
@@ -46,34 +36,18 @@ struct FlashCrowd {
     double multiplier = 1.0;  ///< >= 1
 };
 
-/// Two-state Markov modulation: the rate gains `multiplier` while in the
-/// burst state; dwell times in each state are exponential. multiplier <= 1
-/// or a zero dwell disables it (plain Poisson).
-struct BurstModulation {
-    double multiplier = 1.0;
-    util::Duration mean_normal{0};  ///< mean dwell in the normal state
-    util::Duration mean_burst{0};   ///< mean dwell in the burst state
-
-    [[nodiscard]] bool enabled() const {
-        return multiplier > 1.0 && mean_normal > util::Duration::zero() &&
-               mean_burst > util::Duration::zero();
-    }
-};
-
 struct ArrivalConfig {
     double base_rps = 1.0;  ///< > 0
-    DiurnalCurve diurnal{};
-    BurstModulation burst{};
     std::vector<FlashCrowd> spikes;
 };
 
-/// The deterministic part of the rate function — base · diurnal · flash —
-/// at time `t`. Pure in (config, t): two processes with different seeds see
-/// the identical envelope (the flash-crowd shape-determinism contract).
+/// The rate function — base · flash — at time `t`. Pure in (config, t): two
+/// processes with different seeds see the identical envelope (the
+/// flash-crowd shape-determinism contract).
 [[nodiscard]] double rate_envelope(const ArrivalConfig& cfg, util::TimePoint t);
 
-/// Upper bound on lambda(t) over all t, including the burst gain: the
-/// thinning bound. Finite and positive for any valid config.
+/// Upper bound on lambda(t) over all t: the thinning bound. Finite and
+/// positive for any valid config.
 [[nodiscard]] double rate_bound(const ArrivalConfig& cfg);
 
 /// One lane's arrival sample path. Each call to next() advances the path;
@@ -87,19 +61,12 @@ public:
     [[nodiscard]] util::TimePoint next(util::TimePoint from);
 
     [[nodiscard]] const ArrivalConfig& config() const { return cfg_; }
-    /// MMPP state at the last sampled candidate (exposed for tests).
-    [[nodiscard]] bool bursting() const { return bursting_; }
 
 private:
-    /// lambda at `t`, advancing the MMPP state machine to `t` first.
-    double rate_at(util::TimePoint t);
-
     ArrivalConfig cfg_;
     util::Rng rng_;
     double bound_ = 0.0;
     util::Duration candidate_mean_{0};  ///< 1/bound, as a duration
-    bool bursting_ = false;
-    util::TimePoint next_switch_{};
 };
 
 }  // namespace alps::traffic

@@ -26,21 +26,6 @@ Duration ServiceModel::draw(util::Rng& rng, Duration mean) const {
             const double d = xm * std::pow(u, -1.0 / shape);
             return std::max(Duration{static_cast<std::int64_t>(d)}, floor);
         }
-        case ServiceKind::kLognormal: {
-            ALPS_EXPECT(shape > 0.0);
-            // mu from the mean: E = exp(mu + sigma^2/2). Box–Muller without
-            // the cached spare — one draw costs two uniforms, but the draw
-            // count per call stays constant, which keeps lanes' rng streams
-            // aligned regardless of call history.
-            const double mu =
-                std::log(static_cast<double>(mean.count())) - shape * shape / 2.0;
-            const double u1 = 1.0 - rng.next_double();  // (0, 1]: log is safe
-            const double u2 = rng.next_double();
-            constexpr double kTau = 6.283185307179586476925286766559;
-            const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(kTau * u2);
-            const double d = std::exp(mu + shape * z);
-            return std::max(Duration{static_cast<std::int64_t>(d)}, floor);
-        }
     }
     ALPS_ENSURE(false);  // unreachable: all kinds handled above
     return floor;

@@ -3,9 +3,10 @@
 // Each web-model phase names a mean; the ServiceModel turns (rng, mean) into
 // a draw. kExponential with a 10 µs floor is exactly the seed web model's
 // jittered draw (same single rng.exponential() call, so the §5 golden stays
-// bit-identical); kPareto and kLognormal give the heavy tails measured in
-// real web/database service times, parameterized by the same mean so share
-// experiments compare like against like.
+// bit-identical); kPareto gives the heavy tail measured in real web/database
+// service times, parameterized by the same mean so share experiments
+// compare like against like; kDeterministic is the mean itself (unit
+// tests).
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,12 @@ enum class ServiceKind : std::uint8_t {
     kDeterministic,  ///< the mean itself; consumes no randomness
     kExponential,    ///< memoryless (CV = 1)
     kPareto,         ///< power-law tail, P[X > x] ~ x^-shape; shape > 1
-    kLognormal,      ///< log-scale Gaussian; `shape` is sigma > 0
 };
 
 struct ServiceModel {
     ServiceKind kind = ServiceKind::kExponential;
-    /// Pareto tail index alpha (heavier when closer to 1) or lognormal
-    /// sigma; ignored by the other kinds.
+    /// Pareto tail index alpha (heavier when closer to 1); ignored by the
+    /// other kinds.
     double shape = 2.2;
     /// Every draw is floored here so a request never costs literally
     /// nothing (the seed model's 10 µs floor).

@@ -203,7 +203,6 @@ void WebSite::regulate() {
 }
 
 util::Duration WebSite::draw(Duration mean) {
-    if (!cfg_.jitter) return mean;
     return cfg_.service.draw(rng_, mean);
 }
 

@@ -57,7 +57,7 @@ struct SiteConfig {
     int max_spare = 20;  ///< shrink when more than this many sit idle
     int spawn_batch = 4;
     /// CPU demand per request: script parse/db-query marshalling, then page
-    /// rendering (means; actual draws follow `service` unless jitter=false).
+    /// rendering (means; actual draws follow `service`).
     /// Used to synthesize a single request class when `classes` is empty.
     util::Duration parse_cpu = util::msec(4);
     util::Duration render_cpu = util::msec(6);
@@ -65,10 +65,10 @@ struct SiteConfig {
     util::Duration db_time = util::msec(50);
     /// Explicit request mix; empty = one class from the three fields above.
     std::vector<RequestClass> classes;
-    bool jitter = true;
-    /// Distribution the phase means are drawn through when jitter is on.
-    /// The default (exponential, 10 µs floor) is the seed model's draw,
-    /// bit-identically; production runs use the heavy-tailed kinds.
+    /// Distribution the phase means are drawn through. The default
+    /// (exponential, 10 µs floor) is the seed model's draw, bit-identically;
+    /// production runs use the heavy-tailed kind, unit tests the
+    /// deterministic one.
     traffic::ServiceModel service{};
     std::uint64_t seed = 7;
     // ---- cluster placement (per-CPU-queue kernels) ----
@@ -131,7 +131,6 @@ public:
     [[nodiscard]] util::Duration total_response_time() const { return total_response_; }
     [[nodiscard]] int worker_count() const { return workers_alive_; }
     [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-    [[nodiscard]] std::size_t idle_workers() const { return idle_.size(); }
     /// Completions per whole simulated second since t=0.
     [[nodiscard]] const std::vector<std::uint64_t>& per_second_completions() const {
         return per_second_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "alps/sim_adapter.h"
 #include "alps/stride_engine.h"
@@ -50,9 +51,18 @@ constexpr int kDrainCycles = 10;
 }  // namespace
 
 // ----------------------------------------------------------------------------
-// Figures 4, 5, 8, 9
+// Figures 4, 5, 8, 9 and the stride-engine A/B (BENCH_policy_zoo)
 
-SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
+namespace {
+
+core::Scheduler& controller_core(core::SimAlps& alps) { return alps.scheduler(); }
+core::StrideEngine& controller_core(core::SimStrideAlps& alps) { return alps.engine(); }
+
+/// The CPU-bound run shared by both controllers: `Controller` (SimAlps or
+/// SimStrideAlps, built from `ccfg`) manages one CpuBoundBehavior per share
+/// until the exact cycle log holds warmup + measure cycles.
+template <typename Controller, typename ControllerConfig>
+SimRunResult run_cpu_bound(const SimRunConfig& cfg, const ControllerConfig& ccfg) {
     ALPS_EXPECT(!cfg.shares.empty());
     ALPS_EXPECT(cfg.measure_cycles > 0);
 
@@ -63,18 +73,15 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
     kcfg.policy_seed = cfg.policy_seed;
     os::Kernel kernel(engine, nullptr, kcfg);
 
-    core::SchedulerConfig scfg;
-    scfg.quantum = cfg.quantum;
-    scfg.lazy_measurement = cfg.lazy_measurement;
-    scfg.io_accounting = cfg.io_accounting;
-    core::SimAlps alps(kernel, scfg);
+    Controller alps(kernel, ccfg);
+    auto& core = controller_core(alps);
 
     // Per-cycle accuracy instrumentation: read the true (simulated) rusage
     // at each cycle boundary, as the paper's instrumented ALPS does.
     metrics::ExactCycleLog log([&kernel](core::EntityId id) {
         return kernel.cpu_time(static_cast<os::Pid>(id));
     });
-    alps.scheduler().set_cycle_observer(log.observer());
+    core.set_cycle_observer(log.observer());
 
     for (std::size_t i = 0; i < cfg.shares.size(); ++i) {
         const os::Pid pid = kernel.spawn("worker" + std::to_string(i), /*uid=*/100,
@@ -105,8 +112,8 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
         static_cast<std::size_t>(cfg.warmup_cycles),
         static_cast<std::size_t>(cfg.measure_cycles));
     res.cycles_completed = log.cycle_count();
-    res.ticks = alps.scheduler().tick_count();
-    res.measurements = alps.scheduler().total_measurements();
+    res.ticks = core.tick_count();
+    res.measurements = core.total_measurements();
     res.boundaries_missed = alps.driver().boundaries_missed();
     res.fairness = metrics::analyze_fairness(
         log.records(), static_cast<std::size_t>(cfg.warmup_cycles),
@@ -114,77 +121,30 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
     if (cfg.metrics != nullptr) {
         engine.export_metrics(*cfg.metrics);
         kernel.export_metrics(*cfg.metrics);
-        alps.scheduler().export_metrics(*cfg.metrics);
+        // The stride engine has no alps.* counters to export.
+        if constexpr (std::is_same_v<Controller, core::SimAlps>) {
+            core.export_metrics(*cfg.metrics);
+        }
         metrics::export_fairness(res.fairness, *cfg.metrics);
     }
     return res;
 }
 
-// ----------------------------------------------------------------------------
-// The stride-engine A/B (BENCH_policy_zoo)
+}  // namespace
+
+SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
+    core::SchedulerConfig scfg;
+    scfg.quantum = cfg.quantum;
+    scfg.lazy_measurement = cfg.lazy_measurement;
+    scfg.io_accounting = cfg.io_accounting;
+    return run_cpu_bound<core::SimAlps>(cfg, scfg);
+}
 
 SimRunResult run_stride_engine_experiment(const SimRunConfig& cfg) {
-    ALPS_EXPECT(!cfg.shares.empty());
-    ALPS_EXPECT(cfg.measure_cycles > 0);
-
-    sim::Engine engine;
-    os::KernelConfig kcfg;
-    kcfg.stop_latency_grid = cfg.stop_latency_grid;
-    kcfg.policy = cfg.kernel_policy;
-    kcfg.policy_seed = cfg.policy_seed;
-    os::Kernel kernel(engine, nullptr, kcfg);
-
     core::StrideEngineConfig ecfg;
     ecfg.quantum = cfg.quantum;
     ecfg.lazy_measurement = cfg.lazy_measurement;
-    core::SimStrideAlps alps(kernel, ecfg);
-
-    metrics::ExactCycleLog log([&kernel](core::EntityId id) {
-        return kernel.cpu_time(static_cast<os::Pid>(id));
-    });
-    alps.engine().set_cycle_observer(log.observer());
-
-    for (std::size_t i = 0; i < cfg.shares.size(); ++i) {
-        const os::Pid pid = kernel.spawn("worker" + std::to_string(i), /*uid=*/100,
-                                         std::make_unique<os::CpuBoundBehavior>());
-        alps.manage(pid, cfg.shares[i]);
-    }
-
-    const Duration cycle_len = cfg.quantum * util::total_shares(cfg.shares);
-    const auto total_cycles =
-        static_cast<std::size_t>(cfg.warmup_cycles + cfg.measure_cycles);
-    const Duration max_wall =
-        cfg.max_wall > Duration::zero()
-            ? cfg.max_wall
-            : cycle_len * static_cast<std::int64_t>(3 * (total_cycles + 10));
-
-    const bool completed = run_simulation_until(
-        engine, TimePoint{} + max_wall,
-        [&] { return log.cycle_count() >= total_cycles; });
-
-    SimRunResult res;
-    res.timed_out = !completed;
-    res.wall = engine.now() - TimePoint{};
-    res.alps_cpu = alps.overhead_cpu();
-    res.overhead_fraction =
-        util::to_sec(res.wall) > 0.0 ? util::to_sec(res.alps_cpu) / util::to_sec(res.wall)
-                                     : 0.0;
-    res.mean_rms_error = log.mean_rms_relative_error(
-        static_cast<std::size_t>(cfg.warmup_cycles),
-        static_cast<std::size_t>(cfg.measure_cycles));
-    res.cycles_completed = log.cycle_count();
-    res.ticks = alps.engine().tick_count();
-    res.measurements = alps.engine().total_measurements();
-    res.boundaries_missed = alps.boundaries_missed();
-    res.fairness = metrics::analyze_fairness(
-        log.records(), static_cast<std::size_t>(cfg.warmup_cycles),
-        static_cast<std::size_t>(cfg.measure_cycles));
-    if (cfg.metrics != nullptr) {
-        engine.export_metrics(*cfg.metrics);
-        kernel.export_metrics(*cfg.metrics);
-        metrics::export_fairness(res.fairness, *cfg.metrics);
-    }
-    return res;
+    return run_cpu_bound<core::SimStrideAlps>(cfg, ecfg);
 }
 
 // ----------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 // AlpsDriverBehavior timing: boundary bookkeeping under normal and
-// pathological tick costs.
+// pathological tick costs, for the ALPS scheduler and the stride engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "alps/sim_adapter.h"
+#include "alps/stride_engine.h"
 #include "os/behaviors.h"
 #include "os/kernel.h"
 #include "sim/engine.h"
@@ -29,35 +32,54 @@ TEST(AlpsDriver, TicksOncePerQuantum) {
     EXPECT_EQ(alps.driver().boundaries_missed(), 0u);
 }
 
+struct DriverCounts {
+    std::uint64_t ticks = 0;
+    std::uint64_t missed = 0;
+};
+
+/// Runs one CPU-bound worker for 3 s under `Alps` (SimAlps or SimStrideAlps,
+/// both driven by AlpsDriverBehavior) with a 10 ms quantum and `cost`.
+template <typename Alps, typename Config>
+DriverCounts run_driver(const CostModel& cost) {
+    sim::Engine engine;
+    os::Kernel kernel(engine);
+    Config cfg;
+    cfg.quantum = msec(10);
+    Alps alps(kernel, cfg, cost);
+    const os::Pid w = kernel.spawn("w", 0, std::make_unique<os::CpuBoundBehavior>());
+    alps.manage(w, 1);
+    engine.run_until(engine.now() + sec(3));
+    return {alps.driver().ticks_run(), alps.driver().boundaries_missed()};
+}
+
 TEST(AlpsDriver, PathologicalTickCostSkipsBoundariesInsteadOfBunching) {
     // A cost model where one tick costs 2.5 quanta of CPU: the driver can
     // only complete a tick every ~3 boundaries. The absolute-deadline logic
     // must skip the missed boundaries (count them) rather than fire a burst
-    // of catch-up ticks.
-    sim::Engine engine;
-    os::Kernel kernel(engine);
-    SchedulerConfig cfg;
-    cfg.quantum = msec(10);
+    // of catch-up ticks — under the ALPS scheduler and the stride engine
+    // alike, since both run on the same driver.
     CostModel pathological;
     pathological.timer_event_us = 25000.0;  // 25 ms per tick
-    SimAlps alps(kernel, cfg, pathological);
-    const os::Pid w = kernel.spawn("w", 0, std::make_unique<os::CpuBoundBehavior>());
-    alps.manage(w, 1);
-    engine.run_until(engine.now() + sec(3));
-
-    const auto ticks = alps.driver().ticks_run();
-    const auto missed = alps.driver().boundaries_missed();
-    // Each tick burns 25 ms (plus queueing behind the workload — at this
-    // demand the driver's own priority degrades too), so a tick completes
-    // every ~30+ ms: around 100 ticks in 3 s, never a catch-up burst of 300.
-    EXPECT_GT(ticks, 60u);
-    EXPECT_LT(ticks, 120u);
-    // Most boundaries were skipped, roughly two per completed tick.
-    EXPECT_GT(missed, ticks);
-    // Accounted boundaries can lag the wall total (in-flight sequence,
-    // dispatch delay) but never exceed it.
-    EXPECT_LE(ticks + missed, 300u);
-    EXPECT_GE(ticks + missed, 240u);
+    const std::pair<const char*, DriverCounts> runs[] = {
+        {"SimAlps", run_driver<SimAlps, SchedulerConfig>(pathological)},
+        {"SimStrideAlps", run_driver<SimStrideAlps, StrideEngineConfig>(pathological)},
+    };
+    for (const auto& [name, counts] : runs) {
+        SCOPED_TRACE(name);
+        const auto [ticks, missed] = counts;
+        // Each tick burns 25 ms (plus queueing behind the workload — at this
+        // demand the driver's own priority degrades too), so a tick
+        // completes every ~30+ ms: around 100 ticks in 3 s, never a catch-up
+        // burst of 300.
+        EXPECT_GT(ticks, 60u);
+        EXPECT_LT(ticks, 120u);
+        // Most boundaries were skipped, roughly two per completed tick.
+        EXPECT_GT(missed, ticks);
+        // Accounted boundaries can lag the wall total (in-flight sequence,
+        // dispatch delay) but never exceed it.
+        EXPECT_LE(ticks + missed, 300u);
+        EXPECT_GE(ticks + missed, 240u);
+    }
 }
 
 TEST(AlpsDriver, DriverSurvivesEmptyScheduler) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -357,6 +358,27 @@ TEST(SweepArgs, RejectsNonFiniteSeconds) {
             EXPECT_FALSE(parse_args({flag, value}, options)) << flag << " " << value;
         }
     }
+}
+
+TEST(SweepEnv, TraceCapacityMustBeAPositiveCount) {
+    // Read with bare strtoull, "-1" wrapped to 2^64 - 1 (every traced task
+    // then failed its ring reserve) and "12abc" quietly meant a 12-record
+    // ring. Like a bad flag, a bad value is refused before any task runs.
+    Experiment e = tiny_experiment();
+    e.name = "tiny_trace_capacity";
+    if (ExperimentRegistry::instance().find(e.name) == nullptr) {
+        ExperimentRegistry::instance().add(e);
+    }
+    SweepOptions options;
+    options.quiet = true;
+    options.out_dir.clear();
+    for (const char* value : {"-1", "12abc", "0", "", " 64", "18446744073709551616"}) {
+        ASSERT_EQ(::setenv("ALPS_TRACE_CAPACITY", value, 1), 0);
+        EXPECT_EQ(run_and_report(e.name, options), 2) << "'" << value << "'";
+    }
+    ASSERT_EQ(::setenv("ALPS_TRACE_CAPACITY", "64", 1), 0);
+    EXPECT_EQ(run_and_report(e.name, options), 0);
+    ::unsetenv("ALPS_TRACE_CAPACITY");
 }
 
 // -------------------------------------------------------------------- registry

@@ -1,6 +1,5 @@
 // Unit tests for the open-loop traffic subsystem: arrival-process
-// statistics (Poisson mean/CV, MMPP burstiness, flash-crowd shape and
-// determinism), heavy-tailed service draws (Pareto tail index via a
+// statistics (Poisson mean/CV, flash-crowd shape and determinism), heavy-tailed service draws (Pareto tail index via a
 // log-log CCDF regression), and the SoA request table's slot-reuse and
 // generation invariants. Run under ASan by check.sh like every tier-1
 // test, which is what makes the table-reuse tests meaningful.
@@ -63,8 +62,6 @@ TEST(Arrival, PoissonInterarrivalMeanAndCv) {
 TEST(Arrival, StrictlyIncreasingAndDeterministic) {
     ArrivalConfig cfg;
     cfg.base_rps = 500.0;
-    cfg.diurnal.amplitude = 0.4;
-    cfg.diurnal.period = sec(10);
     const auto a = draw_arrivals(cfg, 7, sec(20));
     const auto b = draw_arrivals(cfg, 7, sec(20));
     EXPECT_EQ(a, b);  // same seed, same stream, bit-identical
@@ -73,31 +70,9 @@ TEST(Arrival, StrictlyIncreasingAndDeterministic) {
     EXPECT_NE(a, c);  // different seed, different sample path
 }
 
-TEST(Arrival, MmppIsBurstierThanPoisson) {
-    ArrivalConfig plain;
-    plain.base_rps = 300.0;
-    ArrivalConfig bursty = plain;
-    bursty.burst.multiplier = 8.0;
-    bursty.burst.mean_normal = msec(500);
-    bursty.burst.mean_burst = msec(100);
-    auto cv_of = [](const std::vector<TimePoint>& a) {
-        util::RunningStats gaps;
-        for (std::size_t i = 1; i < a.size(); ++i) {
-            gaps.add(util::to_sec(a[i] - a[i - 1]));
-        }
-        return gaps.stddev() / gaps.mean();
-    };
-    const double cv_plain = cv_of(draw_arrivals(plain, 9, sec(120)));
-    const double cv_bursty = cv_of(draw_arrivals(bursty, 9, sec(120)));
-    EXPECT_NEAR(cv_plain, 1.0, 0.05);
-    EXPECT_GT(cv_bursty, 1.3);  // interrupted Poisson: CV strictly above 1
-}
-
 TEST(Arrival, RateEnvelopeIsPureAndSeedIndependent) {
     ArrivalConfig cfg;
     cfg.base_rps = 100.0;
-    cfg.diurnal.amplitude = 0.5;
-    cfg.diurnal.period = sec(60);
     FlashCrowd spike;
     spike.start = TimePoint{} + sec(10);
     spike.ramp = sec(2);
@@ -191,22 +166,6 @@ TEST(Service, ParetoTailIndexViaCcdfRegression) {
     const util::LinearFit fit = util::linear_fit(lx, ly);
     EXPECT_NEAR(fit.slope, -2.2, 0.15);
     EXPECT_GT(fit.r_squared, 0.99);
-}
-
-TEST(Service, LognormalMeanAndFloor) {
-    ServiceModel m;
-    m.kind = ServiceKind::kLognormal;
-    m.shape = 1.0;  // σ of log-space
-    util::Rng rng(17);
-    util::RunningStats s;
-    Duration lo = sec(1);
-    for (int i = 0; i < 100000; ++i) {
-        const Duration d = m.draw(rng, msec(5));
-        lo = std::min(lo, d);
-        s.add(util::to_sec(d));
-    }
-    EXPECT_NEAR(s.mean(), 0.005, 0.0005);
-    EXPECT_GE(lo, m.floor);
 }
 
 // ----------------------------------------------------------------------------

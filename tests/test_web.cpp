@@ -29,7 +29,7 @@ SiteConfig small_site() {
     cfg.uid = 500;
     cfg.max_workers = 8;
     cfg.initial_workers = 2;
-    cfg.jitter = false;  // deterministic service demands for unit tests
+    cfg.service.kind = traffic::ServiceKind::kDeterministic;  // unit-test demands
     return cfg;
 }
 
@@ -227,7 +227,7 @@ TEST(WebSite, MixedRequestsCompleteInProportion) {
 TEST(WebSite, MultiPhaseRequestServiceTime) {
     Host h;
     SiteConfig cfg = small_site();
-    cfg.jitter = false;
+    cfg.service.kind = traffic::ServiceKind::kDeterministic;
     cfg.classes = {{"multi", 1.0,
                     {{false, msec(2)}, {true, msec(20)}, {false, msec(1)},
                      {true, msec(20)}, {false, msec(1)}}}};
