@@ -186,9 +186,11 @@ fi
 # binary; ALPS_KERNEL_POLICY selects the kernel under the workload), then
 # gates the committed payloads: policy_zoo (whose BSD row is the paper-
 # baseline cross-check) and many_core must reproduce BENCH_policy_zoo.json
-# and BENCH_many_core.json exactly at reduced scale (~1 s together), once the
-# committed files' "run" block (host timings) is stripped. Their work counts
-# and results are host-independent, so any difference is a behaviour change.
+# and BENCH_many_core.json exactly at reduced scale (~1 s together), and the
+# flagship web_scale --full (~15 s) must reproduce BENCH_web_scale.json, once
+# the committed files' "run" block (host timings) is stripped. Their work
+# counts and results are host-independent, so any difference is a behaviour
+# change.
 # Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
 # skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
@@ -204,9 +206,10 @@ if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
     echo "--- policy matrix: $policy"
     ALPS_KERNEL_POLICY="$policy" build-perf/tests/test_policy_matrix
   done
-  for exp in policy_zoo many_core; do
-    build-perf/tools/alps-sweep --experiment "$exp" --quiet --json-payload-only \
-      --out build-perf/payload > /dev/null
+  for gate in policy_zoo many_core "web_scale --full"; do
+    read -r exp scale <<< "$gate"
+    build-perf/tools/alps-sweep --experiment "$exp" ${scale:+"$scale"} --quiet \
+      --json-payload-only --out build-perf/payload > /dev/null
     python3 - "BENCH_$exp.json" "build-perf/payload/BENCH_$exp.json" <<'PY'
 import difflib, json, sys
 

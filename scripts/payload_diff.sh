@@ -12,7 +12,8 @@
 # "only in BASE" / "only in HEAD". Each runs as
 #   alps-sweep --experiment X --quiet --json-payload-only --jobs 1
 # at reduced scale; --full adds a second run of each at the paper's full
-# scale (web_scale --full alone takes 40-60 s per side).
+# scale (web_scale --full alone takes ~10 s; 60-70 s on a BASE whose kernel
+# still scanned the process table on every wakeup).
 #
 # BASE is exported with `git archive` into a temporary directory under
 # $TMPDIR (default /tmp) and built there; the directory is removed on exit.

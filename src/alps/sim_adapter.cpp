@@ -77,7 +77,7 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
         epoch_ = ctx.kernel.now();
         next_boundary_ = 1;
         grid_q_ = q;
-        return os::SleepUntilAction{epoch_ + q, this};
+        return os::SleepUntilAction{epoch_ + q};
     }
     if (!awake_) {
         // The timer fired; do this quantum's work when we get the CPU.
@@ -100,7 +100,7 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
                                               ? due - next_boundary_ - 1
                                               : 0);
     next_boundary_ = due;
-    return os::SleepUntilAction{epoch_ + Duration{q.count() * due}, this};
+    return os::SleepUntilAction{epoch_ + Duration{q.count() * due}};
 }
 
 Duration AlpsDriverBehavior::lazy_run_duration(os::ProcContext) {

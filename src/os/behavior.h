@@ -32,21 +32,18 @@ struct RunAction {
 /// Sleep for `duration` of real time (models blocking I/O with known latency).
 struct SleepAction {
     util::Duration duration{};
-    WaitChannel wchan = nullptr;
 };
 
 /// Sleep until an absolute instant (models an absolute interval timer; the
 /// ALPS driver sleeps until the next quantum boundary).
 struct SleepUntilAction {
     util::TimePoint deadline{};
-    WaitChannel wchan = nullptr;
 };
 
-/// Block on a wait channel until some other process calls
-/// Kernel::wakeup_channel (models queue waits, e.g. an idle web worker).
-struct BlockAction {
-    WaitChannel wchan = nullptr;
-};
+/// Sleep with no timer until another party calls Kernel::wakeup with this
+/// process's pid (models queue waits: an idle web worker records its pid
+/// with its site before blocking).
+struct BlockAction {};
 
 /// Terminate the process.
 struct ExitAction {};

@@ -40,7 +40,7 @@ Action PhasedIoBehavior::next_action(ProcContext) {
             return RunAction{burst_};
         case Phase::kSleep:
             phase_ = Phase::kBurst;
-            return SleepAction{sleep_, this};  // wchan: "doing I/O"
+            return SleepAction{sleep_};  // "doing I/O"
     }
     return ExitAction{};  // unreachable
 }

@@ -112,11 +112,10 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
 void Kernel::reap(Pid pid) {
     Proc& p = proc_mut(pid);
     ALPS_EXPECT(p.state == RunState::kZombie);
-    // ordered_'s iteration order IS observed — wakeup_channel wakes in
-    // creation order for determinism, and second_tick hands it (split per
-    // domain) to the policies — so the erase must keep order (shift +
-    // reindex the tail), not swap with the tail. The stored
-    // index still removes the old O(N) pointer scan to *find* the entry.
+    // ordered_'s iteration order IS observed — second_tick hands it (split
+    // per domain) to the policies — so the erase must keep order (shift +
+    // reindex the tail), not swap with the tail. The stored index still
+    // removes the old O(N) pointer scan to *find* the entry.
     ALPS_ENSURE(ordered_[p.ordered_index] == &p);
     ordered_.erase(ordered_.begin() + static_cast<std::ptrdiff_t>(p.ordered_index));
     for (std::size_t i = p.ordered_index; i < ordered_.size(); ++i) {
@@ -274,18 +273,10 @@ void Kernel::apply_stop(Proc& p) {
     // eligible()); a sleeper keeps sleeping, as under job control.
 }
 
-void Kernel::wakeup_channel(WaitChannel chan) {
-    ALPS_EXPECT(chan != nullptr);
-    // Creation-order iteration keeps wake order deterministic.
-    for (Proc* p : ordered_) {
-        if (p->state == RunState::kSleeping && p->wchan == chan) {
-            if (p->sleep_event != 0) {
-                engine_.cancel(p->sleep_event);
-                p->sleep_event = 0;
-            }
-            do_wake(*p);
-        }
-    }
+void Kernel::wakeup(Pid pid) {
+    Proc& p = proc_mut(pid);
+    ALPS_EXPECT(p.state == RunState::kSleeping && p.sleep_event == 0);
+    do_wake(p);
     schedule();
 }
 
@@ -302,7 +293,6 @@ void Kernel::do_wake(Proc& p) {
     const Duration slept = now() - p.sleep_start;
     dom(p).on_wakeup(p, slept);
     p.state = RunState::kRunnable;
-    p.wchan = nullptr;
     if (!p.stopped) {
         // The waker leaves the kernel at its sleep priority: it preempts any
         // user-mode process until its own first dispatch.
@@ -329,7 +319,6 @@ void Kernel::do_exit(Proc& p) {
         p.pending_stop_event = 0;
     }
     p.state = RunState::kZombie;
-    p.wchan = nullptr;
     // Zombies are invisible to pids_of_uid: drop the process from the per-uid
     // cache here (not at reap), keeping the survivors' creation order.
     std::vector<Proc*>& members = by_uid_[p.uid];
@@ -370,30 +359,28 @@ void Kernel::apply_action(Proc& p, const Action& a) {
     }
     if (const auto* sl = std::get_if<SleepAction>(&a)) {
         ALPS_EXPECT(sl->duration >= Duration::zero());
-        begin_sleep(p, /*timed=*/true, now() + sl->duration, sl->wchan);
+        begin_sleep(p, /*timed=*/true, now() + sl->duration);
         return;
     }
     if (const auto* su = std::get_if<SleepUntilAction>(&a)) {
-        begin_sleep(p, /*timed=*/true, std::max(su->deadline, now()), su->wchan);
+        begin_sleep(p, /*timed=*/true, std::max(su->deadline, now()));
         return;
     }
-    if (const auto* bl = std::get_if<BlockAction>(&a)) {
-        ALPS_EXPECT(bl->wchan != nullptr);
-        begin_sleep(p, /*timed=*/false, TimePoint{}, bl->wchan);
+    if (std::holds_alternative<BlockAction>(a)) {
+        begin_sleep(p, /*timed=*/false, TimePoint{});
         return;
     }
     ALPS_ENSURE(std::holds_alternative<ExitAction>(a));
     do_exit(p);
 }
 
-void Kernel::begin_sleep(Proc& p, bool timed, TimePoint wake_at, WaitChannel chan) {
+void Kernel::begin_sleep(Proc& p, bool timed, TimePoint wake_at) {
     if (p.on_cpu >= 0) {
         // charge_running() already ran (a phase completes only after a
         // charge), so just vacate the CPU.
         vacate(p.on_cpu);
     }
     p.state = RunState::kSleeping;
-    p.wchan = chan;
     p.sleep_start = now();
     ++p.voluntary_sleeps;
     if (timed) {
@@ -630,30 +617,21 @@ Proc* Kernel::steal_for(std::size_t thief) {
         }
     }
     if (victim == domains_.size()) return nullptr;
-    // The stolen process is the victim policy's best *migratable* pick: pop
-    // in priority order, skipping pinned processes (they go straight back
-    // on the victim's queue with their original enqueue_time, so their
-    // round-robin age is preserved). With nothing pinned the first pop wins,
-    // exactly the old behavior.
-    Proc* p = pop_migratable(*domains_[victim]);
-    if (p == nullptr) return nullptr;  // the victim's queue is all pinned
+    // The stolen process is the victim's queue head, the one that domain
+    // would run next; a pinned head stays put and the thief stays idle.
+    Proc* p = pop_migratable_head(*domains_[victim]);
+    if (p == nullptr) return nullptr;
     migrate(*p, thief);
     ++steals_;
     return p;
 }
 
-Proc* Kernel::pop_migratable(SchedPolicy& from) {
-    balance_scratch_.clear();
-    Proc* pick = nullptr;
-    while (Proc* cand = from.pop()) {
-        if (!cand->pinned) {
-            pick = cand;
-            break;
-        }
-        balance_scratch_.push_back(cand);
-    }
-    for (Proc* q : balance_scratch_) from.enqueue(*q);
-    return pick;
+Proc* Kernel::pop_migratable_head(SchedPolicy& from) {
+    Proc* head = from.peek();
+    if (head == nullptr || head->pinned) return nullptr;
+    Proc* p = from.pop();
+    ALPS_ENSURE(p == head);
+    return p;
 }
 
 void Kernel::rebalance() {
@@ -681,12 +659,12 @@ void Kernel::rebalance() {
             }
         }
         if (max_load - min_load < 2) return;  // spread of 1 is inherent
-        // Pinned processes don't move; if everything queued on the busiest
-        // domain is pinned, the imbalance is intentional and this tick's
-        // pass stops (the next-busiest domain is at most one move away from
+        // Pinned processes don't move; a pinned (or no) head on the busiest
+        // domain means the imbalance is intentional and this tick's pass
+        // stops (the next-busiest domain is at most one move away from
         // balanced anyway under the ncpus-moves bound).
-        Proc* p = pop_migratable(*domains_[busiest]);
-        if (p == nullptr) return;  // all of busiest's load is on-CPU or pinned
+        Proc* p = pop_migratable_head(*domains_[busiest]);
+        if (p == nullptr) return;
         migrate(*p, idlest);
         p->enqueue_time = now();
         dom(*p).enqueue(*p);

@@ -6,7 +6,7 @@
 // *unprivileged user process* could see or do on such a system, because that
 // is the paper's whole premise:
 //   * read a process's accumulated CPU time        -> cpu_time()       (getrusage / kvm)
-//   * read a process's wait channel (blocked?)     -> is_blocked()     (kvm wchan)
+//   * read whether a process sleeps (blocked?)     -> is_blocked()     (kvm wchan)
 //   * list a user's processes                      -> pids_of_uid()    (kvm_getprocs)
 //   * stop / continue / kill a process             -> send_signal()    (kill(2))
 //   * sleep until an instant                       -> SleepUntilAction (nanosleep)
@@ -94,8 +94,9 @@ public:
     /// immediately. Returns the new pid. `home_cpu` places the process on
     /// the scheduling domain serving that CPU (-1 = round-robin by pid, the
     /// default placement) and `pinned` makes that placement hard: idle-steal
-    /// and rebalance skip pinned processes (Proc::pinned). With the shared
-    /// queue's single domain both have no effect.
+    /// and rebalance never move a pinned process, and a pinned queue head
+    /// stops them (Proc::pinned). Deployments pin a whole domain or none of
+    /// it. With the shared queue's single domain both have no effect.
     Pid spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior, int nice = 0,
               int home_cpu = -1, bool pinned = false);
 
@@ -106,8 +107,10 @@ public:
 
     void send_signal(Pid pid, Signal sig);
 
-    /// Wakes every process blocked on `chan` (BSD wakeup()).
-    void wakeup_channel(WaitChannel chan);
+    /// Wakes `pid`, which must be in an untimed sleep (a BlockAction); the
+    /// caller names the sleeper it means, like an idle web worker its site
+    /// holds. Any other state is a contract violation.
+    void wakeup(Pid pid);
 
     /// True while the pid names a live (non-zombie) process.
     [[nodiscard]] bool alive(Pid pid) const;
@@ -118,7 +121,7 @@ public:
     /// getrusage()/kvm reports.
     [[nodiscard]] util::Duration cpu_time(Pid pid) const;
 
-    /// The paper's §2.4 test: is the process sleeping on a wait channel?
+    /// The paper's §2.4 test: is the process sleeping?
     [[nodiscard]] bool is_blocked(Pid pid) const;
 
     /// Everything one ALPS measurement needs about a process, read with a
@@ -197,7 +200,7 @@ private:
     /// a running target).
     void apply_stop(Proc& p);
 
-    void begin_sleep(Proc& p, bool timed, util::TimePoint wake_at, WaitChannel chan);
+    void begin_sleep(Proc& p, bool timed, util::TimePoint wake_at);
     void timer_wake(Pid pid);
     /// Transitions a sleeper to runnable (respecting the stopped flag).
     void do_wake(Proc& p);
@@ -219,17 +222,17 @@ private:
         return static_cast<int>(d) * cpus_per_domain_;
     }
     /// Idle-steal: domain `thief` has an idle CPU and an empty queue; pull
-    /// the best runnable process from the most-loaded peer domain (ties:
-    /// lowest index). Returns the migrated process ready to dispatch, or
-    /// nullptr.
+    /// the queue head of the most-loaded peer domain (ties: lowest index)
+    /// unless it is pinned. Returns the migrated process ready to dispatch,
+    /// or nullptr.
     Proc* steal_for(std::size_t thief);
-    /// Periodic load balance (schedcpu cadence): move queued processes from
-    /// the deepest domain to the shallowest until the spread is < 2, with a
-    /// bounded number of moves per tick.
+    /// Periodic load balance (schedcpu cadence): move queue heads from the
+    /// deepest domain to the shallowest until the spread is < 2, with a
+    /// bounded number of moves per tick; a pinned head ends the pass.
     void rebalance();
-    /// Pops `from`'s best non-pinned process (re-enqueueing any pinned
-    /// processes popped along the way); nullptr when everything is pinned.
-    Proc* pop_migratable(SchedPolicy& from);
+    /// Pops `from`'s queue head if it is migratable; nullptr (queue
+    /// untouched) when the queue is empty or its head is pinned.
+    Proc* pop_migratable_head(SchedPolicy& from);
     /// Moves `p` (already off `from`'s queues) into domain `to`.
     void migrate(Proc& p, std::size_t to);
 
@@ -288,10 +291,6 @@ private:
     /// Per-domain scratch for second_tick (rebuilt from ordered_ each tick;
     /// member to avoid per-tick allocation).
     std::vector<std::vector<Proc*>> tick_scratch_;
-    /// Pinned processes popped while steal_for/rebalance searched a victim
-    /// queue for a migratable pick; re-enqueued before the search returns
-    /// (member to avoid per-steal allocation).
-    std::vector<Proc*> balance_scratch_;
 };
 
 }  // namespace alps::os

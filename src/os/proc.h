@@ -63,7 +63,6 @@ struct Proc {
     // --- current phase ---
     util::Duration run_remaining{0};  ///< CPU left in the current run phase
     bool phase_lazy_pending = false;  ///< lazy run demand not yet computed
-    WaitChannel wchan = nullptr;      ///< wait channel while sleeping
     sim::EventId sleep_event = 0;     ///< pending timer wake, if any
     sim::EventId pending_stop_event = 0;  ///< deferred SIGSTOP delivery, if any
 
@@ -81,7 +80,7 @@ struct Proc {
         return (state == RunState::kRunnable || state == RunState::kRunning) && !stopped;
     }
 
-    /// The ALPS blocked-process test (paper §2.4): sleeping on a wait channel.
+    /// The ALPS blocked-process test (paper §2.4): asleep, timed or not.
     [[nodiscard]] bool blocked() const { return state == RunState::kSleeping; }
 };
 

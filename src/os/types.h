@@ -26,7 +26,7 @@ enum class Signal {
 enum class RunState {
     kRunnable,  ///< wants the CPU (on a run queue unless stopped)
     kRunning,   ///< currently on the CPU
-    kSleeping,  ///< blocked on a wait channel or timer
+    kSleeping,  ///< blocked until a timer or Kernel::wakeup
     kZombie,    ///< exited, awaiting reap
 };
 
@@ -39,10 +39,5 @@ enum class RunState {
     }
     return "?";
 }
-
-/// Wait channel: identity of the event a sleeping process awaits, mirroring
-/// the BSD `wchan`. ALPS's user-level blocked-process detection (paper §2.4)
-/// is "wait channel non-null".
-using WaitChannel = const void*;
 
 }  // namespace alps::os

@@ -1,7 +1,8 @@
 // Minimal wrapper around the Linux cgroup-v1 cpu controller — the in-kernel
-// mechanism that today covers ALPS's use case (cpu.shares). Used by the
-// comparison bench to put the paper's approach side by side with the modern
-// kernel facility, and usable as a reference backend.
+// mechanism that today covers ALPS's use case (cpu.shares). Its only user is
+// tests/test_posix_cgroup.cpp, which checks that cpu.shares shapes CPU time
+// on real processes (the extension row "ALPS vs Linux cgroup cpu.shares" in
+// DESIGN.md §4); it is also usable as a reference backend.
 //
 // Requires a writable /sys/fs/cgroup/cpu (root, or a delegated subtree);
 // available() reports whether that is the case so tests can skip.

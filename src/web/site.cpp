@@ -17,8 +17,8 @@ using util::TimePoint;
 // Worker
 
 /// One Apache child. The phase machine walks a request through its class's
-/// CPU/DB stages, idling on its own wait channel between requests so the
-/// site can wake exactly one worker per submission.
+/// CPU/DB stages, blocking between requests with its pid on the site's idle
+/// list so the site can wake exactly one worker per submission.
 class WebSite::WorkerBehavior final : public os::Behavior {
 public:
     explicit WorkerBehavior(WebSite& site) : site_(site) {}
@@ -34,8 +34,8 @@ public:
                     return os::ExitAction{};
                 }
                 if (site_.queue_.empty()) {
-                    site_.idle_.push_back(this);
-                    return os::BlockAction{this};
+                    site_.idle_.push_back(ctx.pid);
+                    return os::BlockAction{};
                 }
                 const TimePoint now = ctx.kernel.now();
                 ReqId id = site_.queue_.pop();
@@ -66,7 +66,7 @@ public:
                 const Duration d = site_.draw(ph.mean);
                 if (ph.db) {
                     site_.table_->add_db_wait(req_, d);
-                    return os::SleepAction{d, this};
+                    return os::SleepAction{d};
                 }
                 return os::RunAction{d};
             }
@@ -98,7 +98,7 @@ public:
         if (just_ran_) {
             just_ran_ = false;
             site_.regulate();
-            return os::SleepAction{kMasterPeriod, this};
+            return os::SleepAction{kMasterPeriod};
         }
         just_ran_ = true;
         return os::RunAction{kMasterCpu};
@@ -195,9 +195,9 @@ void WebSite::regulate() {
                                workers_alive_ - cfg_.initial_workers);
         while (surplus-- > 0 && !idle_.empty()) {
             ++retire_pending_;
-            const os::WaitChannel chan = idle_.back();
+            const os::Pid worker = idle_.back();
             idle_.pop_back();
-            kernel_.wakeup_channel(chan);
+            kernel_.wakeup(worker);
         }
     }
 }
@@ -228,9 +228,9 @@ bool WebSite::submit() {
     queue_.push(id);
     recorder_->note_queue_depth(cfg_.site_index, queue_.size());
     if (!idle_.empty()) {
-        const os::WaitChannel chan = idle_.back();
+        const os::Pid worker = idle_.back();
         idle_.pop_back();
-        kernel_.wakeup_channel(chan);
+        kernel_.wakeup(worker);
     }
     return true;
 }

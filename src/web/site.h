@@ -164,7 +164,7 @@ private:
     traffic::LatencyRecorder* recorder_ = nullptr;
 
     traffic::IdRing queue_;              ///< listen queue (request ids)
-    std::vector<os::WaitChannel> idle_;  ///< idle workers' wait channels
+    std::vector<os::Pid> idle_;          ///< idle (blocked) workers' pids
     int workers_alive_ = 0;
     int workers_spawned_ = 0;
     int retire_pending_ = 0;

@@ -23,17 +23,15 @@ struct Machine {
 
 TEST(KernelEdge, ChannelWakeupWhileStoppedDefersRun) {
     Machine m;
-    static int tag = 0;
-    const WaitChannel chan = &tag;
-    std::vector<Action> script{BlockAction{chan}, RunAction{msec(30)}};
+    std::vector<Action> script{BlockAction{}, RunAction{msec(30)}};
     const Pid p = m.kernel.spawn("b", 0, std::make_unique<ScriptedBehavior>(script));
     m.run_for(msec(10));
     ASSERT_TRUE(m.kernel.is_blocked(p));
 
-    // Stop the sleeper, then wake its channel: it becomes runnable-but-
-    // stopped and must not run until SIGCONT.
+    // Stop the sleeper, then wake it: it becomes runnable-but-stopped and
+    // must not run until SIGCONT.
     m.kernel.send_signal(p, Signal::kStop);
-    m.kernel.wakeup_channel(chan);
+    m.kernel.wakeup(p);
     m.run_for(msec(100));
     EXPECT_FALSE(m.kernel.is_blocked(p));
     EXPECT_EQ(m.kernel.cpu_time(p), Duration::zero());
@@ -112,17 +110,15 @@ TEST(KernelEdge, SleepUntilPastDeadlineRunsImmediately) {
 
 TEST(KernelEdge, ManySimultaneousWakersAllRun) {
     Machine m;
-    static int tag = 0;
-    const WaitChannel chan = &tag;
     std::vector<Pid> pids;
     for (int i = 0; i < 20; ++i) {
-        std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
+        std::vector<Action> script{BlockAction{}, RunAction{msec(10)}};
         std::string name = "w";
         name += std::to_string(i);
         pids.push_back(m.kernel.spawn(name, 0, std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(5));
-    m.kernel.wakeup_channel(chan);
+    for (const Pid p : pids) m.kernel.wakeup(p);
     m.run_for(sec(1));
     for (const Pid p : pids) {
         EXPECT_EQ(m.kernel.cpu_time(p), msec(10)) << p;

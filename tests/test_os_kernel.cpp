@@ -228,15 +228,13 @@ TEST(Kernel, SignalToZombieIsIgnored) {
 
 TEST(Kernel, WakeupChannelWakesBlockedProcess) {
     Machine m;
-    static int channel_tag = 0;
-    const WaitChannel chan = &channel_tag;
-    std::vector<Action> script{BlockAction{chan}, RunAction{msec(50)}};
+    std::vector<Action> script{BlockAction{}, RunAction{msec(50)}};
     const Pid p = m.kernel.spawn("blocker", 0,
                                  std::make_unique<ScriptedBehavior>(script));
     m.run_for(sec(1));
     EXPECT_TRUE(m.kernel.is_blocked(p));
     EXPECT_EQ(m.kernel.cpu_time(p), Duration::zero());
-    m.kernel.wakeup_channel(chan);
+    m.kernel.wakeup(p);
     m.run_for(sec(1));
     EXPECT_EQ(m.kernel.cpu_time(p), msec(50));
     EXPECT_FALSE(m.kernel.alive(p));  // script exhausted -> exit
@@ -244,19 +242,48 @@ TEST(Kernel, WakeupChannelWakesBlockedProcess) {
 
 TEST(Kernel, WakeupChannelWakesAllWaiters) {
     Machine m;
-    static int channel_tag = 0;
-    const WaitChannel chan = &channel_tag;
     std::vector<Pid> pids;
     for (int i = 0; i < 3; ++i) {
-        std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
+        std::vector<Action> script{BlockAction{}, RunAction{msec(10)}};
         std::string name = "b";
         name += std::to_string(i);
         pids.push_back(m.kernel.spawn(name, 0, std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(10));
-    m.kernel.wakeup_channel(chan);
+    for (Pid p : pids) m.kernel.wakeup(p);  // all at the same instant
     m.run_for(sec(1));
     for (Pid p : pids) EXPECT_EQ(m.kernel.cpu_time(p), msec(10));
+}
+
+TEST(Kernel, WakeupRejectsPidsNotInAnUntimedSleep) {
+    Machine m;
+    const Pid first = m.cpu_hog("first");
+    const Pid second = m.cpu_hog("second");
+    std::vector<Action> nap{SleepAction{sec(10)}, RunAction{msec(1)}};
+    const Pid napper = m.kernel.spawn("napper", 0, std::make_unique<ScriptedBehavior>(nap));
+    const Pid zombie = m.cpu_hog("zombie");
+    const Pid reaped = m.cpu_hog("reaped");
+    m.run_for(msec(5));
+    m.kernel.send_signal(zombie, Signal::kKill);
+    m.kernel.send_signal(reaped, Signal::kKill);
+    m.kernel.reap(reaped);
+
+    const Pid running = m.kernel.running_pid();
+    const Pid runnable = running == first ? second : first;
+    ASSERT_EQ(m.kernel.proc(running).state, RunState::kRunning);
+    ASSERT_EQ(m.kernel.proc(runnable).state, RunState::kRunnable);
+    ASSERT_EQ(m.kernel.proc(napper).state, RunState::kSleeping);
+    ASSERT_EQ(m.kernel.proc(zombie).state, RunState::kZombie);
+    ASSERT_FALSE(m.kernel.exists(reaped));
+    for (const Pid p : {running, runnable, napper, zombie, reaped}) {
+        EXPECT_THROW(m.kernel.wakeup(p), util::ContractViolation) << p;
+    }
+    // The rejected calls changed nothing: the timed sleeper still wakes on
+    // its own timer, and the CPU never idles.
+    m.run_for(sec(11));
+    EXPECT_EQ(m.kernel.cpu_time(napper), msec(1));
+    EXPECT_FALSE(m.kernel.alive(napper));
+    EXPECT_EQ(m.kernel.busy_time(), m.engine.now().since_epoch);
 }
 
 TEST(Kernel, PidsOfUidFiltersAndOrders) {

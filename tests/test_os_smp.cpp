@@ -8,6 +8,7 @@
 
 #include "os/behaviors.h"
 #include "os/kernel.h"
+#include "os/policies/lottery.h"
 #include "sim/engine.h"
 
 namespace alps::os {
@@ -227,6 +228,32 @@ TEST(PercpuKernel, SleeperWakesOnHomeCpu) {
     // CPU 1 is idle except for the 10% duty cycle, which is fully served.
     EXPECT_NEAR(to_sec(m.kernel.cpu_time(io)), 1.0, 0.05);
     EXPECT_EQ(m.kernel.proc(io).home_cpu, 1);
+}
+
+TEST(PercpuKernel, StealLeavesPinnedLotteryHeadUntouched) {
+    PercpuMachine m(2, "lottery");
+    // Both pinned to CPU 0: the hog runs until the sleeper wakes at 30 ms
+    // with the wake boost and preempts it mid-quantum, so the hog queues
+    // holding a compensation ticket (quantum / stint = 100 / 30). CPU 1 is
+    // idle throughout and tries to steal from CPU 0 at every schedule().
+    const Pid hog = m.kernel.spawn("hog", 0, std::make_unique<CpuBoundBehavior>(),
+                                   /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+    std::vector<Action> script{SleepAction{msec(30)}, RunAction{msec(15)}};
+    m.kernel.spawn("waker", 0, std::make_unique<ScriptedBehavior>(script),
+                   /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+    const auto& lottery =
+        dynamic_cast<const policies::LotteryPolicy&>(m.kernel.policy_on(0));
+    const double expected = 100.0 / 30.0;
+    for (const Duration until : {msec(31), msec(38), msec(44)}) {
+        m.engine.run_until(util::TimePoint{} + until);
+        ASSERT_EQ(m.kernel.proc(hog).state, RunState::kRunnable) << until.count();
+        EXPECT_DOUBLE_EQ(lottery.compensation(m.kernel.proc(hog)), expected)
+            << until.count();
+    }
+    EXPECT_EQ(m.kernel.steals(), 0u);
+    EXPECT_EQ(m.kernel.migrations(), 0u);
+    EXPECT_EQ(m.kernel.proc(hog).home_cpu, 0);
+    EXPECT_EQ(m.kernel.running_pid_on(1), kNoPid);
 }
 
 TEST(PercpuKernel, SpawnRejectsOutOfRangeHomeCpu) {
