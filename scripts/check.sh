@@ -166,11 +166,6 @@ gate("kernel scan (per-pid)", "kernel_scan", "kernel_scan_samples_per_sec", tol_
 # request-table churn. web_scale drives both millions of times per run.
 gate("web arrivals (draws)", "web_arrivals", "web_arrival_draws_per_sec", tol_pct)
 gate("web arrivals (table ops)", "web_arrivals", "web_table_ops_per_sec", tol_pct)
-# The sharded engine's lockstep protocol: the serial-multiplexed aggregate at
-# 8 shards is single-threaded and therefore stable on any host core count,
-# yet runs the full epoch machinery (boundary pinning, channel drains, the
-# degenerate barriers), so protocol overhead regressions land here.
-gate("sharded engine (8-shard mux)", "sharded_engine", "sharded_mux_events_per_sec", tol_pct)
 if failed:
     raise SystemExit(1)
 PY
@@ -324,4 +319,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + payload gate + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + chaos leg passed"

@@ -42,9 +42,6 @@ struct SweepOptions {
     /// Site count for experiments that sweep hosting scale (web_scale):
     /// restricts the grid to this one cluster size. 0 = the full grid.
     int sites = 0;
-    /// Shard count for sim_perf's sharded_engine point: restricts it to
-    /// this one shard count. 0 = the full grid.
-    int shards = 0;
     /// Flash-crowd intensity override for web_scale: restricts the grid to
     /// points with this arrival multiplier. < 0 = the full grid.
     double flash_crowd = -1.0;

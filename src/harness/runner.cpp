@@ -314,7 +314,7 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
         std::cerr << "usage: " << argv[0]
                   << " [--jobs N] [--seed S] [--full] [--out DIR] [--no-json]"
                      " [--quiet] [--trace FILE.alpstrace] [--kernel-policy NAME]"
-                     " [--ncpus N] [--sites N] [--shards N] [--flash-crowd X]"
+                     " [--ncpus N] [--sites N] [--flash-crowd X]"
                      " [--isolate] [--run-timeout SECONDS]"
                      " [--max-attempts N] [--journal] [--resume]"
                      " [--only-task INDEX] [--json-payload-only]\n";
@@ -381,8 +381,6 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
             ok = count(options.ncpus, 1);
         } else if (arg == "--sites") {
             ok = count(options.sites, 1);
-        } else if (arg == "--shards") {
-            ok = count(options.shards, 1);
         } else if (arg == "--flash-crowd") {
             ok = non_negative(options.flash_crowd);
         } else if (arg == "--isolate") {

@@ -35,9 +35,7 @@ enum WellKnownName : std::uint16_t {
     kNameCycle = 5,       ///< cycle completion; value = cycles completed
     kNameQuarantine = 6,  ///< entity entered quarantine
     kNameDrop = 7,        ///< entity dropped after repeated failures
-    kNameEpoch = 8,       ///< sharded engine: lockstep boundary; track = shard
-    kNameHop = 9,         ///< retired cross-shard migration; kept so old traces decode
-    kWellKnownNameCount = 10,
+    kWellKnownNameCount = 8,
 };
 
 /// Spelling of a well-known id ("" for kNameNone / out-of-range).

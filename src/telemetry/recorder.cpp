@@ -15,8 +15,6 @@ const char* well_known_name(std::uint16_t id) {
         case kNameCycle: return "cycle";
         case kNameQuarantine: return "quarantine";
         case kNameDrop: return "drop";
-        case kNameEpoch: return "epoch";
-        case kNameHop: return "hop";
         default: return "";
     }
 }

@@ -331,7 +331,7 @@ TEST(SweepArgs, RejectsNegativeCounts) {
     // strtoull reads "-1" as 2^64 - 1: --jobs -1 would ask for four billion
     // workers, and --only-task -1 would run the whole sweep.
     for (const char* flag : {"--jobs", "--seed", "--max-attempts", "--only-task",
-                             "--ncpus", "--sites", "--shards"}) {
+                             "--ncpus", "--sites"}) {
         SweepOptions options;
         EXPECT_FALSE(parse_args({flag, "-1"}, options)) << flag;
         EXPECT_FALSE(parse_args({flag, " -1"}, options)) << flag;

@@ -4,9 +4,12 @@
 // CLI relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alps/scheduler.h"
@@ -81,8 +84,6 @@ TEST(Recorder, SessionPreInternsWellKnownNames) {
     EXPECT_EQ(names[kNameCycle], "cycle");
     EXPECT_EQ(names[kNameQuarantine], "quarantine");
     EXPECT_EQ(names[kNameDrop], "drop");
-    EXPECT_EQ(names[kNameEpoch], "epoch");
-    EXPECT_EQ(names[kNameHop], "hop");
 }
 
 TEST(Recorder, InternIsStableAndDeduplicates) {
@@ -221,6 +222,51 @@ TEST(Recorder, SessionIsReusableAfterDetach) {
     instant(kNameCycle, 0, 1);
     detach();
     EXPECT_EQ(session.drain().size(), 2u);
+}
+
+// Two threads emit into one session, each registering its own ring under the
+// session mutex. drain() must fold the rings into one (scope, ts)-ordered
+// stream that keeps each thread's records in its emission order, equal
+// timestamps across threads included.
+TEST(Recorder, DrainMergesPerThreadRingsInScopeTsOrder) {
+    constexpr std::uint64_t kPerScope = 1000;
+    constexpr std::uint32_t kThreads = 2;
+    Session session({.ring_capacity = 4096});
+    attach(session);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&start, t] {
+            start.arrive_and_wait();
+            // Thread 0 steps its clock by 2 ns, thread 1 by 3 ns, so the two
+            // tracks interleave and tie every 6 ns; each scope restarts at 0.
+            const std::uint32_t track = t + 1;
+            std::uint64_t seq = 0;
+            for (std::uint32_t s = 0; s < 2; ++s) {
+                set_scope(s);
+                for (std::uint64_t i = 0; i < kPerScope; ++i) {
+                    emit_event(EventType::kInstant, kNameTick, track, i * (t + 2), seq++);
+                }
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    detach();
+
+    const std::vector<Record> records = session.drain();
+    ASSERT_EQ(records.size(), kThreads * 2 * kPerScope);
+    EXPECT_TRUE(std::is_sorted(records.begin(), records.end(),
+                               [](const Record& a, const Record& b) {
+                                   return a.scope != b.scope ? a.scope < b.scope
+                                                             : a.ts_ns < b.ts_ns;
+                               }));
+    std::vector<std::uint64_t> next_seq(kThreads + 1, 0);
+    for (const Record& rec : records) {
+        ASSERT_GE(rec.track, 1u);
+        ASSERT_LE(rec.track, kThreads);
+        EXPECT_EQ(rec.value, next_seq[rec.track]++) << "track " << rec.track;
+    }
+    EXPECT_EQ(session.dropped(), 0u);
 }
 
 // ----- metrics -------------------------------------------------------------

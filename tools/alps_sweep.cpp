@@ -4,7 +4,7 @@
 //   alps-sweep --list-policies
 //   alps-sweep --experiment fig4 [--jobs N] [--seed S] [--full] [--out DIR]
 //              [--no-json] [--quiet] [--kernel-policy NAME] [--ncpus N]
-//              [--sites N] [--shards N] [--flash-crowd X]
+//              [--sites N] [--flash-crowd X]
 //              [--isolate] [--run-timeout S] [--max-attempts N] [--journal]
 //              [--resume] [--only-task I] [--json-payload-only]
 //   alps-sweep --all [sweep flags]
@@ -53,8 +53,6 @@ void print_usage(std::ostream& out) {
            "               (many_core, web_scale: runs only that grid column)\n"
            "  --sites N    hosted-site count for web_scale: runs only that\n"
            "               cluster size\n"
-           "  --shards N   shard count for sim_perf's sharded_engine point:\n"
-           "               runs only that count\n"
            "  --flash-crowd X\n"
            "               flash-crowd arrival multiplier for web_scale: runs\n"
            "               only points with that intensity (0 disables the\n"
