@@ -9,7 +9,6 @@
 // (measurement cost linear in n and dominant; timer and signal costs flat)
 // is the reproduction target — it is what motivates the §2.3 optimization.
 #include <benchmark/benchmark.h>
-#include <signal.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
@@ -71,23 +70,25 @@ void BM_MeasureCpuTimeOfNProcesses(benchmark::State& state) {
 BENCHMARK(BM_MeasureCpuTimeOfNProcesses)->Arg(1)->Arg(2)->Arg(5)->Arg(10)->Arg(25)->Arg(50);
 
 void BM_SignalAProcess(benchmark::State& state) {
+    alps::posix::PosixProcessHost host;
     const pid_t pid = child_at(0);
     for (auto _ : state) {
         // SIGCONT to a running process: delivered and discarded — the same
         // kernel path ALPS pays for suspend/resume without perturbing the
         // child.
-        benchmark::DoNotOptimize(::kill(pid, SIGCONT));
+        benchmark::DoNotOptimize(host.cont_pid(pid));
     }
 }
 BENCHMARK(BM_SignalAProcess);
 
 void BM_SuspendResumePair(benchmark::State& state) {
+    alps::posix::PosixProcessHost host;
     const pid_t pid = child_at(1);
     for (auto _ : state) {
-        ::kill(pid, SIGSTOP);
-        ::kill(pid, SIGCONT);
+        benchmark::DoNotOptimize(host.stop_pid(pid));
+        benchmark::DoNotOptimize(host.cont_pid(pid));
     }
-    ::kill(pid, SIGCONT);
+    host.cont_pid(pid);
 }
 BENCHMARK(BM_SuspendResumePair);
 

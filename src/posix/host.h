@@ -2,16 +2,27 @@
 // control. Everything here is doable by an unprivileged user on their own
 // processes — the paper's deployment constraint.
 //
-// The channels are fallible and the host says so: kill(2) errors map to
-// ControlResult (ESRCH -> kGone, EPERM -> kDenied, else kTransient), an
-// unreadable-but-extant pid comes back with Sample::ok = false, and a
-// starttime cache (stat field 22) detects pid reuse — the same pid with a
-// different start time is a different process, reported as the old entity
-// being gone.
+// The host keeps one handle per pid it reads or signals: a pidfd plus
+// close-on-exec fds for /proc/<pid>/stat and /proc/<pid>/schedstat, so 3
+// fds per managed pid. A handle names a process, not a pid number: once
+// that process is reaped its /proc fds read ESRCH and its pidfd signals
+// nobody, so a recycled pid can be neither misread nor signalled. A read is
+// two preads into a stack buffer, parsed in place. Requires Linux >= 5.3
+// (pidfd_open).
+//
+// The channels are fallible and the host says so: ESRCH, or a zombie/dead
+// state, means the process is gone (alive = false, kGone) and closes its
+// handle; EPERM on a signal is kDenied; anything else, fd exhaustion
+// (EMFILE/ENFILE) while opening a handle included, is transient (Sample::ok
+// = false, kTransient) and signals nothing. SIGSTOP goes out only through a
+// handle that stays open until its process dies, so a process this host
+// stopped can always be resumed.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <poll.h>
+#include <sys/types.h>
+
+#include <vector>
 
 #include "alps/host.h"
 
@@ -19,18 +30,38 @@ namespace alps::posix {
 
 class PosixProcessHost final : public core::ProcessHost {
 public:
+    PosixProcessHost() = default;
+    ~PosixProcessHost() override;
+    PosixProcessHost(const PosixProcessHost&) = delete;
+    PosixProcessHost& operator=(const PosixProcessHost&) = delete;
+
     core::Sample read_pid(core::HostPid pid) override;
     core::ControlResult stop_pid(core::HostPid pid) override;
     core::ControlResult cont_pid(core::HostPid pid) override;
     std::vector<core::HostPid> pids_of_user(core::HostUid uid) override;
-    // Keep the base's out-param refresh variant visible alongside the
-    // allocating override (it wraps the call above).
-    using core::ProcessHost::pids_of_user;
+    /// Also closes the handles of exited processes whose pid it does not
+    /// list, so members that leave a group by dying do not keep their fds.
+    void pids_of_user(core::HostUid uid, std::vector<core::HostPid>& out) override;
 
 private:
-    /// starttime (clock ticks since boot) of each pid at first sight; a
-    /// later mismatch means the pid was recycled.
-    std::map<core::HostPid, std::uint64_t> starttime_;
+    struct Handle {
+        pid_t pid;
+        int pidfd;
+        int stat_fd;
+        int schedstat_fd;  ///< -1 on a kernel without schedstats
+    };
+    enum class Open { kOk, kGone, kTransient };
+
+    /// Finds the handle for `pid`, opening it on first use; `out` points to
+    /// it on kOk and is nullptr otherwise.
+    Open acquire(core::HostPid pid, Handle*& out);
+    static void close_fds(const Handle& h);
+    void close_handle(Handle* h);
+    core::ControlResult signal(core::HostPid pid, int sig);
+    void close_exited(const std::vector<core::HostPid>& listed);
+
+    std::vector<Handle> handles_;  ///< sorted by pid
+    std::vector<pollfd> poll_scratch_;
 };
 
 }  // namespace alps::posix

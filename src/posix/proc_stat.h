@@ -8,8 +8,10 @@
 //     in clock ticks, the coarse fallback when schedstat is unavailable).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -24,8 +26,7 @@ struct ProcStat {
     std::uint64_t utime_ticks = 0;
     std::uint64_t stime_ticks = 0;
     /// Stat field 22: the time the process started after boot, in clock
-    /// ticks. (pid, starttime) uniquely identifies a process incarnation, so
-    /// a changed starttime under the same pid means the pid was reused.
+    /// ticks.
     std::uint64_t starttime_ticks = 0;
 };
 
@@ -38,7 +39,22 @@ struct ProcStat {
 /// the on-CPU time.
 [[nodiscard]] std::optional<util::Duration> parse_schedstat(std::string_view content);
 
-/// Reads and parses the files for a live pid; nullopt if the process is gone.
+/// Buffer size for one read of a stat or schedstat file. A stat line is
+/// 52 numeric fields and a comm of at most 64 bytes, about 1.2 KB at most.
+inline constexpr std::size_t kProcBufBytes = 4096;
+
+/// Opens /proc/<pid>/<name> read-only and close-on-exec; -1 with errno set
+/// on failure.
+[[nodiscard]] int open_proc_file(std::int64_t pid, const char* name);
+
+/// Reads a whole /proc file from offset 0 into `buf` with one pread and
+/// returns the bytes read. nullopt, with errno set, if the pread failed —
+/// or if it filled the buffer (errno EOVERFLOW): the content may go on, and
+/// a cut line must never be parsed.
+[[nodiscard]] std::optional<std::string_view> pread_file(int fd, std::span<char> buf);
+
+/// Opens, reads and parses the files for a pid (one-off reads; the host
+/// keeps its fds open instead). nullopt if the process is gone.
 [[nodiscard]] std::optional<ProcStat> read_proc_stat(std::int64_t pid);
 [[nodiscard]] std::optional<util::Duration> read_schedstat(std::int64_t pid);
 

@@ -4,13 +4,21 @@
 // Tolerances are generous: the host is shared.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <errno.h>
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "alps/group_control.h"
 #include "posix/host.h"
@@ -37,7 +45,7 @@ TEST(ProcStatParse, TypicalLine) {
     EXPECT_EQ(st->state, 'R');
     EXPECT_EQ(st->utime_ticks, 250u);
     EXPECT_EQ(st->stime_ticks, 50u);
-    EXPECT_EQ(st->starttime_ticks, 12345u);  // field 22, the pid-reuse guard
+    EXPECT_EQ(st->starttime_ticks, 12345u);  // field 22
 }
 
 TEST(ProcStatParse, CommWithSpacesAndParens) {
@@ -91,6 +99,30 @@ TEST(SchedstatParse, FirstFieldIsOnCpuNanoseconds) {
     EXPECT_FALSE(parse_schedstat("abc def").has_value());
 }
 
+TEST(ProcStatParse, FullBufferIsAFailedRead) {
+    // The host reads each /proc file with one pread into a fixed buffer. A
+    // pread that fills it may have cut the line short, so it must come back
+    // as a failed read, never as a parse of the truncated prefix.
+    const std::string line =
+        "9 (x) R 1 9 9 0 -1 0 100 0 0 0 250 50 0 0 20 0 1 0 777 1000000 100";
+    const int fd = ::memfd_create("stat", MFD_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, line.data(), line.size()), static_cast<ssize_t>(line.size()));
+
+    std::vector<char> exact(line.size());
+    errno = 0;
+    EXPECT_FALSE(pread_file(fd, exact).has_value());
+    EXPECT_EQ(errno, EOVERFLOW);
+    // A prefix that happens to parse must not be what the buffer returns.
+    ASSERT_TRUE(parse_proc_stat(line.substr(0, line.size() - 8)).has_value());
+
+    std::vector<char> roomy(line.size() + 1);
+    const auto whole = pread_file(fd, roomy);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(*whole, line);
+    ::close(fd);
+}
+
 TEST(TicksToDuration, UsesUserHz) {
     // USER_HZ is virtually always 100 on Linux.
     const auto d = ticks_to_duration(100);
@@ -107,12 +139,202 @@ TEST(PosixHost, ReadsOwnProcess) {
     EXPECT_GT(s.cpu_time.count(), 0);
 }
 
+/// Children that sleep in pause(), so they take no CPU. Each is SIGKILLed
+/// and reaped on destruction unless the test reaped it already.
+class IdleChildren {
+public:
+    IdleChildren() = default;
+    ~IdleChildren() {
+        for (const pid_t pid : pids_) {
+            if (pid > 0) reap(pid);
+        }
+    }
+    IdleChildren(const IdleChildren&) = delete;
+    IdleChildren& operator=(const IdleChildren&) = delete;
+
+    pid_t add() {
+        const pid_t pid = ::fork();
+        if (pid == 0) {
+            for (;;) ::pause();
+        }
+        pids_.push_back(pid);
+        return pid;
+    }
+    /// SIGKILLs the child and waits for it, so its pid is released.
+    void kill_and_reap(pid_t pid) {
+        for (pid_t& p : pids_) {
+            if (p != pid) continue;
+            reap(p);
+            p = 0;
+        }
+    }
+
+private:
+    static void reap(pid_t pid) {
+        ::kill(pid, SIGKILL);
+        while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+        }
+    }
+
+    std::vector<pid_t> pids_;
+};
+
+/// Blocks until `pid` has exited, leaving it a zombie (not reaped).
+bool wait_for_zombie(pid_t pid) {
+    siginfo_t info{};
+    return ::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT) == 0;
+}
+
+/// This process's open fds, without the one the listing itself uses.
+std::vector<int> open_fds() {
+    std::vector<int> fds;
+    DIR* dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr) return fds;
+    const int own = ::dirfd(dir);
+    while (const dirent* entry = ::readdir(dir)) {
+        if (entry->d_name[0] == '.') continue;
+        const int fd = std::atoi(entry->d_name);
+        if (fd != own) fds.push_back(fd);
+    }
+    ::closedir(dir);
+    return fds;
+}
+
 TEST(PosixHost, MissingPidReportsDead) {
+    // A child the host has read, then SIGKILLed and reaped: its pid no
+    // longer names a process, so reads and signals must all say gone.
     PosixProcessHost host;
-    // Pid 4194300 is near pid_max and almost certainly absent; even if it
-    // exists the test only requires a well-formed answer.
-    const core::Sample s = host.read_pid(4194300);
-    if (!s.alive) SUCCEED();
+    IdleChildren children;
+    const pid_t pid = children.add();
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(host.read_pid(pid).alive);
+    children.kill_and_reap(pid);
+    const core::Sample s = host.read_pid(pid);
+    EXPECT_TRUE(s.ok);
+    EXPECT_FALSE(s.alive);
+    EXPECT_EQ(host.stop_pid(pid), core::ControlResult::kGone);
+    EXPECT_EQ(host.cont_pid(pid), core::ControlResult::kGone);
+}
+
+TEST(PosixHost, ZombieReadsDead) {
+    // An exited but unreaped child is a zombie: its /proc entry is still
+    // there, but it reads dead — whether the host knew it alive or first
+    // sees it as a zombie.
+    PosixProcessHost host;
+    IdleChildren children;
+    const pid_t known = children.add();
+    const pid_t fresh = children.add();
+    ASSERT_GT(known, 0);
+    ASSERT_GT(fresh, 0);
+    ASSERT_TRUE(host.read_pid(known).alive);
+    for (const pid_t pid : {known, fresh}) {
+        ::kill(pid, SIGKILL);
+        ASSERT_TRUE(wait_for_zombie(pid));
+        const core::Sample s = host.read_pid(pid);
+        EXPECT_TRUE(s.ok);
+        EXPECT_FALSE(s.alive) << "zombie " << pid << " read alive";
+    }
+}
+
+TEST(PosixHost, HandlesHoldCloexecFdsUntilTheProcessGoes) {
+    // Each pid read costs 3 fds (pidfd, stat, schedstat), all close-on-exec,
+    // and they are given back when the process is seen gone — by a read, or
+    // by a membership scan once it is reaped — or when the host goes.
+    const std::vector<int> baseline = open_fds();
+    constexpr std::size_t kChildren = 16;
+    IdleChildren children;
+    std::vector<pid_t> pids;
+    for (std::size_t i = 0; i < kChildren; ++i) {
+        pids.push_back(children.add());
+        ASSERT_GT(pids.back(), 0);
+    }
+    {
+        PosixProcessHost host;
+        for (const pid_t pid : pids) ASSERT_TRUE(host.read_pid(pid).alive);
+        const std::vector<int> open = open_fds();
+        EXPECT_EQ(open.size(), baseline.size() + 3 * kChildren);
+        for (const int fd : open) {
+            if (std::find(baseline.begin(), baseline.end(), fd) != baseline.end()) continue;
+            EXPECT_TRUE(::fcntl(fd, F_GETFD) & FD_CLOEXEC) << "fd " << fd;
+        }
+    }
+    EXPECT_EQ(open_fds().size(), baseline.size()) << "host destroyed";
+
+    PosixProcessHost host;
+    for (const pid_t pid : pids) ASSERT_TRUE(host.read_pid(pid).alive);
+    for (const pid_t pid : pids) children.kill_and_reap(pid);
+    // Half are seen gone by a read, the other half by a membership scan.
+    for (std::size_t i = 0; i < kChildren / 2; ++i) EXPECT_FALSE(host.read_pid(pids[i]).alive);
+    EXPECT_EQ(open_fds().size(), baseline.size() + 3 * (kChildren / 2)) << "half read dead";
+    (void)host.pids_of_user(static_cast<core::HostUid>(::getuid()));
+    EXPECT_EQ(open_fds().size(), baseline.size()) << "children reaped";
+    for (std::size_t i = kChildren / 2; i < kChildren; ++i) EXPECT_FALSE(host.read_pid(pids[i]).alive);
+}
+
+/// The fd-exhaustion scenario, run in a child process that lowers its own
+/// RLIMIT_NOFILE. Returns 0, or the number of the first check that failed.
+int fd_exhaustion_scenario(pid_t target) {
+    const int probe = ::dup(STDERR_FILENO);
+    if (probe < 0) return 1;
+    ::close(probe);
+    const auto lowest_free = static_cast<rlim_t>(probe);
+    rlimit full{};
+    if (::getrlimit(RLIMIT_NOFILE, &full) != 0) return 2;
+    const auto set_soft = [&](rlim_t soft) {
+        rlimit lim = full;
+        lim.rlim_cur = soft;
+        return ::setrlimit(RLIMIT_NOFILE, &lim) == 0;
+    };
+    const auto not_stopped = [&] {
+        const auto st = read_proc_stat(target);
+        return st && st->state != 'T' && st->state != 't';
+    };
+    // Room for no fd, for the pidfd only, and for the pidfd and stat fd: a
+    // handle cannot be opened, and nothing may be signalled.
+    for (rlim_t room = 0; room < 3; ++room) {
+        const int step = 10 * static_cast<int>(room + 1);
+        PosixProcessHost host;
+        if (!set_soft(lowest_free + room)) return step;
+        const core::Sample s = host.read_pid(target);
+        const core::ControlResult stop = host.stop_pid(target);
+        const core::ControlResult cont = host.cont_pid(target);
+        if (!set_soft(full.rlim_cur)) return step + 1;
+        if (s.ok || !s.alive) return step + 2;
+        if (stop != core::ControlResult::kTransient) return step + 3;
+        if (cont != core::ControlResult::kTransient) return step + 4;
+        if (!not_stopped()) return step + 5;
+        const int again = ::dup(STDERR_FILENO);  // no half-open handle leaked
+        ::close(again);
+        if (again != probe) return step + 6;
+    }
+    // A tenant stopped through a handle can be resumed, and read, with no
+    // fd to spare.
+    PosixProcessHost host;
+    if (host.stop_pid(target) != core::ControlResult::kOk) return 50;
+    if (!set_soft(lowest_free)) return 51;
+    const core::ControlResult cont = host.cont_pid(target);
+    const core::Sample s = host.read_pid(target);
+    if (!set_soft(full.rlim_cur)) return 52;
+    if (cont != core::ControlResult::kOk) return 53;
+    if (!s.ok || !s.alive) return 54;
+    if (!not_stopped()) return 55;
+    return 0;
+}
+
+TEST(PosixHost, FdExhaustionFailsClosed) {
+    IdleChildren children;
+    const pid_t target = children.add();
+    ASSERT_GT(target, 0);
+    const pid_t tester = ::fork();
+    ASSERT_GE(tester, 0);
+    if (tester == 0) ::_exit(fd_exhaustion_scenario(target));
+    int status = 0;
+    ASSERT_EQ(::waitpid(tester, &status, 0), tester);
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "first failed check";
+    const auto st = read_proc_stat(target);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_NE(st->state, 'T');
 }
 
 TEST(PosixHost, BusyChildAccumulatesCpu) {

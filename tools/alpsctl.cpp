@@ -21,6 +21,7 @@
 //   --quiet             suppress the end-of-run report
 #include <pwd.h>
 #include <signal.h>
+#include <sys/resource.h>
 
 #include <iostream>
 
@@ -138,9 +139,21 @@ int run_user_mode(const Options& opt) {
     return 0;
 }
 
+/// Each managed pid holds 3 fds (posix/host.h), so a --user principal over
+/// a large account can pass the usual 1024 soft limit: lift it to the hard
+/// limit.
+void raise_fd_limit() {
+    rlimit lim{};
+    if (::getrlimit(RLIMIT_NOFILE, &lim) == 0 && lim.rlim_cur < lim.rlim_max) {
+        lim.rlim_cur = lim.rlim_max;
+        (void)::setrlimit(RLIMIT_NOFILE, &lim);
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+    raise_fd_limit();
     const auto opt = posix::cli::parse_args(argc, argv, getpwnam_lookup);
     if (!opt) return usage(argv[0]);
     return opt->user_targets.empty() ? run_pid_mode(*opt) : run_user_mode(*opt);
