@@ -181,11 +181,13 @@ fi
 # binary; ALPS_KERNEL_POLICY selects the kernel under the workload), then
 # gates the committed payloads: policy_zoo (whose BSD row is the paper-
 # baseline cross-check) and many_core must reproduce BENCH_policy_zoo.json
-# and BENCH_many_core.json exactly at reduced scale (~1 s together), and the
-# flagship web_scale --full (~15 s) must reproduce BENCH_web_scale.json, once
-# the committed files' "run" block (host timings) is stripped. Their work
-# counts and results are host-independent, so any difference is a behaviour
-# change.
+# and BENCH_many_core.json exactly at reduced scale (~1 s together), as must
+# mechanisms (the only experiment that sets tickets on the in-kernel lottery
+# and stride schedulers), fig4 and fig8_fig9 (~0.5 s together); the flagship
+# web_scale --full (~15 s) must reproduce BENCH_web_scale.json. Each
+# committed file's "run" block (host timings), if any, is stripped first.
+# Their work counts and results are host-independent, so any difference is a
+# behaviour change.
 # Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
 # skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
@@ -201,7 +203,7 @@ if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
     echo "--- policy matrix: $policy"
     ALPS_KERNEL_POLICY="$policy" build-perf/tests/test_policy_matrix
   done
-  for gate in policy_zoo many_core "web_scale --full"; do
+  for gate in policy_zoo many_core mechanisms fig4 fig8_fig9 "web_scale --full"; do
     read -r exp scale <<< "$gate"
     build-perf/tools/alps-sweep --experiment "$exp" ${scale:+"$scale"} --quiet \
       --json-payload-only --out build-perf/payload > /dev/null

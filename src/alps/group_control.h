@@ -47,7 +47,6 @@ public:
 
     [[nodiscard]] std::vector<HostPid> members(EntityId principal) const;
     [[nodiscard]] const std::string& name(EntityId principal) const;
-    [[nodiscard]] std::size_t principal_count() const { return principals_.size(); }
 
     // --- ProcessControl ---
     /// Aggregates member samples. A member whose read fails is skipped (and

@@ -108,8 +108,6 @@ struct CycleRecord {
     std::vector<Duration> consumed;
 };
 
-struct SchedulerSnapshot;
-
 class Scheduler {
 public:
     /// `arena` (optional) backs the entity table with a per-run arena (the
@@ -197,9 +195,6 @@ public:
     [[nodiscard]] std::vector<EntityId> ids() const;
 
 private:
-    friend SchedulerSnapshot snapshot(const Scheduler&);
-    friend void restore(Scheduler&, const SchedulerSnapshot&);
-
     struct Entity {
         Share share = 0;
         double allowance = 0.0;         ///< in quanta

@@ -96,8 +96,6 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
     p.pinned = pinned;
     ALPS_ENSURE(static_cast<std::size_t>(pid) == table_.size());
     table_.push_back(owned);
-    p.ordered_index = ordered_.size();
-    ordered_.push_back(&p);
     std::vector<Proc*>& members = by_uid_[uid];
     p.uid_index = members.size();
     members.push_back(&p);
@@ -112,15 +110,6 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
 void Kernel::reap(Pid pid) {
     Proc& p = proc_mut(pid);
     ALPS_EXPECT(p.state == RunState::kZombie);
-    // ordered_'s iteration order IS observed — second_tick hands it (split
-    // per domain) to the policies — so the erase must keep order (shift +
-    // reindex the tail), not swap with the tail. The stored index still
-    // removes the old O(N) pointer scan to *find* the entry.
-    ALPS_ENSURE(ordered_[p.ordered_index] == &p);
-    ordered_.erase(ordered_.begin() + static_cast<std::ptrdiff_t>(p.ordered_index));
-    for (std::size_t i = p.ordered_index; i < ordered_.size(); ++i) {
-        ordered_[i]->ordered_index = i;
-    }
     p.~Proc();  // arena-backed: destroy in place, the arena keeps the bytes
     table_[static_cast<std::size_t>(pid)] = nullptr;
 }
@@ -209,7 +198,8 @@ const SchedPolicy& Kernel::policy_on(int cpu) const {
 
 std::size_t Kernel::eligible_count() const {
     return static_cast<std::size_t>(std::count_if(
-        ordered_.begin(), ordered_.end(), [](const Proc* p) { return p->eligible(); }));
+        table_.begin(), table_.end(),
+        [](const Proc* p) { return p != nullptr && p->eligible(); }));
 }
 
 // ----------------------------------------------------------------------------
@@ -689,13 +679,15 @@ void Kernel::second_tick() {
     }
     // Each domain decays only its own processes: BSD's estcpu lives on the
     // Proc, so handing every instance the whole machine would apply the
-    // decay ncpus times per tick. Rebuilt from ordered_ each tick — cheaper
-    // than maintaining per-domain membership lists through every migration,
-    // at one pointer append per process per second. The shared queue's one
-    // domain receives ordered_ itself, in creation order.
+    // decay ncpus times per tick. Rebuilt from the process table each tick
+    // — cheaper than maintaining per-domain membership lists through every
+    // migration, at one pointer append per process per second. Pids are
+    // issued in creation order and never reused, so walking table_ (skipping
+    // reaped slots) hands every domain its live and zombie processes in
+    // creation order.
     for (std::vector<Proc*>& v : tick_scratch_) v.clear();
-    for (Proc* p : ordered_) {
-        tick_scratch_[static_cast<std::size_t>(p->home_cpu)].push_back(p);
+    for (Proc* p : table_) {
+        if (p != nullptr) tick_scratch_[static_cast<std::size_t>(p->home_cpu)].push_back(p);
     }
     for (std::size_t d = 0; d < domains_.size(); ++d) {
         domains_[d]->second_tick(tick_scratch_[d], loadavg_, now());

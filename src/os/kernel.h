@@ -260,12 +260,13 @@ private:
     /// and never reused, so slot pid holds that process; reaped slots stay
     /// null). Replaces an unordered_map whose hashing dominated the sampling
     /// hot path; the 8 bytes a reaped pid leaves behind are irrelevant at
-    /// simulation scale. Slot 0 is the unissued kNoPid. Proc records are
+    /// simulation scale. Pid order is creation order, so walking the table
+    /// (skipping null slots) is how second_tick and eligible_count visit
+    /// processes. Slot 0 is the unissued kNoPid. Proc records are
     /// placement-newed from the engine's per-run arena (spawn is
     /// allocation-free once the arena is warm); reap and the destructor run
     /// the destructors, the arena reclaims the bytes.
     std::vector<Proc*> table_;
-    std::vector<Proc*> ordered_;  ///< creation order, live + zombie
     /// Live (non-zombie) processes per uid, in creation order — the cached
     /// answer to pids_of_uid, maintained at spawn/exit (not reap: zombies
     /// are already invisible to pids_of_uid).
@@ -288,7 +289,7 @@ private:
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
     double loadavg_ = 0.0;
 
-    /// Per-domain scratch for second_tick (rebuilt from ordered_ each tick;
+    /// Per-domain scratch for second_tick (rebuilt from table_ each tick;
     /// member to avoid per-tick allocation).
     std::vector<std::vector<Proc*>> tick_scratch_;
 };

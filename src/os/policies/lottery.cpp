@@ -11,9 +11,6 @@ using util::Duration;
 
 LotteryPolicy::LotteryPolicy(LotteryPolicyConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
-    // The base currency is worth exactly its issued tickets (rate 1:1); its
-    // funding tracks issuance so base holdings never dilute each other.
-    currencies_.push_back({0.0, 0.0});
 }
 
 LotteryPolicy::Ticketing& LotteryPolicy::state(const Proc& p) {
@@ -28,13 +25,6 @@ const LotteryPolicy::Ticketing& LotteryPolicy::state(const Proc& p) const {
     return tickets_[pid];
 }
 
-double LotteryPolicy::base_value(const Ticketing& t) const {
-    const Currency& c = currencies_[static_cast<std::size_t>(t.currency)];
-    if (t.currency == kBaseCurrency) return t.amount;
-    if (c.issued <= 0.0) return 0.0;
-    return t.amount * c.funding / c.issued;
-}
-
 // ----------------------------------------------------------------------------
 // Lifecycle
 
@@ -46,9 +36,6 @@ void LotteryPolicy::add(Proc& p) {
     t = Ticketing{};
     t.known = true;
     t.amount = static_cast<double>(nice_to_weight(p.nice));
-    t.currency = kBaseCurrency;
-    currencies_[kBaseCurrency].issued += t.amount;
-    currencies_[kBaseCurrency].funding += t.amount;
 }
 
 void LotteryPolicy::remove(Proc& p) {
@@ -62,9 +49,6 @@ void LotteryPolicy::remove(Proc& p) {
         --pool_size_;
         p.rq_index = -1;
     }
-    Currency& c = currencies_[static_cast<std::size_t>(t.currency)];
-    c.issued -= t.amount;
-    if (t.currency == kBaseCurrency) c.funding -= t.amount;
     t = Ticketing{};
     winner_ = nullptr;
 }
@@ -115,17 +99,17 @@ Proc* LotteryPolicy::draw() {
     double total = 0.0;
     for (const Proc* p = pool_.head; p != nullptr; p = p->rq_next) {
         const Ticketing& t = state(*p);
-        total += base_value(t) * t.comp;
+        total += t.amount * t.comp;
     }
     if (total <= 0.0) {
-        winner_ = pool_.head;  // no funded tickets: degenerate FIFO
+        winner_ = pool_.head;  // no tickets: degenerate FIFO
         return winner_;
     }
     const double ticket = rng_.next_double() * total;
     double acc = 0.0;
     for (Proc* p = pool_.head; p != nullptr; p = p->rq_next) {
         const Ticketing& t = state(*p);
-        acc += base_value(t) * t.comp;
+        acc += t.amount * t.comp;
         if (ticket < acc) {
             winner_ = p;
             return winner_;
@@ -183,51 +167,16 @@ void LotteryPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loada
                                 util::TimePoint /*now*/) {}
 
 // ----------------------------------------------------------------------------
-// Ticket economy
+// Tickets
 
-LotteryPolicy::CurrencyId LotteryPolicy::define_currency(double funding) {
-    ALPS_EXPECT(funding >= 0.0);
-    currencies_.push_back({funding, 0.0});
-    winner_ = nullptr;
-    return static_cast<CurrencyId>(currencies_.size() - 1);
-}
-
-void LotteryPolicy::set_currency_funding(CurrencyId c, double funding) {
-    ALPS_EXPECT(c != kBaseCurrency);
-    ALPS_EXPECT(c > 0 && static_cast<std::size_t>(c) < currencies_.size());
-    ALPS_EXPECT(funding >= 0.0);
-    currencies_[static_cast<std::size_t>(c)].funding = funding;
-    winner_ = nullptr;
-}
-
-void LotteryPolicy::set_tickets(const Proc& p, double amount, CurrencyId c) {
+void LotteryPolicy::set_tickets(const Proc& p, double amount) {
     ALPS_EXPECT(amount >= 0.0);
-    ALPS_EXPECT(c >= 0 && static_cast<std::size_t>(c) < currencies_.size());
-    Ticketing& t = state(p);
-    Currency& old_c = currencies_[static_cast<std::size_t>(t.currency)];
-    old_c.issued -= t.amount;
-    if (t.currency == kBaseCurrency) old_c.funding -= t.amount;
-    t.amount = amount;
-    t.currency = c;
-    Currency& new_c = currencies_[static_cast<std::size_t>(c)];
-    new_c.issued += amount;
-    if (c == kBaseCurrency) new_c.funding += amount;
-    winner_ = nullptr;
-}
-
-void LotteryPolicy::transfer_tickets(const Proc& from, const Proc& to, double amount) {
-    ALPS_EXPECT(amount >= 0.0);
-    Ticketing& f = state(from);
-    Ticketing& t = state(to);
-    ALPS_EXPECT(f.currency == t.currency);
-    ALPS_EXPECT(f.amount >= amount);
-    f.amount -= amount;
-    t.amount += amount;
+    state(p).amount = amount;
     winner_ = nullptr;
 }
 
 double LotteryPolicy::effective_tickets(const Proc& p) const {
-    return base_value(state(p));
+    return state(p).amount;
 }
 
 double LotteryPolicy::compensation(const Proc& p) const { return state(p).comp; }

@@ -1,11 +1,9 @@
 // Lottery scheduling (Waldspurger & Weihl, OSDI '94) as a kernel SchedPolicy.
 //
-// Each process holds an amount of tickets in some currency; a currency is
-// backed by `funding` base tickets split across all tickets issued in it, so
-// a process's *effective* base tickets are amount × funding / issued. Every
-// dispatch decision draws a uniform value over the runnable processes'
-// effective tickets (via the repo's deterministic xoshiro RNG) and the holder
-// of the winning ticket runs for one quantum.
+// Each process holds an amount of tickets. Every dispatch decision draws a
+// uniform value over the runnable processes' tickets (via the repo's
+// deterministic xoshiro RNG) and the holder of the winning ticket runs for
+// one quantum.
 //
 // Compensation tickets: a process that used only a fraction f < 1 of its
 // quantum before leaving the CPU (sleep, preemption) has its tickets
@@ -41,8 +39,6 @@ struct LotteryPolicyConfig {
 class LotteryPolicy final : public SchedPolicy {
 public:
     using Config = LotteryPolicyConfig;
-    using CurrencyId = std::int32_t;
-    static constexpr CurrencyId kBaseCurrency = 0;
     /// Compensation-ticket cap: 1/f inflation is clamped to this factor.
     static constexpr double kMaxCompensation = 64.0;
 
@@ -65,33 +61,20 @@ public:
         return pool_size_ + boosted_size_;
     }
 
-    // ----- ticket economy -----
+    // ----- tickets -----
 
-    /// Creates a currency worth `funding` base tickets, split pro rata over
-    /// the tickets issued in it. Returns its id.
-    CurrencyId define_currency(double funding);
-    /// Re-funds an existing currency (ticket inflation/deflation).
-    void set_currency_funding(CurrencyId c, double funding);
-    /// Reissues `p`'s holding: `amount` tickets in currency `c`. The default
-    /// grant at add() is nice_to_weight(p.nice) base tickets.
-    void set_tickets(const Proc& p, double amount, CurrencyId c = kBaseCurrency);
-    /// Moves `amount` tickets from `from` to `to` (ticket transfer §3.1);
-    /// both must currently hold tickets in the same currency.
-    void transfer_tickets(const Proc& from, const Proc& to, double amount);
+    /// Reissues `p`'s holding as `amount` tickets. The default grant at
+    /// add() is nice_to_weight(p.nice) tickets.
+    void set_tickets(const Proc& p, double amount);
 
-    /// `p`'s holding valued in base tickets (excluding compensation).
+    /// `p`'s holding (excluding compensation).
     [[nodiscard]] double effective_tickets(const Proc& p) const;
     /// Current compensation factor (1 when none is held).
     [[nodiscard]] double compensation(const Proc& p) const;
 
 private:
-    struct Currency {
-        double funding = 0.0;  ///< value in base tickets
-        double issued = 0.0;   ///< tickets issued in this currency
-    };
     struct Ticketing {
         double amount = 0.0;          ///< tickets held
-        CurrencyId currency = kBaseCurrency;
         double comp = 1.0;            ///< compensation factor, >= 1
         util::Duration stint{0};      ///< CPU used since last lottery win
         bool known = false;           ///< add() seen, remove() not yet
@@ -99,14 +82,11 @@ private:
 
     [[nodiscard]] Ticketing& state(const Proc& p);
     [[nodiscard]] const Ticketing& state(const Proc& p) const;
-    /// amount × funding / issued for the process's currency.
-    [[nodiscard]] double base_value(const Ticketing& t) const;
     /// Draw (or return the memoized) winner among the ticket FIFO.
     Proc* draw();
 
     LotteryPolicyConfig cfg_;
     util::Rng rng_;
-    std::vector<Currency> currencies_;
     std::vector<Ticketing> tickets_;  ///< pid-indexed
 
     IntrusiveFifo boosted_;  ///< wake_boost procs, FIFO, ahead of any draw

@@ -164,15 +164,6 @@ void StridePolicy::set_tickets(const Proc& p, double tickets) {
     }
 }
 
-void StridePolicy::transfer_tickets(const Proc& from, const Proc& to, double amount) {
-    ALPS_EXPECT(amount >= 0.0);
-    const Striding& f = state(from);
-    const Striding& t = state(to);
-    ALPS_EXPECT(f.tickets - amount > 0.0);
-    set_tickets(from, f.tickets - amount);
-    set_tickets(to, t.tickets + amount);
-}
-
 double StridePolicy::tickets(const Proc& p) const { return state(p).tickets; }
 
 double StridePolicy::pass(const Proc& p) const {

@@ -20,7 +20,7 @@
 // remain is snapshotted at every charge() — the kernel always charges a
 // process immediately before it leaves a CPU, which makes the snapshot exact
 // at the moment of leave. Ticket changes rescale remain by the stride ratio
-// (client_modify), and transfer_tickets() moves tickets between processes.
+// (client_modify).
 //
 // The run queue is an IndexedProcHeap keyed by (pass, pid) — the PR-3
 // position-indexed heap, O(lg n) with deterministic ties. Freshly woken
@@ -73,8 +73,6 @@ public:
     /// Reissues `p`'s tickets (> 0), rescaling remain by the stride ratio.
     /// The default grant at add() is nice_to_weight(p.nice).
     void set_tickets(const Proc& p, double tickets);
-    /// Moves `amount` tickets from `from` to `to` (both keep > 0).
-    void transfer_tickets(const Proc& from, const Proc& to, double amount);
 
     [[nodiscard]] double tickets(const Proc& p) const;
     [[nodiscard]] double pass(const Proc& p) const;

@@ -41,8 +41,7 @@ struct Proc {
     int rq_index = -1;  ///< run-queue index while queued, else -1
 
     // --- kernel bookkeeping indices (maintained by Kernel) ---
-    std::size_t ordered_index = 0;  ///< position in the creation-order list
-    std::size_t uid_index = 0;      ///< position in the per-uid live list
+    std::size_t uid_index = 0;  ///< position in the per-uid live list
 
     // --- accounting (the simulated getrusage) ---
     util::Duration cpu_consumed{0};  ///< total CPU time ever consumed

@@ -71,7 +71,6 @@ std::optional<ProcStat> parse_proc_stat(std::string_view content) {
         // pid is the first token before " ("
         if (!parse_number(Fields(content.substr(0, open)).next(), st.pid)) return std::nullopt;
     }
-    st.comm = std::string(content.substr(open + 1, close - open - 1));
 
     // After the comm: field 3 (state), then utime/stime at fields 14/15 and
     // starttime at field 22. A real stat line has 52 fields — anything

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "util/time.h"
@@ -21,7 +20,6 @@ namespace alps::posix {
 
 struct ProcStat {
     std::int64_t pid = 0;
-    std::string comm;
     char state = '?';
     std::uint64_t utime_ticks = 0;
     std::uint64_t stime_ticks = 0;
@@ -30,9 +28,9 @@ struct ProcStat {
     std::uint64_t starttime_ticks = 0;
 };
 
-/// Parses the contents of /proc/<pid>/stat. Handles comm values containing
-/// spaces and parentheses (splits at the *last* ')'). Returns nullopt on
-/// malformed input.
+/// Parses the contents of /proc/<pid>/stat. Skips the comm field, which may
+/// contain spaces and parentheses, by splitting at the *last* ')'. Returns
+/// nullopt on malformed input.
 [[nodiscard]] std::optional<ProcStat> parse_proc_stat(std::string_view content);
 
 /// Parses /proc/<pid>/schedstat ("<oncpu_ns> <wait_ns> <slices>"); returns

@@ -41,6 +41,9 @@ public:
 
     /// The scheduler to register pids with (EntityId == pid).
     [[nodiscard]] core::Scheduler& scheduler() { return scheduler_; }
+    /// The host the scheduler reads and signals through. Reading a pid here
+    /// shares the scheduler's handle instead of opening a second set of fds.
+    [[nodiscard]] PosixProcessHost& host() { return host_; }
 
     /// Blocks and schedules for `wall` (or until request_stop() from another
     /// thread or a signal handler).

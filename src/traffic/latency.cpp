@@ -40,7 +40,6 @@ void LatencyRecorder::record(std::size_t site, Duration response,
                              Duration queue_wait, Duration db_wait) {
     Site& s = sites_.at(site);
     s.resp_us.push_back(clamp_us(response));
-    s.resp_ns += response.count();
     s.wait_ns += queue_wait.count();
     s.db_ns += db_wait.count();
     ++s.completed;
@@ -66,12 +65,6 @@ std::uint64_t LatencyRecorder::timeouts(std::size_t site) const {
 }
 std::size_t LatencyRecorder::max_queue_depth(std::size_t site) const {
     return sites_.at(site).max_depth;
-}
-
-Duration LatencyRecorder::mean_response(std::size_t site) const {
-    const Site& s = sites_.at(site);
-    if (s.completed == 0) return Duration::zero();
-    return Duration{s.resp_ns / static_cast<std::int64_t>(s.completed)};
 }
 
 Duration LatencyRecorder::mean_queue_wait(std::size_t site) const {

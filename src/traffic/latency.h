@@ -40,7 +40,6 @@ public:
     [[nodiscard]] std::uint64_t drops(std::size_t site) const;
     [[nodiscard]] std::uint64_t timeouts(std::size_t site) const;
     [[nodiscard]] std::size_t max_queue_depth(std::size_t site) const;
-    [[nodiscard]] util::Duration mean_response(std::size_t site) const;
     [[nodiscard]] util::Duration mean_queue_wait(std::size_t site) const;
 
     [[nodiscard]] std::uint64_t total_completed() const;
@@ -64,7 +63,6 @@ public:
 private:
     struct Site {
         std::vector<std::uint32_t> resp_us;  ///< exact samples, clamped u32
-        std::int64_t resp_ns = 0;
         std::int64_t wait_ns = 0;
         std::int64_t db_ns = 0;
         std::uint64_t completed = 0;

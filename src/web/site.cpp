@@ -166,7 +166,6 @@ WebSite::WebSite(os::Kernel& kernel, SiteConfig cfg,
         }
         weight_total_ += rc.weight;
     }
-    completed_by_class_.assign(classes_.size(), 0);
 
     for (int i = 0; i < cfg_.initial_workers; ++i) spawn_worker();
     master_pid_ = kernel_.spawn(cfg_.name + "-master", cfg_.uid,
@@ -247,12 +246,8 @@ std::uint64_t WebSite::timeouts() const {
 
 void WebSite::record_completion(TimePoint now, ReqId id) {
     ++completed_;
-    ++completed_by_class_[table_->klass(id)];
     const Duration response = now - table_->arrival(id);
     total_response_ += response;
-    const auto second = static_cast<std::size_t>(now.since_epoch / util::sec(1));
-    if (per_second_.size() <= second) per_second_.resize(second + 1, 0);
-    ++per_second_[second];
     recorder_->record(cfg_.site_index, response,
                       table_->dispatch(id) - table_->arrival(id),
                       table_->db_wait(id));

@@ -120,10 +120,6 @@ public:
     [[nodiscard]] const SiteConfig& config() const { return cfg_; }
     [[nodiscard]] os::Uid uid() const { return cfg_.uid; }
     [[nodiscard]] std::uint64_t completed() const { return completed_; }
-    /// Completions per request class, in the order of the effective mix.
-    [[nodiscard]] const std::vector<std::uint64_t>& completed_by_class() const {
-        return completed_by_class_;
-    }
     /// The request mix in effect (synthesized when cfg.classes was empty).
     [[nodiscard]] const std::vector<RequestClass>& request_mix() const {
         return classes_;
@@ -131,10 +127,6 @@ public:
     [[nodiscard]] util::Duration total_response_time() const { return total_response_; }
     [[nodiscard]] int worker_count() const { return workers_alive_; }
     [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-    /// Completions per whole simulated second since t=0.
-    [[nodiscard]] const std::vector<std::uint64_t>& per_second_completions() const {
-        return per_second_;
-    }
     [[nodiscard]] std::uint64_t drops() const;
     [[nodiscard]] std::uint64_t timeouts() const;
     [[nodiscard]] traffic::RequestTable& table() { return *table_; }
@@ -170,9 +162,7 @@ private:
     int retire_pending_ = 0;
 
     std::uint64_t completed_ = 0;
-    std::vector<std::uint64_t> completed_by_class_;
     util::Duration total_response_{0};
-    std::vector<std::uint64_t> per_second_;
     std::function<void(util::Duration)> on_complete_;
 
     os::Pid master_pid_ = os::kNoPid;

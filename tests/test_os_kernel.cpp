@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "os/behaviors.h"
+#include "os/bsd_policy.h"
 #include "sim/engine.h"
 #include "util/assert.h"
 
@@ -105,6 +108,72 @@ TEST(Kernel, ReapRemovesZombie) {
     m.run_for(sec(1));
     m.kernel.reap(p);
     EXPECT_FALSE(m.kernel.exists(p));
+}
+
+/// Forwards to BsdPolicy and records what every second_tick receives.
+class RecordingPolicy final : public SchedPolicy {
+public:
+    struct Tick {
+        std::vector<Pid> pids;
+        double loadavg = 0.0;
+    };
+    std::vector<Tick> ticks;
+
+    void add(Proc& p) override { inner_.add(p); }
+    void remove(Proc& p) override { inner_.remove(p); }
+    void enqueue(Proc& p) override { inner_.enqueue(p); }
+    void dequeue(Proc& p) override { inner_.dequeue(p); }
+    Proc* peek() override { return inner_.peek(); }
+    Proc* pop() override { return inner_.pop(); }
+    [[nodiscard]] bool preempts(const Proc& cand, const Proc& running) const override {
+        return inner_.preempts(cand, running);
+    }
+    [[nodiscard]] bool yields_to(const Proc& running, const Proc& cand) const override {
+        return inner_.yields_to(running, cand);
+    }
+    void charge(Proc& p, Duration ran) override { inner_.charge(p, ran); }
+    void on_wakeup(Proc& p, Duration slept) override { inner_.on_wakeup(p, slept); }
+    void second_tick(std::span<Proc* const> procs, double loadavg,
+                     TimePoint now) override {
+        Tick tick;
+        for (const Proc* p : procs) tick.pids.push_back(p->pid);
+        tick.loadavg = loadavg;
+        ticks.push_back(std::move(tick));
+        inner_.second_tick(procs, loadavg, now);
+    }
+    [[nodiscard]] Duration slice() const override { return inner_.slice(); }
+    [[nodiscard]] std::size_t runnable() const override { return inner_.runnable(); }
+    void on_migrate_out(Proc& p) override { inner_.on_migrate_out(p); }
+    void on_migrate_in(Proc& p) override { inner_.on_migrate_in(p); }
+
+private:
+    BsdPolicy inner_;
+};
+
+TEST(Kernel, SecondTickWalksTheTableInCreationOrder) {
+    // The schedcpu pass walks the pid-indexed table: a reaped pid leaves a
+    // hole that is skipped, the rest arrive in creation order, and the load
+    // average counts only eligible processes (a stopped one is handed to
+    // the policy but not counted).
+    sim::Engine engine;
+    auto owned = std::make_unique<RecordingPolicy>();
+    RecordingPolicy& policy = *owned;
+    Kernel kernel(engine, std::move(owned));
+    const Pid a = kernel.spawn("a", 0, std::make_unique<CpuBoundBehavior>());
+    const Pid b = kernel.spawn("b", 0, std::make_unique<CpuBoundBehavior>());
+    const Pid c = kernel.spawn("c", 0, std::make_unique<CpuBoundBehavior>());
+    engine.run_until(TimePoint{} + msec(100));
+    kernel.send_signal(b, Signal::kKill);
+    kernel.reap(b);
+    kernel.send_signal(c, Signal::kStop);
+    engine.run_until(TimePoint{} + msec(1500));
+
+    ASSERT_EQ(policy.ticks.size(), 1u);
+    EXPECT_EQ(policy.ticks[0].pids, (std::vector<Pid>{a, c}));
+    // One eligible process (a) folded into an empty 60 s EWMA over 1 s.
+    const double expected = 1.0 - std::exp(-1.0 / 60.0);
+    EXPECT_NEAR(policy.ticks[0].loadavg, expected, 1e-12);
+    EXPECT_DOUBLE_EQ(kernel.loadavg(), policy.ticks[0].loadavg);
 }
 
 TEST(Kernel, ReapLiveProcessViolatesContract) {

@@ -119,36 +119,6 @@ TEST(LotteryPolicy, DefaultGrantFollowsNice) {
                      static_cast<double>(policies::nice_to_weight(5)));
 }
 
-TEST(LotteryPolicy, CurrencyValuesHoldingsProRata) {
-    Machine<LotteryPolicy> m;
-    const Pid a = m.hog("a");
-    const Pid b = m.hog("b");
-    const Pid c = m.hog("c");
-    // A and B share a currency worth 1024 base tickets 1:3; C holds 1024
-    // base directly. Effective: A 256, B 768, C 1024.
-    const auto cur = m.pol->define_currency(1024.0);
-    m.pol->set_tickets(m.kernel.proc(a), 100.0, cur);
-    m.pol->set_tickets(m.kernel.proc(b), 300.0, cur);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(a)), 256.0);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(b)), 768.0);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(c)), 1024.0);
-    // Inflating the currency's issue dilutes every holder, not the funding.
-    m.pol->set_tickets(m.kernel.proc(a), 300.0, cur);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(a)), 512.0);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(b)), 512.0);
-}
-
-TEST(LotteryPolicy, TransferMovesTickets) {
-    Machine<LotteryPolicy> m;
-    const Pid a = m.hog("a");
-    const Pid b = m.hog("b");
-    m.pol->set_tickets(m.kernel.proc(a), 400.0);
-    m.pol->set_tickets(m.kernel.proc(b), 400.0);
-    m.pol->transfer_tickets(m.kernel.proc(a), m.kernel.proc(b), 300.0);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(a)), 100.0);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(b)), 700.0);
-}
-
 TEST(LotteryPolicy, CompensationInflatesShortStints) {
     // Driven directly (no kernel): a proc that wins, runs 10 ms of a 100 ms
     // quantum, and re-queues holds a 10x compensation factor until the next
@@ -317,7 +287,8 @@ TEST(StridePolicy, LateArrivalJoinsAtCurrentVirtualTime) {
     EXPECT_NEAR(m.cpu(a), 7.0, 0.1);
 }
 
-TEST(StridePolicy, TransferShiftsTheRatio) {
+TEST(StridePolicy, TicketChangeShiftsTheRatio) {
+    // Reissuing tickets mid-run (client_modify) takes effect from there on.
     Machine<StridePolicy> m;
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
@@ -327,7 +298,8 @@ TEST(StridePolicy, TransferShiftsTheRatio) {
     const double a_before = m.cpu(a);
     const double b_before = m.cpu(b);
     EXPECT_NEAR(a_before, b_before, 0.2);
-    m.pol->transfer_tickets(m.kernel.proc(a), m.kernel.proc(b), 100.0);
+    m.pol->set_tickets(m.kernel.proc(a), 100.0);
+    m.pol->set_tickets(m.kernel.proc(b), 300.0);
     m.run_for(sec(6));  // 1:3 from here on
     EXPECT_NEAR((m.cpu(a) - a_before) / 6.0, 0.25, 0.03);
     EXPECT_NEAR((m.cpu(b) - b_before) / 6.0, 0.75, 0.03);

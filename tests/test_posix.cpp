@@ -41,7 +41,6 @@ TEST(ProcStatParse, TypicalLine) {
         "12345 1000000 100 18446744073709551615 1 1 0 0 0 0 0 0 0 0 0 0 17 3 0 0");
     ASSERT_TRUE(st.has_value());
     EXPECT_EQ(st->pid, 1234);
-    EXPECT_EQ(st->comm, "myproc");
     EXPECT_EQ(st->state, 'R');
     EXPECT_EQ(st->utime_ticks, 250u);
     EXPECT_EQ(st->stime_ticks, 50u);
@@ -53,7 +52,9 @@ TEST(ProcStatParse, CommWithSpacesAndParens) {
         "77 (weird (name) here) S 1 1 1 0 -1 0 0 0 0 0 7 3 0 0 20 0 1 0 0 0 0 0 "
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0");
     ASSERT_TRUE(st.has_value());
-    EXPECT_EQ(st->comm, "weird (name) here");
+    // Split at the last ')': the fields after comm parse, not the ones
+    // inside it.
+    EXPECT_EQ(st->pid, 77);
     EXPECT_EQ(st->state, 'S');
     EXPECT_EQ(st->utime_ticks, 7u);
     EXPECT_EQ(st->stime_ticks, 3u);
@@ -530,6 +531,71 @@ TEST(Alpsctl, SigtermResumesEveryTenant) {
         << "alpsctl did not exit normally on SIGTERM (status " << status << ")";
     EXPECT_NE(proc_state(low), 'T');
     EXPECT_NE(proc_state(high), 'T');
+}
+
+/// Where each of `pid`'s open fds points (readlink of /proc/<pid>/fd/*).
+std::vector<std::string> fd_links(pid_t pid) {
+    std::vector<std::string> links;
+    const std::string dir_path = "/proc/" + std::to_string(pid) + "/fd";
+    DIR* dir = ::opendir(dir_path.c_str());
+    if (dir == nullptr) return links;
+    while (const dirent* entry = ::readdir(dir)) {
+        if (entry->d_name[0] == '.') continue;
+        const std::string path = dir_path + "/" + entry->d_name;
+        char buf[256];
+        const ssize_t n = ::readlink(path.c_str(), buf, sizeof buf);
+        if (n > 0) links.emplace_back(buf, static_cast<std::size_t>(n));
+    }
+    ::closedir(dir);
+    return links;
+}
+
+TEST(Alpsctl, PidModeHoldsThreeFdsPerTarget) {
+    // alpsctl reads its before/after report through the scheduler's own
+    // host, so each target costs one handle: a pidfd plus its stat and
+    // schedstat fds, not a second set for the report.
+    IdleChildren children;
+    const pid_t a = children.add();
+    const pid_t b = children.add();
+    ASSERT_GT(a, 0);
+    ASSERT_GT(b, 0);
+    const std::string a_arg = std::to_string(a) + "=1";
+    const std::string b_arg = std::to_string(b) + "=1";
+    const pid_t ctl = ::fork();
+    ASSERT_GE(ctl, 0);
+    if (ctl == 0) {
+        ::execl(ALPS_ALPSCTL_PATH, "alpsctl", "--quantum", "10ms", "--duration", "20",
+                "--quiet", a_arg.c_str(), b_arg.c_str(), static_cast<char*>(nullptr));
+        ::_exit(127);
+    }
+
+    const auto path_of = [](pid_t pid, const char* name) {
+        return "/proc/" + std::to_string(pid) + "/" + name;
+    };
+    std::vector<std::string> links;
+    const auto count = [&](const std::string& link) {
+        return std::count(links.begin(), links.end(), link);
+    };
+    bool admitted = false;
+    for (int i = 0; i < 2500 && !admitted; ++i) {  // up to ~5 s
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        links = fd_links(ctl);
+        admitted = count(path_of(a, "schedstat")) > 0 && count(path_of(b, "schedstat")) > 0;
+    }
+    // Let it tick for a while (20 quanta) before the count that matters.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    links = fd_links(ctl);
+    ::kill(ctl, SIGTERM);
+    int status = 0;
+    ASSERT_EQ(::waitpid(ctl, &status, 0), ctl);
+    ASSERT_TRUE(admitted) << "alpsctl never opened handles for its targets";
+
+    for (const pid_t pid : {a, b}) {
+        EXPECT_EQ(count(path_of(pid, "stat")), 1) << "pid " << pid;
+        EXPECT_EQ(count(path_of(pid, "schedstat")), 1) << "pid " << pid;
+    }
+    EXPECT_EQ(count("anon_inode:[pidfd]"), 2);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "status " << status;
 }
 
 TEST(Alpsctl, RejectsBadInputWithoutFreezingTenant) {

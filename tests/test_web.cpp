@@ -162,21 +162,6 @@ TEST(WebSite, MasterRetiresIdleWorkers) {
     EXPECT_LT(site.worker_count(), peak);
 }
 
-TEST(WebSite, PerSecondCompletionsCoverRun) {
-    Host h;
-    WebSite site(h.kernel, small_site());
-    ClientConfig cc;
-    cc.count = 10;
-    cc.think_mean = msec(500);
-    ClientPool clients(h.engine, site, cc);
-    h.run_for(sec(5));
-    const auto& per_sec = site.per_second_completions();
-    ASSERT_GE(per_sec.size(), 4u);
-    std::uint64_t total = 0;
-    for (auto c : per_sec) total += c;
-    EXPECT_EQ(total, site.completed());
-}
-
 TEST(WebSite, LegacyFieldsSynthesizeOneClass) {
     Host h;
     WebSite site(h.kernel, small_site());
@@ -203,24 +188,33 @@ TEST(WebSite, BulletinBoardMixShape) {
 }
 
 TEST(WebSite, MixedRequestsCompleteInProportion) {
+    // Two classes told apart by response time alone: a 1 ms page, and the
+    // same page behind a 2 s database call. One submission every 50 ms
+    // keeps ~10 slow requests in flight, well under the 40 workers, so
+    // nothing queues and a fast request never comes near 1 s.
     Host h;
     SiteConfig cfg = small_site();
-    cfg.classes = bulletin_board_mix(0.25);
-    cfg.max_workers = 10;
-    cfg.initial_workers = 4;
+    cfg.classes = {{"fast", 0.75, {{false, msec(1)}}},
+                   {"slow", 0.25, {{false, msec(1)}, {true, sec(2)}}}};
+    cfg.max_workers = 40;
+    cfg.initial_workers = 40;
     WebSite site(h.kernel, cfg);
-    ClientConfig cc;
-    cc.count = 20;
-    cc.think_mean = msec(300);
-    ClientPool clients(h.engine, site, cc);
-    h.run_for(sec(30));
-    const auto& by_class = site.completed_by_class();
-    ASSERT_EQ(by_class.size(), 2u);
-    const auto total = by_class[0] + by_class[1];
-    ASSERT_GT(total, 500u);
+    std::uint64_t fast = 0;
+    std::uint64_t slow = 0;
+    site.set_completion_hook([&](util::Duration r) {
+        EXPECT_TRUE(r < msec(100) || r >= sec(2)) << util::to_sec(r);
+        ++(r < sec(1) ? fast : slow);
+    });
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_TRUE(site.submit());
+        h.run_for(msec(50));
+    }
+    h.run_for(sec(3));
+    const auto total = fast + slow;
+    EXPECT_EQ(total, 1000u);
     EXPECT_EQ(total, site.completed());
-    // ~25% submissions (statistical).
-    const double frac = static_cast<double>(by_class[1]) / static_cast<double>(total);
+    // ~25% slow (statistical).
+    const double frac = static_cast<double>(slow) / static_cast<double>(total);
     EXPECT_NEAR(frac, 0.25, 0.05);
 }
 

@@ -74,7 +74,7 @@ int run_pid_mode(const Options& opt) {
     cfg.quantum = opt.quantum;
     cfg.lazy_measurement = opt.lazy;
     posix::PosixAlpsRunner runner(cfg);
-    posix::PosixProcessHost host;
+    posix::PosixProcessHost& host = runner.host();
 
     std::vector<util::Duration> before;
     for (const Target& t : opt.pid_targets) {
