@@ -260,10 +260,8 @@ harness::Result web_arrivals_task(bool full) {
                 const traffic::ReqId id = live.front();
                 live.erase(live.begin());
                 table.set_dispatch(id, t);
-                table.add_db_wait(id, usec(250));
                 recorder.record(table.site(id) % kSites, t - table.arrival(id),
-                                table.dispatch(id) - table.arrival(id),
-                                table.db_wait(id));
+                                table.dispatch(id) - table.arrival(id));
                 table.release(id);
             }
             live.push_back(table.create(static_cast<std::uint32_t>(i) % kSites,

@@ -187,7 +187,10 @@ fi
 # web_scale --full (~15 s) must reproduce BENCH_web_scale.json. Each
 # committed file's "run" block (host timings), if any, is stripped first.
 # Their work counts and results are host-independent, so any difference is a
-# behaviour change.
+# behaviour change. A work-ratio tripwire then reruns many_core and web_scale
+# at reduced scale and reads their run.telemetry engine counters: more than 5
+# events scheduled per event fired fails (the kernel arms one decision event
+# per schedule() call; one per CPU per pass read 541:1 and 8.2:1 here).
 # Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
 # skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
@@ -221,6 +224,23 @@ if committed != fresh:
         a, b, committed_path, fresh_path, lineterm="", n=2))
     raise SystemExit(f"payload gate: {fresh_path} differs from {committed_path}")
 print(f"payload gate: {fresh_path} matches {committed_path}")
+PY
+  done
+  for exp in many_core web_scale; do
+    build-perf/tools/alps-sweep --experiment "$exp" --quiet --jobs "$JOBS" \
+      --out build-perf/work > /dev/null
+    python3 - "build-perf/work/BENCH_$exp.json" <<'PY'
+import json, sys
+
+path = sys.argv[1]
+counters = json.load(open(path))["run"]["telemetry"]["counters"]
+scheduled = counters["engine.events_scheduled"]
+fired = counters["engine.events_fired"]
+ok = scheduled <= 5 * fired
+print(f"work ratio: {path} scheduled {scheduled:,} / fired {fired:,} = "
+      f"{scheduled / fired:.2f} (limit 5) -> {'OK' if ok else 'TOO MUCH WORK'}")
+if not ok:
+    raise SystemExit(1)
 PY
   done
 fi
@@ -321,4 +341,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + work ratio + chaos leg passed"

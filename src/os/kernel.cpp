@@ -18,32 +18,50 @@ constexpr Duration kSchedcpuPeriod = util::sec(1);
 /// Time constant of the load-average EWMA (4.4BSD's 1-minute average).
 constexpr Duration kLoadavgTau = util::sec(60);
 
-Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelConfig cfg)
-    : engine_(engine), cfg_(std::move(cfg)) {
-    ALPS_EXPECT(cfg_.ncpus >= 1);
+namespace {
+
+/// The scheduling domains the single-policy constructor runs: `policy`
+/// alone, or one instance per domain built by name.
+std::vector<std::unique_ptr<SchedPolicy>> make_domains(std::unique_ptr<SchedPolicy> policy,
+                                                       const KernelConfig& cfg) {
+    std::vector<std::unique_ptr<SchedPolicy>> domains;
     // A pre-constructed policy object is inherently single-instance, so it
     // implies the shared global queue.
-    ALPS_EXPECT(policy == nullptr || !cfg_.percpu_queues);
+    ALPS_EXPECT(policy == nullptr || !cfg.percpu_queues);
     if (policy != nullptr) {
-        domains_.push_back(std::move(policy));
-    } else {
-        // An unknown cfg.policy name throws here — a mistyped experiment
-        // config must fail loudly, never silently run under BSD. Under
-        // per-CPU domains each instance gets its own derived seed so the
-        // lottery domains draw decorrelated streams.
-        const std::size_t n = cfg_.percpu_queues ? static_cast<std::size_t>(cfg_.ncpus) : 1;
-        for (std::size_t d = 0; d < n; ++d) {
-            domains_.push_back(policies::make_policy(
-                cfg_.policy, {.seed = cfg_.policy_seed + static_cast<std::uint64_t>(d)}));
-        }
+        domains.push_back(std::move(policy));
+        return domains;
     }
+    // An unknown cfg.policy name throws here — a mistyped experiment config
+    // must fail loudly, never silently run under BSD. Under per-CPU domains
+    // each instance gets its own derived seed so the lottery domains draw
+    // decorrelated streams.
+    const int n = cfg.percpu_queues ? cfg.ncpus : 1;
+    for (int d = 0; d < n; ++d) {
+        domains.push_back(policies::make_policy(
+            cfg.policy, {.seed = cfg.policy_seed + static_cast<std::uint64_t>(d)}));
+    }
+    return domains;
+}
+
+}  // namespace
+
+Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelConfig cfg)
+    : Kernel(engine, make_domains(std::move(policy), cfg), cfg) {}
+
+Kernel::Kernel(sim::Engine& engine, std::vector<std::unique_ptr<SchedPolicy>> domains,
+               KernelConfig cfg)
+    : engine_(engine), domains_(std::move(domains)), cfg_(std::move(cfg)) {
+    ALPS_EXPECT(cfg_.ncpus >= 1);
+    ALPS_EXPECT(domains_.size() ==
+                (cfg_.percpu_queues ? static_cast<std::size_t>(cfg_.ncpus) : 1u));
+    for (const auto& d : domains_) ALPS_EXPECT(d != nullptr);
     // Each domain serves a contiguous, equal CPU range: [0, ncpus) for the
     // shared queue, {d} for per-CPU domain d. cfg_.percpu_queues is not read
     // past this point.
     cpus_per_domain_ = cfg_.ncpus / static_cast<int>(domains_.size());
     tick_scratch_.resize(domains_.size());
     running_.assign(static_cast<std::size_t>(cfg_.ncpus), nullptr);
-    decision_events_.assign(static_cast<std::size_t>(cfg_.ncpus), 0);
     last_on_cpu_.assign(static_cast<std::size_t>(cfg_.ncpus), kNoPid);
     table_.push_back(nullptr);  // slot 0: kNoPid, never issued
     decision_kind_ = engine_.register_hot(&Kernel::on_decision_timer, this);
@@ -94,6 +112,7 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
     // shared queue).
     p.home_cpu = (home_cpu >= 0 ? home_cpu : (pid - 1) % cfg_.ncpus) / cpus_per_domain_;
     p.pinned = pinned;
+    if (!pinned) ++unpinned_;
     ALPS_ENSURE(static_cast<std::size_t>(pid) == table_.size());
     table_.push_back(owned);
     std::vector<Proc*>& members = by_uid_[uid];
@@ -309,6 +328,7 @@ void Kernel::do_exit(Proc& p) {
         p.pending_stop_event = 0;
     }
     p.state = RunState::kZombie;
+    if (!p.pinned) --unpinned_;
     // Zombies are invisible to pids_of_uid: drop the process from the per-uid
     // cache here (not at reap), keeping the survivors' creation order.
     std::vector<Proc*>& members = by_uid_[p.uid];
@@ -464,19 +484,26 @@ void Kernel::vacate(int cpu) {
     }
 }
 
-void Kernel::arm_decision_timer(int cpu) {
-    auto& ev = decision_events_[static_cast<std::size_t>(cpu)];
-    if (ev != 0) {
-        engine_.cancel(ev);
-        ev = 0;
+void Kernel::arm_decision_timer() {
+    // A pass serves every CPU, so one event at the earliest deadline is
+    // enough. It is re-armed on every call even when that deadline did not
+    // move: the engine fires same-time events in scheduling order, and a
+    // kept event would fire before a same-time wakeup scheduled after it,
+    // which changes schedules (DESIGN §11).
+    if (decision_event_ != 0) engine_.cancel(decision_event_);
+    decision_event_ = 0;
+    bool busy = false;
+    TimePoint next{};
+    for (const Proc* p : running_) {
+        if (p == nullptr) continue;
+        TimePoint deadline = p->slice_end;
+        if (p->run_remaining != kRunForever) {
+            deadline = std::min(deadline, now() + p->run_remaining);
+        }
+        next = busy ? std::min(next, deadline) : deadline;
+        busy = true;
     }
-    const Proc* p = running_[static_cast<std::size_t>(cpu)];
-    if (p == nullptr) return;
-    TimePoint next = p->slice_end;
-    if (p->run_remaining != kRunForever) {
-        next = std::min(next, now() + p->run_remaining);
-    }
-    ev = engine_.schedule_at(next, decision_kind_, 0);
+    if (busy) decision_event_ = engine_.schedule_at(next, decision_kind_, 0);
 }
 
 void Kernel::schedule() {
@@ -573,10 +600,9 @@ void Kernel::schedule() {
                 }
             }
         }
-
-        // 5. Arm the next scheduling decisions.
-        for (int c = 0; c < cfg_.ncpus; ++c) arm_decision_timer(c);
     } while (resched_);
+    // 5. Arm the next scheduling decision.
+    arm_decision_timer();
     in_schedule_ = false;
 }
 
@@ -594,6 +620,7 @@ void Kernel::migrate(Proc& p, std::size_t to) {
 }
 
 Proc* Kernel::steal_for(std::size_t thief) {
+    if (unpinned_ == 0) return nullptr;
     // Victim: the peer domain with the most queued work; ties break to the
     // lowest index so the pick is deterministic.
     std::size_t victim = domains_.size();
@@ -629,6 +656,7 @@ void Kernel::rebalance() {
     // counts the occupants too, so one spinning process per CPU is "balanced"
     // and a (1 running + 1 queued) vs (idle) split triggers a move. A single
     // domain is always balanced.
+    if (unpinned_ == 0) return;
     for (int moves = 0; moves < cfg_.ncpus; ++moves) {
         std::size_t busiest = 0;
         std::size_t idlest = 0;

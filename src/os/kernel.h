@@ -67,8 +67,9 @@ struct KernelConfig {
     /// seeds its policy with policy_seed + d), Proc::home_cpu affinity,
     /// idle-steal, and a rebalance pass each schedcpu tick. Off by default —
     /// the shared queue is the FreeBSD 4.x model the paper's experiments
-    /// assume, and its schedules are pinned by tests/golden/. Requires the
-    /// policy to be built by name (no pre-constructed policy object).
+    /// assume, and its schedules are pinned by tests/golden/. A single
+    /// pre-constructed policy object cannot serve it; pass one per CPU
+    /// instead (Kernel's per-domain constructor).
     bool percpu_queues = false;
 };
 
@@ -83,6 +84,11 @@ public:
     /// wakeups, schedcpu tick) on the engine's devirtualized dispatch path.
     Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy = nullptr,
            KernelConfig cfg = {});
+    /// Per-CPU domains from constructed policies, one per CPU: requires
+    /// cfg.percpu_queues and domains.size() == cfg.ncpus. For a policy the
+    /// factory does not build by name (a test's recording wrapper).
+    Kernel(sim::Engine& engine, std::vector<std::unique_ptr<SchedPolicy>> domains,
+           KernelConfig cfg);
     ~Kernel();
 
     Kernel(const Kernel&) = delete;
@@ -208,7 +214,9 @@ private:
     void dispatch(Proc& p, int cpu);
     /// Takes the process off its CPU (state handling is the caller's job).
     void vacate(int cpu);
-    void arm_decision_timer(int cpu);
+    /// Arms the one decision event at the earliest deadline of any busy CPU
+    /// (none while every CPU is idle).
+    void arm_decision_timer();
     void second_tick();
 
     // ----- per-CPU scheduling domains -----
@@ -224,11 +232,13 @@ private:
     /// Idle-steal: domain `thief` has an idle CPU and an empty queue; pull
     /// the queue head of the most-loaded peer domain (ties: lowest index)
     /// unless it is pinned. Returns the migrated process ready to dispatch,
-    /// or nullptr.
+    /// or nullptr — at once, without reading any domain, when every live
+    /// process is pinned.
     Proc* steal_for(std::size_t thief);
     /// Periodic load balance (schedcpu cadence): move queue heads from the
     /// deepest domain to the shallowest until the spread is < 2, with a
-    /// bounded number of moves per tick; a pinned head ends the pass.
+    /// bounded number of moves per tick; a pinned head ends the pass. A
+    /// no-op when every live process is pinned.
     void rebalance();
     /// Pops `from`'s queue head if it is migratable; nullptr (queue
     /// untouched) when the queue is empty or its head is pinned.
@@ -273,8 +283,8 @@ private:
     std::unordered_map<Uid, std::vector<Proc*>> by_uid_;
 
     std::vector<Proc*> running_;            ///< per-CPU occupant (or null)
-    std::vector<sim::EventId> decision_events_;  ///< per-CPU decision timer
     std::vector<Pid> last_on_cpu_;          ///< per-CPU, for switch counting
+    sim::EventId decision_event_ = 0;       ///< next scheduling decision
 
     sim::Engine::HotKind decision_kind_ = 0;  ///< fires schedule()
     sim::Engine::HotKind wake_kind_ = 0;      ///< fires timer_wake(arg = pid)
@@ -287,6 +297,10 @@ private:
     std::uint64_t context_switches_ = 0;
     std::uint64_t migrations_ = 0;  ///< cross-domain moves (steal + rebalance)
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
+    /// Live processes without Proc::pinned (raised at spawn, lowered at
+    /// exit; pinned never changes). At 0 every queue head is pinned, so
+    /// steal and rebalance cannot move anything and skip their searches.
+    std::size_t unpinned_ = 0;
     double loadavg_ = 0.0;
 
     /// Per-domain scratch for second_tick (rebuilt from table_ each tick;

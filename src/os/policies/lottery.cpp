@@ -53,6 +53,16 @@ void LotteryPolicy::remove(Proc& p) {
     winner_ = nullptr;
 }
 
+void LotteryPolicy::on_migrate_out(Proc& p) {
+    p.tickets = state(p).amount;
+    remove(p);
+}
+
+void LotteryPolicy::on_migrate_in(Proc& p) {
+    add(p);
+    state(p).amount = p.tickets;
+}
+
 // ----------------------------------------------------------------------------
 // Queueing
 

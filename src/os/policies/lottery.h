@@ -60,6 +60,10 @@ public:
     [[nodiscard]] std::size_t runnable() const override {
         return pool_size_ + boosted_size_;
     }
+    /// A migrating process keeps its holding (via Proc::tickets); its
+    /// compensation and stint start fresh on the new domain.
+    void on_migrate_out(Proc& p) override;
+    void on_migrate_in(Proc& p) override;
 
     // ----- tickets -----
 

@@ -48,6 +48,19 @@ void StridePolicy::remove(Proc& p) {
     state(p) = Striding{};
 }
 
+void StridePolicy::on_migrate_out(Proc& p) {
+    p.tickets = state(p).tickets;
+    remove(p);
+}
+
+void StridePolicy::on_migrate_in(Proc& p) {
+    add(p);
+    Striding& s = state(p);
+    s.tickets = p.tickets;
+    s.stride = kStride1 / s.tickets;
+    s.remain = s.stride;
+}
+
 // ----------------------------------------------------------------------------
 // Queueing (join / leave)
 

@@ -68,6 +68,10 @@ public:
     [[nodiscard]] std::size_t runnable() const override {
         return queue_.size() + boosted_size_;
     }
+    /// A migrating process keeps its tickets (via Proc::tickets) and joins
+    /// the new domain like a spawn at that rate: remain is one stride.
+    void on_migrate_out(Proc& p) override;
+    void on_migrate_in(Proc& p) override;
     [[nodiscard]] util::Duration slice() const override { return cfg_.quantum; }
 
     /// Reissues `p`'s tickets (> 0), rescaling remain by the stride ratio.

@@ -34,6 +34,12 @@ struct Proc {
     double estcpu = 0.0;  ///< decaying estimate of recent CPU use, in stat ticks
     double usrpri = 0.0;  ///< user-mode priority; lower is better
 
+    // --- lottery/stride: the ticket holding in transit between domains ---
+    /// Written by the leaving domain's on_migrate_out and read by the
+    /// joining domain's on_migrate_in, so an explicit set_tickets survives
+    /// the move (the policies keep the live holding themselves).
+    double tickets = 0.0;
+
     // --- intrusive run-queue links (maintained by BsdPolicy, like the
     // --- p_forw/p_back TAILQ links of the real struct proc) ---
     Proc* rq_prev = nullptr;

@@ -36,12 +36,10 @@ LatencyRecorder::LatencyRecorder(std::size_t sites) : sites_(sites) {
     ALPS_EXPECT(sites > 0);
 }
 
-void LatencyRecorder::record(std::size_t site, Duration response,
-                             Duration queue_wait, Duration db_wait) {
+void LatencyRecorder::record(std::size_t site, Duration response, Duration queue_wait) {
     Site& s = sites_.at(site);
     s.resp_us.push_back(clamp_us(response));
     s.wait_ns += queue_wait.count();
-    s.db_ns += db_wait.count();
     ++s.completed;
 }
 

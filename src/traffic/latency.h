@@ -1,8 +1,8 @@
 // Per-site end-to-end latency pipeline.
 //
 // Every request is timestamped at arrival (table-row creation), first
-// dispatch (worker pickup), DB wait (accumulated across round trips), and
-// completion; the recorder lands the results per site. It keeps the exact
+// dispatch (worker pickup) and completion; the recorder lands the results
+// per site. It keeps the exact
 // response-time samples (µs resolution) so p50/p95/p99 are true order
 // statistics — the telemetry histograms bucket by powers of two, fine for
 // dashboards but too coarse for a capacity-planning figure — and exports
@@ -24,10 +24,9 @@ class LatencyRecorder {
 public:
     explicit LatencyRecorder(std::size_t sites);
 
-    /// One completed request: end-to-end response, time queued before the
-    /// first dispatch, and total DB wait.
-    void record(std::size_t site, util::Duration response,
-                util::Duration queue_wait, util::Duration db_wait);
+    /// One completed request: end-to-end response and time queued before
+    /// the first dispatch.
+    void record(std::size_t site, util::Duration response, util::Duration queue_wait);
     /// Rejected at the door (listen-queue backlog cap).
     void drop(std::size_t site);
     /// Shed at dispatch: it outwaited the queue deadline.
@@ -64,7 +63,6 @@ private:
     struct Site {
         std::vector<std::uint32_t> resp_us;  ///< exact samples, clamped u32
         std::int64_t wait_ns = 0;
-        std::int64_t db_ns = 0;
         std::uint64_t completed = 0;
         std::uint64_t drops = 0;
         std::uint64_t timeouts = 0;

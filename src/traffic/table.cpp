@@ -13,7 +13,6 @@ constexpr ReqId pack(std::size_t slot, std::uint32_t gen) {
 void RequestTable::reserve(std::size_t rows) {
     arrival_ns_.reserve(rows);
     dispatch_ns_.reserve(rows);
-    db_wait_ns_.reserve(rows);
     site_.reserve(rows);
     gen_.reserve(rows);
     klass_.reserve(rows);
@@ -32,7 +31,6 @@ ReqId RequestTable::create(std::uint32_t site, std::uint16_t klass,
         ALPS_EXPECT(s < 0xffffffffULL);  // slot must fit the id's low half
         arrival_ns_.push_back(0);
         dispatch_ns_.push_back(0);
-        db_wait_ns_.push_back(0);
         site_.push_back(0);
         gen_.push_back(0);
         klass_.push_back(0);
@@ -40,7 +38,6 @@ ReqId RequestTable::create(std::uint32_t site, std::uint16_t klass,
     }
     arrival_ns_[s] = arrival.since_epoch.count();
     dispatch_ns_[s] = arrival.since_epoch.count();
-    db_wait_ns_[s] = 0;
     site_[s] = site;
     klass_[s] = klass;
     live_[s] = 1;

@@ -3,8 +3,8 @@
 //
 // Every in-flight simulated request is one row addressed by a ReqId — a
 // (slot, generation) handle like sim::EventId — in parallel column vectors:
-// the end-to-end latency pipeline's timestamps (arrival, first dispatch,
-// accumulated DB wait) plus the owning site and request class. Rows are
+// the end-to-end latency pipeline's timestamps (arrival, first dispatch)
+// plus the owning site and request class. Rows are
 // recycled through a LIFO freelist (released rows are cache-warm), so a run
 // allocates O(peak in-flight) rows once and then runs allocation-free no
 // matter how many requests pass through. Stale handles are detected by the
@@ -54,12 +54,6 @@ public:
     void set_dispatch(ReqId id, util::TimePoint t) {
         dispatch_ns_[slot(id)] = t.since_epoch.count();
     }
-    [[nodiscard]] util::Duration db_wait(ReqId id) const {
-        return util::Duration{db_wait_ns_[slot(id)]};
-    }
-    void add_db_wait(ReqId id, util::Duration d) {
-        db_wait_ns_[slot(id)] += d.count();
-    }
 
     // ---- occupancy ----
     [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
@@ -76,7 +70,6 @@ private:
 
     std::vector<std::int64_t> arrival_ns_;
     std::vector<std::int64_t> dispatch_ns_;
-    std::vector<std::int64_t> db_wait_ns_;
     std::vector<std::uint32_t> site_;
     std::vector<std::uint32_t> gen_;
     std::vector<std::uint16_t> klass_;

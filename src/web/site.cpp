@@ -64,10 +64,7 @@ public:
             if (phase_index_ < phases.size()) {
                 const RequestPhase& ph = phases[phase_index_++];
                 const Duration d = site_.draw(ph.mean);
-                if (ph.db) {
-                    site_.table_->add_db_wait(req_, d);
-                    return os::SleepAction{d};
-                }
+                if (ph.db) return os::SleepAction{d};
                 return os::RunAction{d};
             }
             site_.record_completion(ctx.kernel.now(), req_);
@@ -249,8 +246,7 @@ void WebSite::record_completion(TimePoint now, ReqId id) {
     const Duration response = now - table_->arrival(id);
     total_response_ += response;
     recorder_->record(cfg_.site_index, response,
-                      table_->dispatch(id) - table_->arrival(id),
-                      table_->db_wait(id));
+                      table_->dispatch(id) - table_->arrival(id));
     if (on_complete_) on_complete_(response);
     table_->release(id);
 }

@@ -110,7 +110,9 @@ TEST(Kernel, ReapRemovesZombie) {
     EXPECT_FALSE(m.kernel.exists(p));
 }
 
-/// Forwards to BsdPolicy and records what every second_tick receives.
+/// Forwards to BsdPolicy and records what every second_tick receives and
+/// how often the kernel asks for the queue length (only steal and
+/// rebalance do).
 class RecordingPolicy final : public SchedPolicy {
 public:
     struct Tick {
@@ -118,6 +120,7 @@ public:
         double loadavg = 0.0;
     };
     std::vector<Tick> ticks;
+    mutable std::size_t runnable_calls = 0;
 
     void add(Proc& p) override { inner_.add(p); }
     void remove(Proc& p) override { inner_.remove(p); }
@@ -142,7 +145,10 @@ public:
         inner_.second_tick(procs, loadavg, now);
     }
     [[nodiscard]] Duration slice() const override { return inner_.slice(); }
-    [[nodiscard]] std::size_t runnable() const override { return inner_.runnable(); }
+    [[nodiscard]] std::size_t runnable() const override {
+        ++runnable_calls;
+        return inner_.runnable();
+    }
     void on_migrate_out(Proc& p) override { inner_.on_migrate_out(p); }
     void on_migrate_in(Proc& p) override { inner_.on_migrate_in(p); }
 
@@ -174,6 +180,107 @@ TEST(Kernel, SecondTickWalksTheTableInCreationOrder) {
     const double expected = 1.0 - std::exp(-1.0 / 60.0);
     EXPECT_NEAR(policy.ticks[0].loadavg, expected, 1e-12);
     EXPECT_DOUBLE_EQ(kernel.loadavg(), policy.ticks[0].loadavg);
+}
+
+/// A 4-CPU per-CPU kernel whose domains are RecordingPolicy instances.
+struct RecordingPercpuMachine {
+    sim::Engine engine;
+    std::vector<RecordingPolicy*> domains;
+    std::unique_ptr<Kernel> kernel;
+
+    RecordingPercpuMachine() {
+        std::vector<std::unique_ptr<SchedPolicy>> owned;
+        for (int d = 0; d < 4; ++d) {
+            auto policy = std::make_unique<RecordingPolicy>();
+            domains.push_back(policy.get());
+            owned.push_back(std::move(policy));
+        }
+        kernel = std::make_unique<Kernel>(engine, std::move(owned),
+                                          KernelConfig{.ncpus = 4, .percpu_queues = true});
+    }
+    Pid hog(int home_cpu, bool pinned) {
+        return kernel->spawn("hog", 0, std::make_unique<CpuBoundBehavior>(), /*nice=*/0,
+                             home_cpu, pinned);
+    }
+    std::size_t runnable_calls() const {
+        std::size_t n = 0;
+        for (const RecordingPolicy* d : domains) n += d->runnable_calls;
+        return n;
+    }
+};
+
+TEST(Kernel, StealAndRebalanceSkipTheirSearchWhenEveryProcessIsPinned) {
+    // Two pinned hogs share CPU 0, so CPUs 1-3 sit idle and every pass
+    // would look for work to steal, and every schedcpu tick would look for
+    // an imbalance. Neither can move a pinned head, so neither reads a
+    // queue length.
+    RecordingPercpuMachine m;
+    m.hog(0, /*pinned=*/true);
+    m.hog(0, /*pinned=*/true);
+    m.engine.run_until(TimePoint{} + msec(2500));
+    EXPECT_EQ(m.runnable_calls(), 0u);
+    EXPECT_EQ(m.kernel->migrations(), 0u);
+
+    // One unpinned process makes both searches real again...
+    const Pid free_hog = m.hog(0, /*pinned=*/false);
+    m.engine.run_until(TimePoint{} + msec(5000));
+    EXPECT_GT(m.runnable_calls(), 0u);
+    EXPECT_EQ(m.kernel->steals(), 1u);  // the free hog moved to an idle CPU
+    EXPECT_NE(m.kernel->proc(free_hog).home_cpu, 0);
+
+    // ...and its exit makes them skippable once more.
+    m.kernel->send_signal(free_hog, Signal::kKill);
+    for (RecordingPolicy* d : m.domains) d->runnable_calls = 0;
+    m.engine.run_until(TimePoint{} + msec(7500));
+    EXPECT_EQ(m.runnable_calls(), 0u);
+}
+
+TEST(Kernel, PerDomainConstructorRequiresOnePolicyPerCpu) {
+    sim::Engine engine;
+    std::vector<std::unique_ptr<SchedPolicy>> two;
+    two.push_back(std::make_unique<BsdPolicy>());
+    two.push_back(std::make_unique<BsdPolicy>());
+    EXPECT_THROW(Kernel(engine, std::move(two), KernelConfig{.ncpus = 4, .percpu_queues = true}),
+                 util::ContractViolation);
+}
+
+TEST(Kernel, OneDecisionEventWhateverTheCpuCount) {
+    // Every pass serves every CPU, so the kernel keeps one pending decision
+    // event (plus the schedcpu tick), not one per busy CPU, and none once
+    // every CPU is idle.
+    sim::Engine engine;
+    Kernel kernel(engine, nullptr, KernelConfig{.ncpus = 4});
+    std::vector<Pid> hogs;
+    for (int i = 0; i < 4; ++i) {
+        hogs.push_back(kernel.spawn(numbered("h", i), 0, std::make_unique<CpuBoundBehavior>()));
+    }
+    engine.run_until(TimePoint{} + msec(30));
+    EXPECT_EQ(engine.live_events(), 2u);
+    kernel.send_signal(hogs[0], Signal::kStop);
+    EXPECT_EQ(engine.live_events(), 2u);
+    for (std::size_t i = 1; i < hogs.size(); ++i) kernel.send_signal(hogs[i], Signal::kStop);
+    EXPECT_EQ(engine.live_events(), 1u);  // idle machine: the tick only
+    kernel.send_signal(hogs[2], Signal::kCont);
+    EXPECT_EQ(engine.live_events(), 2u);
+}
+
+TEST(Kernel, DecisionFiresForANewOccupantWithTheSameDeadline) {
+    // The hog's slice ends at 100 ms. Stopping it at 50 ms hands the CPU to
+    // a job with exactly 50 ms of work left: a new process, same deadline.
+    // The decision at 100 ms must still run and see the job finish.
+    Machine m;
+    const Pid hog = m.cpu_hog();
+    const Pid job = m.kernel.spawn("job", 0, std::make_unique<FiniteCpuBehavior>(msec(50)));
+    m.run_for(msec(50));
+    m.kernel.send_signal(hog, Signal::kStop);
+    ASSERT_EQ(m.kernel.running_pid(), job);
+    m.engine.run_until(TimePoint{} + msec(100) - Duration{1});
+    EXPECT_EQ(m.kernel.proc(job).state, RunState::kRunning);
+    m.engine.run_until(TimePoint{} + msec(100));
+    EXPECT_EQ(m.kernel.proc(job).state, RunState::kZombie);
+    EXPECT_EQ(m.kernel.cpu_time(job), msec(50));
+    EXPECT_EQ(m.kernel.cpu_time(hog), msec(50));
+    EXPECT_EQ(m.engine.live_events(), 1u);  // nothing left to decide
 }
 
 TEST(Kernel, ReapLiveProcessViolatesContract) {

@@ -9,6 +9,7 @@
 #include "os/behaviors.h"
 #include "os/kernel.h"
 #include "os/policies/lottery.h"
+#include "os/policies/stride.h"
 #include "sim/engine.h"
 
 namespace alps::os {
@@ -254,6 +255,64 @@ TEST(PercpuKernel, StealLeavesPinnedLotteryHeadUntouched) {
     EXPECT_EQ(m.kernel.migrations(), 0u);
     EXPECT_EQ(m.kernel.proc(hog).home_cpu, 0);
     EXPECT_EQ(m.kernel.running_pid_on(1), kNoPid);
+}
+
+TEST(PercpuKernel, WakeupOnOneCpuArmsOneDecisionEvent) {
+    // One pinned hog per CPU plus a sleeper pinned to CPU 0. Waking the
+    // sleeper changes CPU 0 only; the pass re-arms the kernel's single
+    // decision event and touches no other CPU's timing.
+    for (const int ncpus : {4, 16}) {
+        PercpuMachine m(ncpus);
+        for (int c = 0; c < ncpus; ++c) {
+            m.kernel.spawn(numbered("hog", c), 0, std::make_unique<CpuBoundBehavior>(),
+                           /*nice=*/0, c, /*pinned=*/true);
+        }
+        std::vector<Action> script{BlockAction{}, RunAction{msec(5)}};
+        const Pid sleeper =
+            m.kernel.spawn("sleeper", 0, std::make_unique<ScriptedBehavior>(script, true),
+                           /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+        m.run_for(msec(50));
+        ASSERT_TRUE(m.kernel.is_blocked(sleeper));
+        const std::uint64_t before = m.engine.events_scheduled();
+        m.kernel.wakeup(sleeper);
+        EXPECT_EQ(m.kernel.running_pid_on(0), sleeper) << ncpus;  // boost preempted
+        EXPECT_EQ(m.engine.events_scheduled() - before, 1u) << ncpus;
+    }
+}
+
+/// Spawns a pinned hog on CPU 0, a pinned 50 ms job on CPU 1 and an
+/// unpinned hog homed on CPU 0 that waits behind the first; returns the
+/// unpinned hog. When the job exits, CPU 1 steals it.
+Pid spawn_steal_scenario(PercpuMachine& m) {
+    m.kernel.spawn("pinned", 0, std::make_unique<CpuBoundBehavior>(), /*nice=*/0, 0,
+                   /*pinned=*/true);
+    m.kernel.spawn("job", 0, std::make_unique<FiniteCpuBehavior>(msec(50)), /*nice=*/0, 1,
+                   /*pinned=*/true);
+    return m.hog("mover", 0);
+}
+
+TEST(PercpuKernel, LotteryTicketsSurviveMigration) {
+    PercpuMachine m(2, "lottery");
+    const Pid mover = spawn_steal_scenario(m);
+    dynamic_cast<policies::LotteryPolicy&>(m.kernel.policy())
+        .set_tickets(m.kernel.proc(mover), 5000.0);
+    m.run_for(msec(60));
+    ASSERT_EQ(m.kernel.steals(), 1u);
+    ASSERT_EQ(m.kernel.proc(mover).home_cpu, 1);
+    const auto& joined = dynamic_cast<const policies::LotteryPolicy&>(m.kernel.policy_on(1));
+    EXPECT_DOUBLE_EQ(joined.effective_tickets(m.kernel.proc(mover)), 5000.0);
+}
+
+TEST(PercpuKernel, StrideTicketsSurviveMigration) {
+    PercpuMachine m(2, "stride");
+    const Pid mover = spawn_steal_scenario(m);
+    dynamic_cast<policies::StridePolicy&>(m.kernel.policy())
+        .set_tickets(m.kernel.proc(mover), 5000.0);
+    m.run_for(msec(60));
+    ASSERT_EQ(m.kernel.steals(), 1u);
+    ASSERT_EQ(m.kernel.proc(mover).home_cpu, 1);
+    const auto& joined = dynamic_cast<const policies::StridePolicy&>(m.kernel.policy_on(1));
+    EXPECT_DOUBLE_EQ(joined.tickets(m.kernel.proc(mover)), 5000.0);
 }
 
 TEST(PercpuKernel, SpawnRejectsOutOfRangeHomeCpu) {

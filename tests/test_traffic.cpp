@@ -215,12 +215,8 @@ TEST(Table, TimestampPipelinePerRow) {
     const ReqId id = t.create(0, 0, t0);
     EXPECT_EQ(t.arrival(id), t0);
     EXPECT_EQ(t.dispatch(id), t0);  // dispatch defaults to arrival
-    EXPECT_EQ(t.db_wait(id), Duration::zero());
     t.set_dispatch(id, t0 + msec(3));
-    t.add_db_wait(id, msec(20));
-    t.add_db_wait(id, msec(30));
     EXPECT_EQ(t.dispatch(id) - t.arrival(id), msec(3));
-    EXPECT_EQ(t.db_wait(id), msec(50));
     t.release(id);
     EXPECT_EQ(t.in_flight(), 0u);
 }
@@ -249,9 +245,9 @@ TEST(Table, IdRingIsFifoAcrossGrowth) {
 TEST(Latency, ExactQuantilesAndCounters) {
     LatencyRecorder rec(2);
     for (int i = 1; i <= 100; ++i) {
-        rec.record(0, msec(i), msec(1), Duration::zero());
+        rec.record(0, msec(i), msec(1));
     }
-    rec.record(1, msec(500), Duration::zero(), msec(400));
+    rec.record(1, msec(500), Duration::zero());
     rec.drop(0);
     rec.timeout(1);
     rec.note_queue_depth(0, 7);
