@@ -259,9 +259,7 @@ harness::Result web_arrivals_task(bool full) {
                 // completion pipeline a web worker drives per request).
                 const traffic::ReqId id = live.front();
                 live.erase(live.begin());
-                table.set_dispatch(id, t);
-                recorder.record(table.site(id) % kSites, t - table.arrival(id),
-                                table.dispatch(id) - table.arrival(id));
+                recorder.record(table.site(id) % kSites, t - table.arrival(id));
                 table.release(id);
             }
             live.push_back(table.create(static_cast<std::uint32_t>(i) % kSites,

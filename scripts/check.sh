@@ -191,6 +191,7 @@ fi
 # at reduced scale and reads their run.telemetry engine counters: more than 5
 # events scheduled per event fired fails (the kernel arms one decision event
 # per schedule() call; one per CPU per pass read 541:1 and 8.2:1 here).
+# Last, web_section5 runs at --full scale and must exit 0.
 # Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
 # skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
@@ -243,6 +244,11 @@ if not ok:
     raise SystemExit(1)
 PY
   done
+  # The §5 shared-web-server claim at paper scale: every criterion of
+  # web_section5 --full (kernel-only split, the 1:2:3 split at each quantum
+  # and refresh point, falling overhead) must pass; alps-sweep exits
+  # non-zero when one fails.
+  build-perf/tools/alps-sweep --experiment web_section5 --full --quiet --no-json
 fi
 
 # --- Chaos leg: the sweep harness must survive its own runs dying ---
@@ -341,4 +347,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + work ratio + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + work ratio + web_section5 --full + chaos leg passed"

@@ -65,7 +65,6 @@ Scheduler::Scheduler(ProcessControl& control, SchedulerConfig cfg, util::Arena* 
       cfg_(cfg),
       entities_(util::ArenaAllocator<std::pair<EntityId, Entity>>(arena)) {
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
-    ALPS_EXPECT(cfg_.max_parallelism >= 1.0);
 }
 
 void Scheduler::add(EntityId id, Share share) {
@@ -515,11 +514,12 @@ TickStats Scheduler::tick() {
         }
         if (!cfg_.lazy_measurement) continue;
         if (e.update <= count_) {
-            // §2.3: entity i cannot exhaust its allowance in fewer than
-            // ceil(allowance / parallelism) quanta, so skip measuring it
-            // until then.
-            const double quanta_until_due =
-                std::max(std::ceil(e.allowance / cfg_.max_parallelism), 1.0);
+            // §2.3: a process cannot exhaust its allowance in fewer than
+            // ceil(allowance) quanta, so skip measuring it until then. A
+            // group principal with k runnable members on m CPUs can burn
+            // min(k, m) quanta per tick, so it may overrun by that factor
+            // between reads (DESIGN §5).
+            const double quanta_until_due = std::max(std::ceil(e.allowance), 1.0);
             e.update = count_ + static_cast<std::uint64_t>(quanta_until_due);
         }
     }

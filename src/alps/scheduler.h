@@ -51,12 +51,6 @@ struct SchedulerConfig {
     bool lazy_measurement = true;
     /// §2.4: charge blocked entities one quantum and shrink the cycle.
     bool io_accounting = true;
-    /// Upper bound on how many quanta of CPU one entity can consume per tick.
-    /// 1 for a single process on one CPU (the paper's setting); a group
-    /// principal of k processes on an m-CPU host can burn min(k, m) — the
-    /// lazy-measurement postponement divides by this so it stays a sound
-    /// lower bound.
-    double max_parallelism = 1.0;
 };
 
 /// Everything the algorithm did during one tick; the simulation backend

@@ -228,7 +228,6 @@ SimGroupAlps::~SimGroupAlps() {
 
 EntityId SimGroupAlps::manage_user(std::string name, os::Uid uid, Share share) {
     const EntityId id = control_->add_principal(std::move(name), uid);
-    control_->refresh(id);
     scheduler_->add(id, share);
     return id;
 }

@@ -183,8 +183,8 @@ public:
     SimGroupAlps(const SimGroupAlps&) = delete;
     SimGroupAlps& operator=(const SimGroupAlps&) = delete;
 
-    /// Creates a principal tracking all processes of `uid` and registers it
-    /// with the given share.
+    /// Creates a principal tracking all processes of `uid` (charged from
+    /// now on) and registers it with the given share.
     EntityId manage_user(std::string name, os::Uid uid, Share share);
 
     [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }

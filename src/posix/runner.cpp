@@ -99,13 +99,6 @@ PosixGroupAlpsRunner::PosixGroupAlpsRunner(core::SchedulerConfig cfg,
 core::EntityId PosixGroupAlpsRunner::manage_user(std::string name, core::HostUid uid,
                                                  util::Share share) {
     const core::EntityId id = control_.add_principal(std::move(name), uid);
-    control_.refresh(id);
-    scheduler_.add(id, share);
-    return id;
-}
-
-core::EntityId PosixGroupAlpsRunner::manage_group(std::string name, util::Share share) {
-    const core::EntityId id = control_.add_principal(std::move(name));
     scheduler_.add(id, share);
     return id;
 }

@@ -60,9 +60,9 @@ private:
     std::atomic<bool> stop_{false};
 };
 
-/// Group-principal ALPS on the real OS: entities are principals (e.g. one
-/// per user account); membership is refreshed from /proc every
-/// `refresh_period` (the paper uses one second).
+/// Group-principal ALPS on the real OS: entities are principals, one per
+/// user account; membership is refreshed from /proc every `refresh_period`
+/// (the paper uses one second).
 class PosixGroupAlpsRunner {
 public:
     explicit PosixGroupAlpsRunner(core::SchedulerConfig cfg = {},
@@ -71,9 +71,6 @@ public:
     /// Creates a principal tracking all of `uid`'s processes and registers
     /// it with the given share. Returns its EntityId.
     core::EntityId manage_user(std::string name, core::HostUid uid, util::Share share);
-
-    /// Creates an explicit-membership principal with the given share.
-    core::EntityId manage_group(std::string name, util::Share share);
 
     [[nodiscard]] core::Scheduler& scheduler() { return scheduler_; }
     [[nodiscard]] core::GroupProcessControl& groups() { return control_; }

@@ -36,21 +36,15 @@ LatencyRecorder::LatencyRecorder(std::size_t sites) : sites_(sites) {
     ALPS_EXPECT(sites > 0);
 }
 
-void LatencyRecorder::record(std::size_t site, Duration response, Duration queue_wait) {
+void LatencyRecorder::record(std::size_t site, Duration response) {
     Site& s = sites_.at(site);
     s.resp_us.push_back(clamp_us(response));
-    s.wait_ns += queue_wait.count();
     ++s.completed;
 }
 
 void LatencyRecorder::drop(std::size_t site) { ++sites_.at(site).drops; }
 
 void LatencyRecorder::timeout(std::size_t site) { ++sites_.at(site).timeouts; }
-
-void LatencyRecorder::note_queue_depth(std::size_t site, std::size_t depth) {
-    Site& s = sites_.at(site);
-    s.max_depth = std::max(s.max_depth, depth);
-}
 
 std::uint64_t LatencyRecorder::completed(std::size_t site) const {
     return sites_.at(site).completed;
@@ -60,15 +54,6 @@ std::uint64_t LatencyRecorder::drops(std::size_t site) const {
 }
 std::uint64_t LatencyRecorder::timeouts(std::size_t site) const {
     return sites_.at(site).timeouts;
-}
-std::size_t LatencyRecorder::max_queue_depth(std::size_t site) const {
-    return sites_.at(site).max_depth;
-}
-
-Duration LatencyRecorder::mean_queue_wait(std::size_t site) const {
-    const Site& s = sites_.at(site);
-    if (s.completed == 0) return Duration::zero();
-    return Duration{s.wait_ns / static_cast<std::int64_t>(s.completed)};
 }
 
 std::uint64_t LatencyRecorder::total_completed() const {

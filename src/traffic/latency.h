@@ -1,14 +1,13 @@
 // Per-site end-to-end latency pipeline.
 //
-// Every request is timestamped at arrival (table-row creation), first
-// dispatch (worker pickup) and completion; the recorder lands the results
-// per site. It keeps the exact
+// Every request is timestamped at arrival (table-row creation) and
+// completion; the recorder lands the results per site. It keeps the exact
 // response-time samples (µs resolution) so p50/p95/p99 are true order
 // statistics — the telemetry histograms bucket by powers of two, fine for
 // dashboards but too coarse for a capacity-planning figure — and exports
-// both: exact quantile gauges and log-bucketed histograms, plus queue-depth
-// high-water marks and drop/timeout counters, into the metrics registry
-// that BENCH_*.json serializes as run.telemetry.
+// both: exact quantile gauges and log-bucketed histograms, plus
+// drop/timeout counters, into the metrics registry that BENCH_*.json
+// serializes as run.telemetry.
 #pragma once
 
 #include <cstdint>
@@ -24,22 +23,17 @@ class LatencyRecorder {
 public:
     explicit LatencyRecorder(std::size_t sites);
 
-    /// One completed request: end-to-end response and time queued before
-    /// the first dispatch.
-    void record(std::size_t site, util::Duration response, util::Duration queue_wait);
+    /// One completed request: its end-to-end response time.
+    void record(std::size_t site, util::Duration response);
     /// Rejected at the door (listen-queue backlog cap).
     void drop(std::size_t site);
     /// Shed at dispatch: it outwaited the queue deadline.
     void timeout(std::size_t site);
-    /// Tracks the listen queue's high-water mark; call on every enqueue.
-    void note_queue_depth(std::size_t site, std::size_t depth);
 
     [[nodiscard]] std::size_t sites() const { return sites_.size(); }
     [[nodiscard]] std::uint64_t completed(std::size_t site) const;
     [[nodiscard]] std::uint64_t drops(std::size_t site) const;
     [[nodiscard]] std::uint64_t timeouts(std::size_t site) const;
-    [[nodiscard]] std::size_t max_queue_depth(std::size_t site) const;
-    [[nodiscard]] util::Duration mean_queue_wait(std::size_t site) const;
 
     [[nodiscard]] std::uint64_t total_completed() const;
     [[nodiscard]] std::uint64_t total_drops() const;
@@ -62,11 +56,9 @@ public:
 private:
     struct Site {
         std::vector<std::uint32_t> resp_us;  ///< exact samples, clamped u32
-        std::int64_t wait_ns = 0;
         std::uint64_t completed = 0;
         std::uint64_t drops = 0;
         std::uint64_t timeouts = 0;
-        std::size_t max_depth = 0;
     };
 
     std::vector<Site> sites_;

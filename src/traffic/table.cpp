@@ -12,7 +12,6 @@ constexpr ReqId pack(std::size_t slot, std::uint32_t gen) {
 
 void RequestTable::reserve(std::size_t rows) {
     arrival_ns_.reserve(rows);
-    dispatch_ns_.reserve(rows);
     site_.reserve(rows);
     gen_.reserve(rows);
     klass_.reserve(rows);
@@ -30,14 +29,12 @@ ReqId RequestTable::create(std::uint32_t site, std::uint16_t klass,
         s = site_.size();
         ALPS_EXPECT(s < 0xffffffffULL);  // slot must fit the id's low half
         arrival_ns_.push_back(0);
-        dispatch_ns_.push_back(0);
         site_.push_back(0);
         gen_.push_back(0);
         klass_.push_back(0);
         live_.push_back(0);
     }
     arrival_ns_[s] = arrival.since_epoch.count();
-    dispatch_ns_[s] = arrival.since_epoch.count();
     site_[s] = site;
     klass_[s] = klass;
     live_[s] = 1;

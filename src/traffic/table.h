@@ -3,11 +3,10 @@
 //
 // Every in-flight simulated request is one row addressed by a ReqId — a
 // (slot, generation) handle like sim::EventId — in parallel column vectors:
-// the end-to-end latency pipeline's timestamps (arrival, first dispatch)
-// plus the owning site and request class. Rows are
-// recycled through a LIFO freelist (released rows are cache-warm), so a run
-// allocates O(peak in-flight) rows once and then runs allocation-free no
-// matter how many requests pass through. Stale handles are detected by the
+// the request's arrival timestamp plus the owning site and request class.
+// Rows are recycled through a LIFO freelist (released rows are cache-warm),
+// so a run allocates O(peak in-flight) rows once and then runs
+// allocation-free no matter how many requests pass through. Stale handles are detected by the
 // generation check, which the ASan reuse/reap tests lean on.
 #pragma once
 
@@ -47,13 +46,6 @@ public:
     [[nodiscard]] util::TimePoint arrival(ReqId id) const {
         return util::TimePoint{util::Duration{arrival_ns_[slot(id)]}};
     }
-    /// First worker pickup; == arrival until set_dispatch.
-    [[nodiscard]] util::TimePoint dispatch(ReqId id) const {
-        return util::TimePoint{util::Duration{dispatch_ns_[slot(id)]}};
-    }
-    void set_dispatch(ReqId id, util::TimePoint t) {
-        dispatch_ns_[slot(id)] = t.since_epoch.count();
-    }
 
     // ---- occupancy ----
     [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
@@ -69,7 +61,6 @@ private:
     }
 
     std::vector<std::int64_t> arrival_ns_;
-    std::vector<std::int64_t> dispatch_ns_;
     std::vector<std::uint32_t> site_;
     std::vector<std::uint32_t> gen_;
     std::vector<std::uint16_t> klass_;

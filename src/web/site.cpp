@@ -55,7 +55,6 @@ public:
                     }
                     if (id == kNoRequest) continue;
                 }
-                site_.table_->set_dispatch(id, now);
                 req_ = id;
                 phase_index_ = 0;
             }
@@ -222,7 +221,6 @@ bool WebSite::submit() {
                                     static_cast<std::uint16_t>(klass),
                                     kernel_.now());
     queue_.push(id);
-    recorder_->note_queue_depth(cfg_.site_index, queue_.size());
     if (!idle_.empty()) {
         const os::Pid worker = idle_.back();
         idle_.pop_back();
@@ -245,8 +243,7 @@ void WebSite::record_completion(TimePoint now, ReqId id) {
     ++completed_;
     const Duration response = now - table_->arrival(id);
     total_response_ += response;
-    recorder_->record(cfg_.site_index, response,
-                      table_->dispatch(id) - table_->arrival(id));
+    recorder_->record(cfg_.site_index, response);
     if (on_complete_) on_complete_(response);
     table_->release(id);
 }

@@ -12,9 +12,8 @@
 // Requests are rows in a traffic::RequestTable — a flat SoA table shared by
 // every site of a cluster, so production-scale runs (thousands of sites,
 // hundreds of thousands of in-flight requests) allocate nothing per
-// request. Each row carries the end-to-end latency pipeline's timestamps
-// (arrival / dispatch / DB wait / completion), landed per site in a
-// traffic::LatencyRecorder. A standalone site (tests, the §5 experiment)
+// request. Each row carries its arrival timestamp; the response time
+// (arrival to completion) lands per site in a traffic::LatencyRecorder. A standalone site (tests, the §5 experiment)
 // owns a private table and recorder.
 #pragma once
 

@@ -1,7 +1,8 @@
 // Property tests for group principals under membership churn, against a fake
 // host whose per-pid clocks the test drives by hand. Invariant: a
-// principal's reported cumulative CPU equals the sum of its members'
-// consumption while they were members (join-baselined, death-retained).
+// principal's reported cumulative CPU equals everything its uid's processes
+// consumed after admission (admission members baselined, later joiners
+// charged from birth, the dead retained).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -67,15 +68,24 @@ TEST_P(GroupChurnTest, PrincipalAccountingMatchesGroundTruth) {
     GroupProcessControl gc(host);
     util::Rng rng(GetParam());
 
-    const EntityId g = gc.add_principal("u", 500);
     HostPid next_pid = 1;
-    // Ground truth: CPU consumed by members *while members and alive*.
+    // The uid's processes at admission, with CPU from before it: not ALPS's
+    // to charge.
+    for (int i = 0; i < 2; ++i) {
+        const auto past = Duration{rng.uniform_int(0, msec(50).count())};
+        host.procs[next_pid++] = {past, false, true, false, 500};
+    }
+    const EntityId g = gc.add_principal("u", 500);
+    // Ground truth: CPU the uid's processes consumed after admission.
     double truth_ns = 0.0;
 
     for (int step = 0; step < 500; ++step) {
         const double roll = rng.next_double();
         if (roll < 0.1) {
-            host.procs[next_pid++] = {Duration{0}, false, true, false, 500};
+            // A newborn ran before the refresh found it; that CPU counts.
+            const auto before_join = Duration{rng.uniform_int(0, msec(5).count())};
+            host.procs[next_pid++] = {before_join, false, true, false, 500};
+            truth_ns += static_cast<double>(before_join.count());
             gc.refresh(g);
         } else if (roll < 0.16 && !gc.members(g).empty()) {
             const auto members = gc.members(g);

@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <memory>
+#include <vector>
 
+#include "alps/sim_adapter.h"
+#include "os/behaviors.h"
+#include "os/kernel.h"
+#include "os/policies/cfs.h"
+#include "sim/engine.h"
 #include "util/stats.h"
 
 #include "workload/distributions.h"
@@ -177,6 +184,66 @@ TEST(IntegrationMultiAlps, GroupsSplitMachineRoughlyEvenlyInPhase3) {
     for (int g = 0; g < 3; ++g) {
         EXPECT_NEAR(group_rate[g], 1.0 / 3.0, 0.12) << "group " << g;
     }
+}
+
+TEST(IntegrationGroup, ForkingTenantCannotEscapeItsShare) {
+    // Gunther's SRM "unfair advantage": a tenant forks a fresh CPU burner
+    // every half refresh period, each living 1.5 periods, beside a steady
+    // one-process tenant at shares 1:1 on one CPU. A burner runs from its
+    // birth until the next membership refresh before ALPS knows it exists.
+    // Charged from zero when the refresh finds it, that head start is a
+    // debt the tenant repays, so the split stays 1:1 (0.498 measured).
+    // Baselined at the refresh instead, the head start is free CPU: the
+    // forking tenant took 0.646 of the machine that way.
+    //
+    // The kernel is CFS, which places a newborn at min_vruntime beside the
+    // steady process, as Linux does. Under 4.4BSD a newborn's zero estcpu
+    // outranks the steady process, so the not-yet-found burners alone take
+    // 3/4 of the CPU, more than the tenant's share: no charging rule can
+    // recover CPU from processes ALPS cannot yet stop.
+    sim::Engine engine;
+    os::Kernel kernel(engine, std::make_unique<os::policies::CfsPolicy>());
+    core::SchedulerConfig scfg;
+    scfg.quantum = msec(10);
+    const util::Duration refresh = util::sec(1);
+    core::SimGroupAlps alps(kernel, scfg, core::CostModel{}, refresh);
+
+    const os::Uid steady_uid = 100;
+    const os::Uid forker_uid = 200;
+    const os::Pid steady =
+        kernel.spawn("steady", steady_uid, std::make_unique<os::CpuBoundBehavior>());
+    alps.manage_user("steady", steady_uid, 1);
+    alps.manage_user("forker", forker_uid, 1);
+
+    const util::Duration wall = util::sec(40);
+    const util::Duration lifetime = refresh * 3 / 2;
+    double forker_cpu = 0.0;  // burners' CPU, banked as each is killed
+    std::vector<os::Pid> burners;
+    for (util::Duration at = refresh / 4; at < wall; at += refresh / 2) {
+        engine.schedule_at(util::TimePoint{at}, [&] {
+            const os::Pid pid = kernel.spawn("burner", forker_uid,
+                                             std::make_unique<os::CpuBoundBehavior>());
+            burners.push_back(pid);
+            engine.schedule_after(lifetime, [&, pid] {
+                forker_cpu += util::to_sec(kernel.cpu_time(pid));
+                kernel.send_signal(pid, os::Signal::kKill);
+            });
+        });
+    }
+    engine.run_until(util::TimePoint{wall});
+    for (const os::Pid pid : burners) {
+        if (kernel.alive(pid)) forker_cpu += util::to_sec(kernel.cpu_time(pid));
+    }
+
+    ASSERT_EQ(burners.size(), 80u);
+    const double steady_cpu = util::to_sec(kernel.cpu_time(steady));
+    const double share = forker_cpu / (forker_cpu + steady_cpu);
+    std::cout << "forking tenant share = " << share << " (" << burners.size()
+              << " burners)\n";
+    ASSERT_GT(forker_cpu + steady_cpu, 0.9 * util::to_sec(wall));
+    // Tolerance: at the end the tenant still owes at most the CPU of the
+    // burners no refresh has found yet plus one cycle, under 1 s of 40.
+    EXPECT_NEAR(share, 0.5, 0.03);
 }
 
 }  // namespace

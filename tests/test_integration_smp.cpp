@@ -116,7 +116,6 @@ TEST(SmpAlps, GroupPrincipalExploitsParallelism) {
     os::Kernel kernel(engine, nullptr, kcfg);
     SchedulerConfig scfg;
     scfg.quantum = msec(10);
-    scfg.max_parallelism = 2.0;  // group entities can consume 2 quanta/tick
     SimGroupAlps alps(kernel, scfg);
     const os::Pid solo =
         kernel.spawn("solo", 100, std::make_unique<os::CpuBoundBehavior>());

@@ -214,9 +214,6 @@ TEST(Table, TimestampPipelinePerRow) {
     const TimePoint t0 = TimePoint{} + msec(10);
     const ReqId id = t.create(0, 0, t0);
     EXPECT_EQ(t.arrival(id), t0);
-    EXPECT_EQ(t.dispatch(id), t0);  // dispatch defaults to arrival
-    t.set_dispatch(id, t0 + msec(3));
-    EXPECT_EQ(t.dispatch(id) - t.arrival(id), msec(3));
     t.release(id);
     EXPECT_EQ(t.in_flight(), 0u);
 }
@@ -245,13 +242,11 @@ TEST(Table, IdRingIsFifoAcrossGrowth) {
 TEST(Latency, ExactQuantilesAndCounters) {
     LatencyRecorder rec(2);
     for (int i = 1; i <= 100; ++i) {
-        rec.record(0, msec(i), msec(1));
+        rec.record(0, msec(i));
     }
-    rec.record(1, msec(500), Duration::zero());
+    rec.record(1, msec(500));
     rec.drop(0);
     rec.timeout(1);
-    rec.note_queue_depth(0, 7);
-    rec.note_queue_depth(0, 3);
     EXPECT_EQ(rec.completed(0), 100u);
     // Rank convention: index = q·(n−1)+0.5, so the even-count median takes
     // the upper of the two middle samples.
@@ -260,8 +255,6 @@ TEST(Latency, ExactQuantilesAndCounters) {
     EXPECT_EQ(rec.quantile(0, 0.99), msec(99));
     EXPECT_EQ(rec.drops(0), 1u);
     EXPECT_EQ(rec.timeouts(1), 1u);
-    EXPECT_EQ(rec.max_queue_depth(0), 7u);
-    EXPECT_EQ(rec.mean_queue_wait(0), msec(1));
     // Merged quantile spans both sites' samples.
     EXPECT_EQ(rec.quantile_of({0, 1}, 1.0), msec(500));
     EXPECT_EQ(rec.total_completed(), 101u);

@@ -58,10 +58,8 @@ TEST(WebSite, ServesOneRequest) {
     // parse 4 ms + db 50 ms + render 6 ms = 60 ms on an idle host.
     EXPECT_GE(response, msec(60));
     EXPECT_LT(response, msec(80));
-    // The latency pipeline saw the same request: dispatched immediately
-    // (no queue wait), one DB round trip, full response recorded.
+    // The latency pipeline saw the same request: full response recorded.
     EXPECT_EQ(site.recorder().completed(0), 1u);
-    EXPECT_EQ(site.recorder().mean_queue_wait(0), util::Duration::zero());
     const util::Duration p50 = site.recorder().quantile(0, 0.5);
     EXPECT_GE(p50, response - util::usec(1));  // µs-resolution sample
     EXPECT_LE(p50, response + util::usec(1));
