@@ -17,6 +17,7 @@
 #
 # BASE is exported with `git archive` into a temporary directory under
 # $TMPDIR (default /tmp) and built there; the directory is removed on exit.
+# scripts/build_ab.sh holds this export and both builds.
 # The working tree builds into build-payload/. Exits 0 when every run
 # matches, 1 on any difference, 2 on a usage or build error.
 set -euo pipefail
@@ -40,33 +41,9 @@ for arg in "$@"; do
   esac
 done
 
-base_sha=$(git rev-parse --verify --quiet "$BASE^{commit}") || {
-  echo "payload_diff: unknown revision '$BASE'" >&2
-  exit 2
-}
+source scripts/build_ab.sh
+build_ab payload_diff "$BASE"
 
-tmp=$(mktemp -d -t alps-payload.XXXXXX)
-trap 'rm -rf "$tmp"' EXIT
-
-build() {  # build SOURCE_DIR BUILD_DIR
-  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release -DALPS_BUILD_TESTS=OFF \
-           -DALPS_BUILD_EXAMPLES=OFF &&
-         cmake --build "$2" -j"$(nproc)" --target alps-sweep; } >"$tmp/build.log" 2>&1; then
-    tail -n 30 "$tmp/build.log" >&2
-    echo "payload_diff: build of $1 failed" >&2
-    exit 2
-  fi
-}
-
-mkdir "$tmp/base"
-git archive "$base_sha" | tar -x -C "$tmp/base"
-echo "building base ${base_sha:0:12} ..."
-build "$tmp/base" "$tmp/base/build"
-echo "building working tree ..."
-build . build-payload
-
-base_sweep=$tmp/base/build/tools/alps-sweep
-head_sweep=build-payload/tools/alps-sweep
 registered() { "$1" --list | sed 's/ — .*//' | grep -vx sim_perf | sort; }
 registered "$base_sweep" >"$tmp/base.list"
 registered "$head_sweep" >"$tmp/head.list"

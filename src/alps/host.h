@@ -54,6 +54,15 @@ public:
     virtual void pids_of_user(HostUid uid, std::vector<HostPid>& out) {
         out = pids_of_user(uid);
     }
+
+    /// The scan group principals use: fills `out` like the call above, and
+    /// returns false when the process table itself could not be read, in
+    /// which case `out` says nothing about who the uid runs. Only the real
+    /// backend's scan can fail; the default never does.
+    virtual bool scan_user(HostUid uid, std::vector<HostPid>& out) {
+        pids_of_user(uid, out);
+        return true;
+    }
 };
 
 /// The ordinary one-entity-per-process control: EntityId is the pid.

@@ -178,21 +178,38 @@ std::vector<core::HostPid> PosixProcessHost::pids_of_user(core::HostUid uid) {
 }
 
 void PosixProcessHost::pids_of_user(core::HostUid uid, std::vector<core::HostPid>& out) {
+    scan_user(uid, out);
+}
+
+bool PosixProcessHost::scan_user(core::HostUid uid, std::vector<core::HostPid>& out) {
     out.clear();
     DIR* dir = ::opendir("/proc");
-    if (dir == nullptr) return;
+    if (dir == nullptr) return false;  // e.g. out of file descriptors
     const int dir_fd = ::dirfd(dir);
-    while (const dirent* entry = ::readdir(dir)) {
+    bool ok = true;
+    while (true) {
+        errno = 0;
+        const dirent* entry = ::readdir(dir);
+        if (entry == nullptr) {
+            ok = errno == 0;
+            break;
+        }
         const char* name = entry->d_name;
         char* end = nullptr;
         const long pid = std::strtol(name, &end, 10);
         if (end == name || *end != '\0' || pid <= 0) continue;
         struct stat st{};
-        if (::fstatat(dir_fd, name, &st, 0) != 0) continue;
+        if (::fstatat(dir_fd, name, &st, 0) != 0) {
+            if (errno == ENOENT) continue;  // exited since readdir listed it
+            ok = false;
+            break;
+        }
         if (static_cast<core::HostUid>(st.st_uid) == uid) out.push_back(pid);
     }
     ::closedir(dir);
-    close_exited(out);
+    // An incomplete list must not close the handles of listed zombies.
+    if (ok) close_exited(out);
+    return ok;
 }
 
 }  // namespace alps::posix

@@ -42,6 +42,9 @@ public:
     /// Also closes the handles of exited processes whose pid it does not
     /// list, so members that leave a group by dying do not keep their fds.
     void pids_of_user(core::HostUid uid, std::vector<core::HostPid>& out) override;
+    /// Fails when /proc cannot be opened or read, or a listed pid's entry
+    /// cannot be examined for a reason other than its exit.
+    bool scan_user(core::HostUid uid, std::vector<core::HostPid>& out) override;
 
 private:
     struct Handle {
