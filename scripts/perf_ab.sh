@@ -3,11 +3,15 @@
 # in Release, then times both sides' alps-sweep on the same experiments,
 # interleaved run by run so drifting host load hits both sides alike.
 #
-#   scripts/perf_ab.sh BASE [--full] [--runs N] [EXPERIMENT...]
+#   scripts/perf_ab.sh BASE [--full] [--runs N] [--only-task I] [EXPERIMENT...]
 #
 # Each run is
-#   alps-sweep --experiment X --quiet --no-json --jobs 1 [--full]
+#   alps-sweep --experiment X --quiet --no-json --jobs 1 [--full] [--only-task I]
 # and N runs per side (default 10) alternate BASE, HEAD, BASE, HEAD, ...
+# --only-task I times only task I (its sweep index, as in alps-sweep) of each
+# experiment on both sides: with `--full web_scale`, task 9 is the 1000-site
+# kernel arm and task 12 the percore_q10 arm (the point order of
+# BENCH_web_scale.json).
 # For each experiment it prints the median and quartiles of the wall time
 # and of the child's CPU time (user + system, from getrusage(RUSAGE_CHILDREN)),
 # and HEAD's median as a fraction of BASE's. CPU time is less exposed than
@@ -24,19 +28,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/perf_ab.sh BASE [--full] [--runs N] [EXPERIMENT...]" >&2
+  echo "usage: scripts/perf_ab.sh BASE [--full] [--runs N] [--only-task I] [EXPERIMENT...]" >&2
   exit 2
 }
 
 [[ $# -ge 1 ]] || usage
 BASE=$1
 shift
-FULL=()
+FLAGS=()
 RUNS=10
 EXPERIMENTS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --full) FULL=(--full) ;;
+    --full) FLAGS+=(--full) ;;
+    --only-task)
+      [[ $# -ge 2 && $2 =~ ^[0-9]+$ ]] || usage
+      FLAGS+=(--only-task "$2")
+      shift
+      ;;
     --runs)
       [[ $# -ge 2 && $2 =~ ^[1-9][0-9]*$ ]] || usage
       RUNS=$2
@@ -53,7 +62,7 @@ source scripts/build_ab.sh
 build_ab perf_ab "$BASE"
 
 python3 - "$base_sweep" "$head_sweep" \
-  "${base_sha:0:12}" "$RUNS" "$tmp/run" "${FULL[@]}" -- "${EXPERIMENTS[@]}" <<'PY'
+  "${base_sha:0:12}" "$RUNS" "$tmp/run" "${FLAGS[@]}" -- "${EXPERIMENTS[@]}" <<'PY'
 import os, resource, statistics, subprocess, sys, time
 
 base_sweep, head_sweep, base_name, runs, out = sys.argv[1:6]

@@ -7,24 +7,22 @@
 namespace alps::core {
 
 EntityId GroupProcessControl::add_principal(std::string name, HostUid uid) {
-    const EntityId id = next_id_++;
-    Principal& pr = principals_[id];
+    Principal& pr = principals_.emplace_back();
     pr.name = std::move(name);
     pr.uid = uid;
+    const auto id = static_cast<EntityId>(principals_.size());
     refresh(id);
     return id;
 }
 
 GroupProcessControl::Principal& GroupProcessControl::get(EntityId id) {
-    auto it = principals_.find(id);
-    ALPS_EXPECT(it != principals_.end());
-    return it->second;
+    ALPS_EXPECT(id >= 1 && static_cast<std::size_t>(id) <= principals_.size());
+    return principals_[static_cast<std::size_t>(id - 1)];
 }
 
 const GroupProcessControl::Principal& GroupProcessControl::get(EntityId id) const {
-    auto it = principals_.find(id);
-    ALPS_EXPECT(it != principals_.end());
-    return it->second;
+    ALPS_EXPECT(id >= 1 && static_cast<std::size_t>(id) <= principals_.size());
+    return principals_[static_cast<std::size_t>(id - 1)];
 }
 
 int GroupProcessControl::refresh(EntityId principal) {
@@ -70,7 +68,9 @@ int GroupProcessControl::refresh(EntityId principal) {
 
 int GroupProcessControl::refresh_all() {
     int scanned = 0;
-    for (auto& [id, pr] : principals_) scanned += refresh(id);
+    for (std::size_t i = 1; i <= principals_.size(); ++i) {
+        scanned += refresh(static_cast<EntityId>(i));
+    }
     return scanned;
 }
 
@@ -123,9 +123,11 @@ Sample GroupProcessControl::read_progress(EntityId id) {
         if (!s.blocked) all_blocked = false;
         if (s.stopped) any_stopped = true;
     }
-    std::erase_if(pr.members, [&](const Member& m) {
-        return std::find(dead.begin(), dead.end(), m.pid) != dead.end();
-    });
+    if (!dead.empty()) {
+        std::erase_if(pr.members, [&](const Member& m) {
+            return std::find(dead.begin(), dead.end(), m.pid) != dead.end();
+        });
+    }
     if (!pr.members.empty() && failed == pr.members.size()) {
         // Nothing readable at all: report a transient failure so the
         // scheduler retries rather than charging a zero-progress sample.

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -86,8 +85,9 @@ private:
     ControlResult signal_all(EntityId id, bool is_resume);
 
     ProcessHost& host_;
-    std::map<EntityId, Principal> principals_;
-    EntityId next_id_ = 1;
+    /// Principal id i at index i - 1: ids are issued from 1 in order and a
+    /// principal is never removed.
+    std::vector<Principal> principals_;
     /// Reused across refresh() calls so the once-per-second membership scan
     /// does not allocate.
     std::vector<HostPid> refresh_scratch_;

@@ -1,6 +1,7 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "os/policies/factory.h"
@@ -17,8 +18,29 @@ using util::TimePoint;
 constexpr Duration kSchedcpuPeriod = util::sec(1);
 /// Time constant of the load-average EWMA (4.4BSD's 1-minute average).
 constexpr Duration kLoadavgTau = util::sec(60);
+/// The deadline of a domain with no runner.
+constexpr TimePoint kNever{Duration::max()};
 
 namespace {
+
+/// The earlier of two instants. By value, so a running minimum compiles to
+/// a conditional move rather than std::min's branch on a reference.
+constexpr TimePoint earlier(TimePoint a, TimePoint b) { return b < a ? b : a; }
+
+/// Calls f(lo, hi) for every run [lo, hi) of consecutive domains whose bits
+/// are set in `set`, in index order (a run ends at a word boundary). With
+/// every bit set this is one flat loop per 64 domains.
+template <class F>
+void for_each_run(const std::vector<std::uint64_t>& set, F&& f) {
+    for (std::size_t w = 0; w < set.size(); ++w) {
+        for (std::uint64_t bits = set[w]; bits != 0;) {
+            const int lo = std::countr_zero(bits);
+            const int hi = lo + std::countr_one(bits >> lo);
+            f(w * 64 + static_cast<std::size_t>(lo), w * 64 + static_cast<std::size_t>(hi));
+            bits = hi == 64 ? 0 : bits & (~std::uint64_t{0} << hi);
+        }
+    }
+}
 
 /// The scheduling domains the single-policy constructor runs: `policy`
 /// alone, or one instance per domain built by name.
@@ -61,6 +83,9 @@ Kernel::Kernel(sim::Engine& engine, std::vector<std::unique_ptr<SchedPolicy>> do
     // past this point.
     cpus_per_domain_ = cfg_.ncpus / static_cast<int>(domains_.size());
     tick_scratch_.resize(domains_.size());
+    marked_.assign((domains_.size() + 63) / 64, 0);
+    pass_.assign(marked_.size(), 0);
+    deadlines_.assign(domains_.size(), kNever);
     running_.assign(static_cast<std::size_t>(cfg_.ncpus), nullptr);
     last_on_cpu_.assign(static_cast<std::size_t>(cfg_.ncpus), kNoPid);
     table_.push_back(nullptr);  // slot 0: kNoPid, never issued
@@ -79,7 +104,19 @@ Kernel::~Kernel() {
 }
 
 void Kernel::on_decision_timer(void* self, std::uint64_t) {
-    static_cast<Kernel*>(self)->schedule();
+    auto& k = *static_cast<Kernel*>(self);
+    // The event was armed at the earliest domain deadline by the last
+    // schedule() call, and only schedule() moves a deadline.
+    bool due = false;
+    for (std::size_t d = 0; d < k.deadlines_.size(); ++d) {
+        if (k.deadlines_[d] <= k.now()) {
+            ALPS_ENSURE(k.deadlines_[d] == k.now());
+            k.mark_domain(d);
+            due = true;
+        }
+    }
+    ALPS_ENSURE(due);
+    k.schedule();
 }
 
 void Kernel::on_timer_wake(void* self, std::uint64_t arg) {
@@ -118,6 +155,7 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
     std::vector<Proc*>& members = by_uid_[uid];
     p.uid_index = members.size();
     members.push_back(&p);
+    open_event(p);
     dom(p).add(p);
 
     const Action first = p.behavior->next_action({*this, pid});
@@ -241,11 +279,13 @@ void Kernel::send_signal(Pid pid, Signal sig) {
                         Proc& target = proc_mut(pid);
                         target.pending_stop_event = 0;
                         if (target.state == RunState::kZombie || target.stopped) return;
+                        open_event(target);
                         apply_stop(target);
                         schedule();
                     });
                 return;
             }
+            open_event(p);
             apply_stop(p);
             break;
         case Signal::kCont:
@@ -255,6 +295,7 @@ void Kernel::send_signal(Pid pid, Signal sig) {
                 p.pending_stop_event = 0;
             }
             if (!p.stopped) return;
+            open_event(p);
             p.stopped = false;
             // 4.4BSD setrunnable(): estcpu was frozen while stopped (schedcpu
             // skips stopped processes); updatepri now credits whole seconds
@@ -266,6 +307,7 @@ void Kernel::send_signal(Pid pid, Signal sig) {
             }
             break;
         case Signal::kKill:
+            open_event(p);
             do_exit(p);
             break;
     }
@@ -285,6 +327,7 @@ void Kernel::apply_stop(Proc& p) {
 void Kernel::wakeup(Pid pid) {
     Proc& p = proc_mut(pid);
     ALPS_EXPECT(p.state == RunState::kSleeping && p.sleep_event == 0);
+    open_event(p);
     do_wake(p);
     schedule();
 }
@@ -293,6 +336,7 @@ void Kernel::timer_wake(Pid pid) {
     Proc& p = proc_mut(pid);
     p.sleep_event = 0;
     ALPS_ENSURE(p.state == RunState::kSleeping);
+    open_event(p);
     do_wake(p);
     schedule();
 }
@@ -407,6 +451,7 @@ void Kernel::charge_running(int cpu) {
     ALPS_GUARD(p.on_cpu == cpu);
     const Duration ran = now() - p.last_charge;
     ALPS_ENSURE(ran >= Duration::zero());
+    ++charges_;
     if (ran > Duration::zero()) {
         p.cpu_consumed += ran;
         busy_ += ran;
@@ -484,29 +529,62 @@ void Kernel::vacate(int cpu) {
     }
 }
 
-void Kernel::arm_decision_timer() {
-    // A pass serves every CPU, so one event at the earliest deadline is
-    // enough. It is re-armed on every call even when that deadline did not
-    // move: the engine fires same-time events in scheduling order, and a
-    // kept event would fire before a same-time wakeup scheduled after it,
-    // which changes schedules (DESIGN §11).
-    if (decision_event_ != 0) engine_.cancel(decision_event_);
-    decision_event_ = 0;
-    bool busy = false;
-    TimePoint next{};
-    for (const Proc* p : running_) {
+void Kernel::open_event(const Proc& p) {
+    const auto d = static_cast<std::size_t>(p.home_cpu);
+    // Where every event marks every domain, the domain's runners were
+    // charged at the last event anywhere, as they always were. Where passes
+    // are domain-local, that can be a whole slice ago: charge them now.
+    if (domains_.size() > 1 && unpinned_ == 0) {
+        for (int c = first_cpu(d); c < first_cpu(d) + cpus_per_domain_; ++c) {
+            if (running_[static_cast<std::size_t>(c)] != nullptr) charge_running(c);
+        }
+    }
+    mark_domain(d);
+}
+
+void Kernel::mark_all() {
+    std::fill(marked_.begin(), marked_.end(), ~std::uint64_t{0});
+    if (const std::size_t tail = domains_.size() % 64; tail != 0) {
+        marked_.back() = (std::uint64_t{1} << tail) - 1;
+    }
+}
+
+TimePoint Kernel::domain_deadline(std::size_t d) const {
+    TimePoint next = kNever;
+    for (int c = first_cpu(d); c < first_cpu(d) + cpus_per_domain_; ++c) {
+        const Proc* p = running_[static_cast<std::size_t>(c)];
         if (p == nullptr) continue;
         TimePoint deadline = p->slice_end;
         if (p->run_remaining != kRunForever) {
-            deadline = std::min(deadline, now() + p->run_remaining);
+            deadline = earlier(deadline, p->last_charge + p->run_remaining);
         }
-        next = busy ? std::min(next, deadline) : deadline;
-        busy = true;
+        next = earlier(next, deadline);
     }
-    if (busy) decision_event_ = engine_.schedule_at(next, decision_kind_, 0);
+    return next;
+}
+
+void Kernel::arm_decision_timer() {
+    // One event at the earliest deadline of any domain is enough. It is
+    // re-armed on every call even when that deadline did not move: the
+    // engine fires same-time events in scheduling order, and a kept event
+    // would fire before a same-time wakeup scheduled after it, which
+    // changes schedules (DESIGN §11).
+    if (decision_event_ != 0) engine_.cancel(decision_event_);
+    decision_event_ = 0;
+    // Only a marked domain's deadline can have moved.
+    for_each_run(marked_, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t d = lo; d < hi; ++d) deadlines_[d] = domain_deadline(d);
+    });
+    std::fill(marked_.begin(), marked_.end(), 0);
+    TimePoint next = kNever;
+    for (const TimePoint deadline : deadlines_) next = earlier(next, deadline);
+    if (next != kNever) decision_event_ = engine_.schedule_at(next, decision_kind_, 0);
 }
 
 void Kernel::schedule() {
+    // Steal and rebalance may move any unpinned process into any domain, so
+    // while one lives every domain takes part in every decision.
+    if (unpinned_ > 0) mark_all();
     if (in_schedule_) {
         resched_ = true;
         return;
@@ -514,30 +592,43 @@ void Kernel::schedule() {
     in_schedule_ = true;
     do {
         resched_ = false;
+        // The pass works on the marks as they stood when it began.
+        pass_ = marked_;
+        const auto each_domain = [&](auto&& f) {
+            for_each_run(pass_, [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t d = lo; d < hi; ++d) f(d);
+            });
+        };
+        const auto each_cpu = [&](auto&& f) {
+            for_each_run(pass_, [&](std::size_t lo, std::size_t hi) {
+                for (int c = first_cpu(lo); c < first_cpu(hi); ++c) f(c);
+            });
+        };
 
         // 1. Account for every running process and handle phase completion.
-        for (int c = 0; c < cfg_.ncpus; ++c) {
-            if (running_[static_cast<std::size_t>(c)] == nullptr) continue;
-            charge_running(c);
+        each_cpu([&](int c) {
             Proc* p = running_[static_cast<std::size_t>(c)];
+            if (p == nullptr) return;
+            // open_event() or an earlier round may have charged it already.
+            if (p->last_charge != now()) charge_running(c);
             if (!p->phase_lazy_pending && p->run_remaining == Duration::zero()) {
                 resolve_phase(c);  // finished its work; transition
             }
-        }
+        });
 
         // A signal may have stopped (or a hook killed) a process on a CPU.
-        for (int c = 0; c < cfg_.ncpus; ++c) {
+        each_cpu([&](int c) {
             Proc* p = running_[static_cast<std::size_t>(c)];
             if (p != nullptr && (p->stopped || p->state == RunState::kZombie)) vacate(c);
-        }
+        });
 
         // 2. Preemption and round-robin decisions, one queue head per
         // domain, checked against the runners on the domain's CPUs (every
         // CPU for the shared queue, its own CPU for a per-CPU domain).
-        for (std::size_t d = 0; d < domains_.size(); ++d) {
+        each_domain([&](std::size_t d) {
             SchedPolicy& pol = *domains_[d];
             Proc* cand = pol.peek();
-            if (cand == nullptr) continue;
+            if (cand == nullptr) return;
             const int c_begin = first_cpu(d);
             const int c_end = c_begin + cpus_per_domain_;
             // Find the most preemptable runner: the one every other
@@ -562,19 +653,19 @@ void Kernel::schedule() {
                 pol.enqueue(*v);
                 resched_ = true;  // re-evaluate after the fill below
             }
-        }
+        });
         // Runners that exhausted a slice unopposed get a fresh one.
-        for (int c = 0; c < cfg_.ncpus; ++c) {
+        each_cpu([&](int c) {
             Proc* p = running_[static_cast<std::size_t>(c)];
             if (p != nullptr && now() >= p->slice_end) {
                 p->slice_end = now() + dom(*p).slice();
             }
-        }
+        });
 
         // 3. Fill idle CPUs — from the domain's own queue first, then by
         // stealing from the most-loaded peer domain (the shared queue has
         // none). A domain with nothing left leaves its other idle CPUs idle.
-        for (std::size_t d = 0; d < domains_.size(); ++d) {
+        each_domain([&](std::size_t d) {
             SchedPolicy& pol = *domains_[d];
             const int c_begin = first_cpu(d);
             for (int c = c_begin; c < c_begin + cpus_per_domain_; ++c) {
@@ -584,7 +675,7 @@ void Kernel::schedule() {
                 if (next == nullptr) break;
                 dispatch(*next, c);
             }
-        }
+        });
 
         // 4. Once the picks are stable, resolve lazy/zero-length phases.
         // This is deliberately *after* the post-wakeup preemption re-check so
@@ -592,13 +683,13 @@ void Kernel::schedule() {
         // done its work (the ALPS driver's tick must be delayed, not
         // time-shifted).
         if (!resched_) {
-            for (int c = 0; c < cfg_.ncpus; ++c) {
-                if (running_[static_cast<std::size_t>(c)] == nullptr) continue;
+            each_cpu([&](int c) {
+                if (running_[static_cast<std::size_t>(c)] == nullptr) return;
                 resolve_phase(c);
                 if (running_[static_cast<std::size_t>(c)] == nullptr) {
                     resched_ = true;  // it left; refill on the next pass
                 }
-            }
+            });
         }
     } while (resched_);
     // 5. Arm the next scheduling decision.
@@ -723,6 +814,8 @@ void Kernel::second_tick() {
     rebalance();
 
     engine_.schedule_after(kSchedcpuPeriod, tick_kind_, 0);
+    // Every domain decayed, so every domain is re-decided.
+    mark_all();
     schedule();
 }
 
@@ -734,6 +827,7 @@ void Kernel::export_metrics(telemetry::MetricsRegistry& reg,
         .add(static_cast<std::uint64_t>(busy_time().count() / 1000));
     reg.counter(prefix + "migrations").add(migrations_);
     reg.counter(prefix + "steals").add(steals_);
+    reg.counter(prefix + "charges").add(charges_);
     reg.gauge(prefix + "loadavg").set(loadavg_);
 }
 

@@ -23,6 +23,8 @@
 // §11). One dispatch path serves both: an idle CPU pops its own domain,
 // then steals from the most-loaded peer domain, and a periodic rebalance
 // hung off schedcpu evens the domains out (both no-ops with one domain).
+// A dispatcher pass re-decides only the domains its event touched; while
+// every live process is pinned, a domain never sees another's events.
 #pragma once
 
 #include <cstdint>
@@ -177,7 +179,9 @@ public:
     [[nodiscard]] Pid running_pid_on(int cpu) const;
 
     /// Registers kernel-wide accounting (`<prefix>context_switches`,
-    /// `<prefix>spawned`, `<prefix>busy_us`, `<prefix>loadavg`) in `reg`.
+    /// `<prefix>spawned`, `<prefix>busy_us`, `<prefix>migrations`,
+    /// `<prefix>steals`, `<prefix>charges` — runner charges, the dispatcher's
+    /// unit of work — and `<prefix>loadavg`) in `reg`.
     void export_metrics(telemetry::MetricsRegistry& reg,
                         const std::string& prefix = "kernel.") const;
 
@@ -186,10 +190,31 @@ private:
     [[nodiscard]] const Proc* lookup(Pid pid) const;
     Proc& proc_mut(Pid pid);
 
-    /// The dispatcher: one global pass that charges, completes phases, and
-    /// (re)fills every CPU. Re-entrant calls (from behaviour hooks) defer to
+    /// The dispatcher. It charges runners, completes finished phases,
+    /// checks preemption and (re)fills CPUs only in the domains the event
+    /// marked, in domain-index order; every other domain is left as it was,
+    /// its runners uncharged. Spawn, a signal (and a delayed stop), a
+    /// wakeup and a timer wake mark the process's own domain; the decision
+    /// event marks the domains whose deadline is due; the schedcpu tick
+    /// marks them all. While any live process is unpinned, steal and
+    /// rebalance couple all domains, so every call marks every domain, as
+    /// every call does with one domain (the shared queue, one CPU). A fully
+    /// pinned multi-domain machine differs by design: a runner is charged
+    /// and preemption-checked only at its own domain's events (DESIGN §11).
+    /// Re-entrant calls (from behaviour hooks) add their marks and defer to
     /// the outermost invocation's loop.
     void schedule();
+
+    /// Opens an event on the domain `p` queues on and marks it for the next
+    /// schedule() call. Called before the event's first policy hook: with
+    /// domain-local passes (several domains, every process pinned) it first
+    /// charges the domain's runners up to now, so a wakeup's placement or an
+    /// enqueue's join sees them as of now, not as of the domain's last event
+    /// (DESIGN §11). Only ever called ahead of schedule(): a mark must not
+    /// outlive the call it was made for.
+    void open_event(const Proc& p);
+    void mark_domain(std::size_t d) { marked_[d / 64] |= std::uint64_t{1} << (d % 64); }
+    void mark_all();
 
     /// Charges CPU `cpu`'s process for [last_charge, now].
     void charge_running(int cpu);
@@ -214,9 +239,13 @@ private:
     void dispatch(Proc& p, int cpu);
     /// Takes the process off its CPU (state handling is the caller's job).
     void vacate(int cpu);
-    /// Arms the one decision event at the earliest deadline of any busy CPU
-    /// (none while every CPU is idle).
+    /// Refreshes the deadline of every domain this call marked, clears the
+    /// marks, and re-arms the one decision event at the earliest deadline
+    /// of any domain (none while every CPU is idle).
     void arm_decision_timer();
+    /// Domain `d`'s next decision: the earliest `min(slice_end,
+    /// last_charge + run_remaining)` over its runners; kNever when idle.
+    [[nodiscard]] util::TimePoint domain_deadline(std::size_t d) const;
     void second_tick();
 
     // ----- per-CPU scheduling domains -----
@@ -286,6 +315,17 @@ private:
     std::vector<Pid> last_on_cpu_;          ///< per-CPU, for switch counting
     sim::EventId decision_event_ = 0;       ///< next scheduling decision
 
+    /// Domains the running schedule() call re-decides, one bit per domain;
+    /// empty between calls.
+    std::vector<std::uint64_t> marked_;
+    /// The marks a pass of the schedule() loop works on: marked_ as it
+    /// stood when the pass began, so a domain a hook marks mid-pass is
+    /// charged at the start of the next pass before anything decides on it.
+    std::vector<std::uint64_t> pass_;
+    /// Per-domain decision deadlines: domain_deadline(d) as of domain d's
+    /// last pass. The decision event sits at their minimum.
+    std::vector<util::TimePoint> deadlines_;
+
     sim::Engine::HotKind decision_kind_ = 0;  ///< fires schedule()
     sim::Engine::HotKind wake_kind_ = 0;      ///< fires timer_wake(arg = pid)
     sim::Engine::HotKind tick_kind_ = 0;      ///< fires second_tick()
@@ -297,6 +337,7 @@ private:
     std::uint64_t context_switches_ = 0;
     std::uint64_t migrations_ = 0;  ///< cross-domain moves (steal + rebalance)
     std::uint64_t steals_ = 0;      ///< idle-steal subset of migrations_
+    std::uint64_t charges_ = 0;     ///< charge_running calls
     /// Live processes without Proc::pinned (raised at spawn, lowered at
     /// exit; pinned never changes). At 0 every queue head is pinned, so
     /// steal and rebalance cannot move anything and skip their searches.

@@ -2,12 +2,15 @@
 // FreeBSD 4.x SMP semantics: one global run queue feeding all CPUs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "os/behaviors.h"
 #include "os/kernel.h"
+#include "os/policies/cfs.h"
 #include "os/policies/lottery.h"
 #include "os/policies/stride.h"
 #include "sim/engine.h"
@@ -308,11 +311,87 @@ TEST(PercpuKernel, StrideTicketsSurviveMigration) {
     const Pid mover = spawn_steal_scenario(m);
     dynamic_cast<policies::StridePolicy&>(m.kernel.policy())
         .set_tickets(m.kernel.proc(mover), 5000.0);
-    m.run_for(msec(60));
+    // The job on CPU 1 exits at 50 ms, and that same event lets CPU 1 steal.
+    m.run_for(msec(50));
     ASSERT_EQ(m.kernel.steals(), 1u);
+    EXPECT_EQ(m.kernel.running_pid_on(1), mover);
+    EXPECT_EQ(m.kernel.cpu_time(mover), Duration::zero());
+    m.run_for(msec(10));
+    EXPECT_EQ(m.kernel.cpu_time(mover), msec(10));
     ASSERT_EQ(m.kernel.proc(mover).home_cpu, 1);
     const auto& joined = dynamic_cast<const policies::StridePolicy&>(m.kernel.policy_on(1));
     EXPECT_DOUBLE_EQ(joined.tickets(m.kernel.proc(mover)), 5000.0);
+}
+
+/// CPU 0's dispatch trace over 3 s — the simulated time (ns) of every
+/// change of its occupant, and the new occupant — with two pinned BSD hogs
+/// on CPU 0, plus, when `with_sleeper`, a pinned process on CPU 1 that runs
+/// 3 ms and sleeps 7 ms in a loop.
+std::vector<std::pair<std::int64_t, Pid>> cpu0_trace(bool with_sleeper) {
+    PercpuMachine m(2);
+    for (const char* name : {"a", "b"}) {
+        m.kernel.spawn(name, 0, std::make_unique<CpuBoundBehavior>(), /*nice=*/0,
+                       /*home_cpu=*/0, /*pinned=*/true);
+    }
+    if (with_sleeper) {
+        m.kernel.spawn("sleeper", 0, std::make_unique<PhasedIoBehavior>(msec(3), msec(7)),
+                       /*nice=*/0, /*home_cpu=*/1, /*pinned=*/true);
+    }
+    std::vector<std::pair<std::int64_t, Pid>> trace{{0, m.kernel.running_pid_on(0)}};
+    const util::TimePoint end = util::TimePoint{} + sec(3);
+    while (m.engine.step() && m.engine.now() < end) {
+        const Pid on0 = m.kernel.running_pid_on(0);
+        if (on0 != trace.back().second) trace.emplace_back(m.engine.now().since_epoch.count(), on0);
+    }
+    return trace;
+}
+
+TEST(PercpuKernel, PinnedDomainIgnoresOtherDomainsEvents) {
+    // With every process pinned, CPU 1's wakeups and phase ends are not
+    // CPU 0's events: they neither charge CPU 0's runner nor re-check its
+    // preemption, so CPU 0 schedules exactly as if CPU 1 were empty.
+    const auto alone = cpu0_trace(false);
+    ASSERT_GT(alone.size(), 10u);  // the hogs do alternate
+    EXPECT_EQ(cpu0_trace(true), alone);
+}
+
+TEST(PercpuKernel, IdlePeerStealsAtTheVictimsEvent) {
+    // CPU 1 is idle when an unpinned process is spawned into CPU 0's busy
+    // domain at 20 ms: the spawn is CPU 0's event, and CPU 1 must steal the
+    // newcomer at once, not at its own next event (the schedcpu tick).
+    PercpuMachine m(2);
+    m.kernel.spawn("pinned", 0, std::make_unique<CpuBoundBehavior>(), /*nice=*/0, 0,
+                   /*pinned=*/true);
+    Pid mover = kNoPid;
+    m.engine.schedule_at(util::TimePoint{} + msec(20), [&] { mover = m.hog("mover", 0); });
+    m.run_for(msec(20));
+    ASSERT_NE(mover, kNoPid);
+    EXPECT_EQ(m.kernel.steals(), 1u);
+    EXPECT_EQ(m.kernel.running_pid_on(1), mover);
+    m.run_for(msec(10));
+    EXPECT_EQ(m.kernel.cpu_time(mover), msec(10));
+}
+
+TEST(PercpuKernel, PinnedWakeupIsPlacedAgainstChargedRunner) {
+    // A CFS hog runs alone on CPU 0, charged only at its 6 ms slice ends;
+    // a pinned sleeper wakes there at 100 ms, 4 ms after the last one. Its
+    // placement (min_vruntime − sched_latency/2) must see the hog's vruntime
+    // as of the wakeup, not as of 96 ms.
+    PercpuMachine m(2, "cfs");
+    const Pid hog = m.kernel.spawn("hog", 0, std::make_unique<CpuBoundBehavior>(),
+                                   /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+    const Pid sleeper = m.kernel.spawn(
+        "sleeper", 0,
+        std::make_unique<ScriptedBehavior>(
+            std::vector<Action>{SleepAction{msec(100)}, RunAction{msec(50)}}),
+        /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+    m.run_for(msec(100));
+    ASSERT_EQ(m.kernel.running_pid_on(0), sleeper);  // the wake boost preempted
+    const auto& cfs = dynamic_cast<const policies::CfsPolicy&>(m.kernel.policy_on(0));
+    const double hog_vruntime = cfs.vruntime(m.kernel.proc(hog));
+    EXPECT_DOUBLE_EQ(hog_vruntime, static_cast<double>(msec(100).count()));
+    EXPECT_DOUBLE_EQ(cfs.vruntime(m.kernel.proc(sleeper)),
+                     hog_vruntime - static_cast<double>(msec(3).count()));
 }
 
 TEST(PercpuKernel, SpawnRejectsOutOfRangeHomeCpu) {
