@@ -111,8 +111,8 @@ void evaluate(harness::SweepReport& report, std::ostream& out) {
     }
     criteria.check("no process left SIGSTOPped once faults stop", "0",
                    util::fmt(worst_wedged, 0), worst_wedged == 0.0);
-    criteria.check("Σa·Q == t_c survives quarantines/drops", "< 1e-6 quanta",
-                   util::fmt(worst_gap, 9), worst_gap < 1e-6);
+    criteria.check("Σa·Q == t_c survives quarantines/drops", "0",
+                   util::fmt(worst_gap, 9), worst_gap == 0.0);
     criteria.check("no run wedged (timed out)", "0", util::fmt(timeouts, 0),
                    timeouts == 0.0);
 

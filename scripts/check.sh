@@ -194,7 +194,9 @@ fi
 # for many_core so do more than 20 runner charges (kernel.charges) per event
 # fired (a schedule() pass re-decides only the domains its event touched;
 # walking all 256 CPUs on every event read 543:1, domain-local passes 6.0:1).
-# Last, web_section5 runs at --full scale and must exit 0.
+# Last, every experiment that judges a paper claim (fig4, fig8_fig9,
+# fig6_io, multi_alps, mechanisms, fault_campaign, web_section5) runs at
+# --full scale and must exit 0; tier-1 judges them only at reduced scale.
 # Reuses the Release perf tree when it exists; ALPS_POLICY_MATRIX_SKIP=1
 # skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
@@ -253,11 +255,15 @@ if not ok:
     raise SystemExit(1)
 PY
   done
-  # The §5 shared-web-server claim at paper scale: every criterion of
-  # web_section5 --full (kernel-only split, the 1:2:3 split at each quantum
-  # and refresh point, falling overhead) must pass; alps-sweep exits
-  # non-zero when one fails.
-  build-perf/tools/alps-sweep --experiment web_section5 --full --quiet --no-json
+  # The paper's claims at paper scale: alps-sweep exits non-zero when any
+  # criterion of an experiment's evaluate hook fails (e.g. web_section5's
+  # 1:2:3 split at each quantum and refresh point, fault_campaign's exact
+  # Σa·Q == t_c).
+  for exp in fig4 fig8_fig9 fig6_io multi_alps mechanisms fault_campaign web_section5; do
+    echo "--- paper claims at full scale: $exp"
+    build-perf/tools/alps-sweep --experiment "$exp" --full --quiet --no-json \
+      --jobs "$JOBS"
+  done
 fi
 
 # --- Chaos leg: the sweep harness must survive its own runs dying ---
@@ -356,4 +362,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + work ratio + web_section5 --full + chaos leg passed"
+echo "check.sh: TSan (+many-core/web smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan smoke + trace verify + policy matrix + payload gate + work ratio + paper claims at --full + chaos leg passed"

@@ -1,7 +1,6 @@
 #include "alps/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
@@ -69,12 +68,13 @@ Scheduler::Scheduler(ProcessControl& control, SchedulerConfig cfg, util::Arena* 
 
 void Scheduler::add(EntityId id, Share share) {
     ALPS_EXPECT(share > 0);
+    ALPS_EXPECT(share <= util::max_total_shares(cfg_.quantum) - total_shares_);
     ALPS_EXPECT(!contains(id));
     Entity e;
     e.share = share;
-    e.allowance = static_cast<double>(share);  // paper: allowance_i <- share_i
-    e.eligible = false;                        // paper: state_i <- ineligible
-    e.update = count_;                         // due for its first measurement
+    e.allowance_ns = share * cfg_.quantum.count();  // paper: allowance_i <- share_i
+    e.eligible = false;                             // paper: state_i <- ineligible
+    e.update = count_;                              // due for its first measurement
     const Sample s = control_.read_progress(id);
     if (s.ok) {
         e.last_cpu = s.cpu_time;
@@ -97,7 +97,7 @@ void Scheduler::add(EntityId id, Share share) {
     total_shares_ += share;
     // Keep the invariant sum(a_i)*Q == t_c: the newcomer brings its
     // allowance into the cycle.
-    tc_ns_ += static_cast<double>(share) * static_cast<double>(cfg_.quantum.count());
+    tc_ns_ += e.allowance_ns;
 }
 
 void Scheduler::remove(EntityId id) {
@@ -107,7 +107,7 @@ void Scheduler::remove(EntityId id) {
     if (!e.eligible) control_.resume(id);  // leave nothing suspended behind
     trace_state_close(id, e.eligible);
     total_shares_ -= e.share;
-    tc_ns_ -= e.allowance * static_cast<double>(cfg_.quantum.count());
+    tc_ns_ -= e.allowance_ns;
     entities_.erase(it);
 }
 
@@ -116,19 +116,16 @@ void Scheduler::forget(EntityId id) {
     if (it == entities_.end()) return;
     trace_state_close(id, it->second.eligible);
     total_shares_ -= it->second.share;
-    tc_ns_ -= it->second.allowance * static_cast<double>(cfg_.quantum.count());
+    tc_ns_ -= it->second.allowance_ns;
     entities_.erase(it);
 }
 
 void Scheduler::set_quantum(Duration quantum) {
     ALPS_EXPECT(quantum > Duration::zero());
+    ALPS_EXPECT(total_shares_ <= util::max_total_shares(quantum));
     if (quantum == cfg_.quantum) return;
-    const double scale = static_cast<double>(cfg_.quantum.count()) /
-                         static_cast<double>(quantum.count());
-    for (auto& [id, e] : entities_) {
-        e.allowance *= scale;  // same CPU entitlement, new denomination
-        e.update = count_;     // old postponements are no longer sound
-    }
+    // Old postponements are no longer sound.
+    for (auto& [id, e] : entities_) e.update = count_;
     cfg_.quantum = quantum;
 }
 
@@ -136,14 +133,16 @@ void Scheduler::set_share(EntityId id, Share share) {
     ALPS_EXPECT(share > 0);
     auto it = find_entity(id);
     ALPS_EXPECT(it != entities_.end());
+    ALPS_EXPECT(share - it->second.share <=
+                util::max_total_shares(cfg_.quantum) - total_shares_);
     total_shares_ += share - it->second.share;
     it->second.share = share;
 }
 
-double Scheduler::allowance(EntityId id) const {
+Duration Scheduler::allowance(EntityId id) const {
     auto it = find_entity(id);
     ALPS_EXPECT(it != entities_.end());
-    return it->second.allowance;
+    return Duration{it->second.allowance_ns};
 }
 
 bool Scheduler::eligible(EntityId id) const {
@@ -297,7 +296,7 @@ TickStats Scheduler::tick() {
     if (telemetry::active()) telemetry::instant(telemetry::kNameTick, 0, count_);
     if (entities_.empty()) return stats;
 
-    const auto quantum_ns = static_cast<double>(cfg_.quantum.count());
+    const std::int64_t quantum_ns = cfg_.quantum.count();
     std::vector<EntityId> dead;
     std::vector<EntityId> dropped;
 
@@ -333,14 +332,13 @@ TickStats Scheduler::tick() {
             consumed = Duration::zero();
         }
         e.last_cpu = s.cpu_time;
-        e.cycle_consumed += consumed;
-        e.allowance -= static_cast<double>(consumed.count()) / quantum_ns;
-        tc_ns_ -= static_cast<double>(consumed.count());
+        e.allowance_ns -= consumed.count();
+        tc_ns_ -= consumed.count();
 
         if (cfg_.io_accounting && s.blocked) {
             // §2.4: the blocked process gave up one quantum's worth of its
             // right to run; shorten the cycle by the same amount.
-            e.allowance -= 1.0;
+            e.allowance_ns -= quantum_ns;
             tc_ns_ -= quantum_ns;
         }
     };
@@ -386,7 +384,7 @@ TickStats Scheduler::tick() {
             charge(e, s);
             // Reads are back; try to regain the control channel by
             // enforcing the desired state.
-            const bool want_eligible = e.allowance > 0.0;
+            const bool want_eligible = e.allowance_ns > 0;
             const ControlResult r = guarded_signal(id, want_eligible);
             if (r == ControlResult::kOk) {
                 e.quarantined = false;
@@ -410,7 +408,6 @@ TickStats Scheduler::tick() {
         // An ineligible entity is charged before the re-send (the tail
         // before the stop took effect, or everything it stole while the stop
         // was lost); an eligible one after it, and not at all if it is gone.
-        // The order decides how tc_ns_ rounds.
         const bool eligible = e.eligible;
         if (!eligible) charge(e, s);
         if (s.stopped != eligible) {
@@ -453,9 +450,9 @@ TickStats Scheduler::tick() {
 
     // --- Cycle completion (Figure 3, middle) ---
     int cycles = 0;
-    if (tc_ns_ <= 0.0) {
+    if (tc_ns_ <= 0) {
         cycles = 1;
-        tc_ns_ += static_cast<double>(total_shares_) * quantum_ns;
+        tc_ns_ += total_shares_ * quantum_ns;
         stats.cycle_completed = true;
         emit_cycle_record();
         ++cycles_done_;
@@ -475,15 +472,15 @@ TickStats Scheduler::tick() {
         // skipping is behaviour-preserving (runs replay bit-identically);
         // under lazy measurement this is the vast majority of entities.
         if (cycles == 0 && !e.touched && !e.suspect && !e.quarantined &&
-            e.eligible == (e.allowance > 0.0) &&
+            e.eligible == (e.allowance_ns > 0) &&
             (!cfg_.lazy_measurement || e.update > count_)) {
             continue;
         }
         e.touched = false;
-        e.allowance += static_cast<double>(e.share * cycles);
+        e.allowance_ns += e.share * quantum_ns * cycles;
         if (e.quarantined) continue;  // no signalling until the probe recovers
         const int failures_before = e.fail_streak;
-        const bool want_eligible = e.allowance > 0.0;
+        const bool want_eligible = e.allowance_ns > 0;
         // Duplicates transition()'s no-change early return so the common
         // case pays no call overhead.
         if (e.eligible != want_eligible || e.suspect) {
@@ -515,11 +512,12 @@ TickStats Scheduler::tick() {
         if (!cfg_.lazy_measurement) continue;
         if (e.update <= count_) {
             // §2.3: a process cannot exhaust its allowance in fewer than
-            // ceil(allowance) quanta, so skip measuring it until then. A
+            // ceil(allowance / Q) quanta, so skip measuring it until then. A
             // group principal with k runnable members on m CPUs can burn
             // min(k, m) quanta per tick, so it may overrun by that factor
             // between reads (DESIGN §5).
-            const double quanta_until_due = std::max(std::ceil(e.allowance), 1.0);
+            const std::int64_t quanta_until_due =
+                e.allowance_ns > 0 ? (e.allowance_ns - 1) / quantum_ns + 1 : 1;
             e.update = count_ + static_cast<std::uint64_t>(quanta_until_due);
         }
     }
@@ -536,11 +534,9 @@ void Scheduler::emit_cycle_record() {
         for (const auto& [id, e] : entities_) {
             rec.ids.push_back(id);
             rec.shares.push_back(e.share);
-            rec.consumed.push_back(e.cycle_consumed);
         }
         observer_(rec);
     }
-    for (auto& [id, e] : entities_) e.cycle_consumed = Duration::zero();
 }
 
 }  // namespace alps::core

@@ -1,20 +1,22 @@
 // The ALPS scheduling algorithm (paper Figure 3).
 //
 // State model:
-//   * Each entity i has a share s_i, an allowance a_i (in quanta of CPU
-//     time it may still consume this cycle), and a state (eligible or
-//     ineligible). Eligible entities contend for the CPU under the kernel's
-//     native policy; ineligible ones are suspended.
+//   * Each entity i has a share s_i, an allowance a_i (the CPU time it may
+//     still consume this cycle), and a state (eligible or ineligible).
+//     Eligible entities contend for the CPU under the kernel's native
+//     policy; ineligible ones are suspended.
 //   * Globally the scheduler keeps the total shares S and the remaining
 //     cycle time t_c. A cycle is S·Q of *consumed* CPU time — proportional
 //     share is guaranteed per cycle, on the "virtual processor" whose speed
 //     the kernel dictates (§2.1).
 //
-// Core invariant (verified by the test suite): at the end of every tick,
+// Core invariant (checked with == by the test suite): at the end of every
+// tick,
 //     Σ_i a_i · Q == t_c
-// Measurements subtract the same amount from both sides; the blocked-process
-// heuristic subtracts one quantum from both sides; a cycle completion adds
-// S (· Q) to both sides; membership changes adjust both sides together.
+// Both sides are int64 ns (each allowance is stored as a_i·Q), so no charge
+// divides by Q. Measurements subtract the same ns from both sides; the
+// blocked-process heuristic subtracts Q from both; a cycle completion adds
+// S·Q to both; membership changes adjust both together.
 //
 // Lazy measurement (§2.3): an entity with allowance a cannot exhaust it in
 // fewer than ⌈a⌉ quanta, so its next measurement is scheduled ⌈a⌉ ticks out.
@@ -44,8 +46,8 @@ using util::Duration;
 using util::Share;
 
 struct SchedulerConfig {
-    /// The ALPS quantum Q — the period between algorithm invocations and the
-    /// unit of allowance. The paper evaluates 10–40 ms (100 ms in §5).
+    /// The ALPS quantum Q — the period between algorithm invocations. The
+    /// paper evaluates 10–40 ms (100 ms in §5).
     Duration quantum = util::msec(10);
     /// §2.3 optimization: postpone measuring entity i for ⌈a_i⌉ ticks.
     bool lazy_measurement = true;
@@ -96,7 +98,8 @@ struct CycleRecord {
     std::uint64_t index = 0;       ///< cycle number, from 0
     std::uint64_t end_tick = 0;    ///< tick count at which the cycle ended
     /// Parallel arrays: entity, its share, and the CPU it consumed during
-    /// this cycle (as measured by ALPS).
+    /// this cycle (left empty by the controllers; metrics::ExactCycleLog
+    /// fills it from the host's CPU counters).
     std::vector<EntityId> ids;
     std::vector<Share> shares;
     std::vector<Duration> consumed;
@@ -112,26 +115,26 @@ public:
 
     // ----- membership -----
 
-    /// Adds an entity with the given share (> 0). Per the paper, its
-    /// allowance starts at `share` and it starts ineligible; it becomes
-    /// eligible (and is resumed) on the next tick. The entity must currently
-    /// be runnable from the host's point of view; ALPS suspends it here so
-    /// that it cannot run before its first tick.
+    /// Adds an entity with the given share (> 0, and S·Q must fit in int64
+    /// ns). Per the paper, its allowance starts at `share` and it starts
+    /// ineligible; it becomes eligible (and is resumed) on the next tick.
+    /// The entity must currently be runnable from the host's point of view;
+    /// ALPS suspends it here so that it cannot run before its first tick.
     void add(EntityId id, Share share);
 
     /// Removes an entity (resuming it if suspended — ALPS relinquishes
     /// control). Its unused allowance leaves the cycle.
     void remove(EntityId id);
 
-    /// Extension: changes an entity's share mid-flight. The entity's
-    /// remaining allowance is kept; future cycles use the new share.
+    /// Extension: changes an entity's share mid-flight (S·Q must fit in
+    /// int64 ns). The remaining allowance is kept; future cycles use the new
+    /// share.
     void set_share(EntityId id, Share share);
 
     /// Extension: changes the quantum mid-flight (the accuracy/overhead
-    /// knob, §2.1). Allowances are denominated in quanta, so they are
-    /// rescaled by old/new to keep every entity's remaining CPU entitlement
-    /// — and the Σ a_i·Q == t_c invariant — intact. All measurement
-    /// postponements are reset (they were computed under the old quantum).
+    /// knob, §2.1; S·Q must fit in int64 ns). Allowances are in ns, so every
+    /// remaining entitlement is untouched. All measurement postponements are
+    /// reset (they were computed under the old quantum).
     void set_quantum(Duration quantum);
 
     [[nodiscard]] bool contains(EntityId id) const {
@@ -154,7 +157,7 @@ public:
     // ----- observation -----
 
     using CycleObserver = std::function<void(const CycleRecord&)>;
-    /// Called at the end of every cycle with that cycle's consumption.
+    /// Called at the end of every cycle with its members and shares.
     void set_cycle_observer(CycleObserver obs) { observer_ = std::move(obs); }
 
     [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
@@ -164,7 +167,7 @@ public:
     }
     /// Remaining CPU time in the current cycle (t_c in the paper).
     [[nodiscard]] Duration cycle_time_remaining() const {
-        return Duration{static_cast<std::int64_t>(tc_ns_)};
+        return Duration{tc_ns_};
     }
     [[nodiscard]] std::uint64_t tick_count() const { return count_; }
     [[nodiscard]] std::uint64_t cycles_completed() const { return cycles_done_; }
@@ -182,8 +185,8 @@ public:
     /// True once the entity is in quarantine (signalling given up, probing).
     [[nodiscard]] bool quarantined(EntityId id) const;
 
-    /// Remaining allowance of an entity, in quanta.
-    [[nodiscard]] double allowance(EntityId id) const;
+    /// Remaining allowance of an entity (a_i·Q in the paper's terms).
+    [[nodiscard]] Duration allowance(EntityId id) const;
     [[nodiscard]] bool eligible(EntityId id) const;
     [[nodiscard]] Share share(EntityId id) const;
     [[nodiscard]] std::vector<EntityId> ids() const;
@@ -191,11 +194,10 @@ public:
 private:
     struct Entity {
         Share share = 0;
-        double allowance = 0.0;         ///< in quanta
+        std::int64_t allowance_ns = 0;  ///< a_i·Q
         bool eligible = false;          ///< *desired* state (what ALPS wants)
         std::uint64_t update = 0;       ///< next tick index at which to measure
         Duration last_cpu{0};           ///< cumulative CPU at last measurement
-        Duration cycle_consumed{0};     ///< consumption logged this cycle
         bool have_baseline = false;     ///< first read_progress done
         // --- fault bookkeeping (all quiescent on a healthy channel) ---
         int fail_streak = 0;            ///< consecutive backend failures
@@ -265,7 +267,7 @@ private:
 
     EntityTable entities_;
     Share total_shares_ = 0;
-    double tc_ns_ = 0.0;  ///< remaining cycle time, in ns (t_c)
+    std::int64_t tc_ns_ = 0;  ///< remaining cycle time, in ns (t_c)
     std::uint64_t count_ = 0;
     std::uint64_t cycles_done_ = 0;
     std::uint64_t total_measurements_ = 0;

@@ -98,7 +98,6 @@ TickStats StrideEngine::tick() {
                 const Duration delta =
                     std::max(Duration::zero(), s.cpu_time - e.last_cpu);
                 e.last_cpu = s.cpu_time;
-                e.cycle_consumed += delta;
                 const double quanta = util::to_sec(delta) / util::to_sec(cfg_.quantum);
                 // Ticks since the runner was last measured — 1 when eager,
                 // the whole skipped window when lazy.
@@ -166,15 +165,12 @@ void StrideEngine::emit_cycle_record() {
         rec.end_tick = count_;
         rec.ids.reserve(entities_.size());
         rec.shares.reserve(entities_.size());
-        rec.consumed.reserve(entities_.size());
         for (const auto& [id, e] : entities_) {
             rec.ids.push_back(id);
             rec.shares.push_back(e.share);
-            rec.consumed.push_back(e.cycle_consumed);
         }
         observer_(rec);
     }
-    for (auto& [id, e] : entities_) e.cycle_consumed = Duration::zero();
 }
 
 void StrideEngine::release_all() noexcept {

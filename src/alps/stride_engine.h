@@ -70,7 +70,7 @@ public:
     void release_all() noexcept;
 
     using CycleObserver = Scheduler::CycleObserver;
-    /// Called with per-entity consumption every total_shares() ticks — the
+    /// Called with the members and shares every total_shares() ticks — the
     /// same S·Q cycle grid as ALPS, so fairness metrics compare directly.
     void set_cycle_observer(CycleObserver obs) { observer_ = std::move(obs); }
 
@@ -94,7 +94,6 @@ private:
         double stride = 0.0;         ///< stride1 / share
         double pass = 0.0;
         Duration last_cpu{0};        ///< cumulative CPU at last measurement
-        Duration cycle_consumed{0};  ///< consumption logged this cycle
     };
 
     [[nodiscard]] std::size_t find(EntityId id) const;  ///< index or size()

@@ -107,6 +107,18 @@ std::optional<Options> parse_args(int argc, const char* const* argv, UserLookup 
         std::cerr << "alpsctl: mixing PID= and --user targets is not supported\n";
         return std::nullopt;
     }
+    // ALPS keeps every allowance and the cycle S·Q in int64 nanoseconds.
+    util::Share room = util::max_total_shares(opt.quantum);
+    for (const auto* targets : {&opt.pid_targets, &opt.user_targets}) {
+        for (const Target& t : *targets) {
+            if (t.share > room) {
+                std::cerr << "alpsctl: the shares times the quantum overflow "
+                             "int64 nanoseconds\n";
+                return std::nullopt;
+            }
+            room -= t.share;
+        }
+    }
     return opt;
 }
 

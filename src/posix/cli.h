@@ -47,7 +47,8 @@ using UserLookup = std::optional<core::HostUid> (*)(const std::string&);
 
 /// Full argv parse. Returns nullopt (with a message on stderr for semantic
 /// errors) when the command line is invalid, including a pid or uid given
-/// twice — all of it before any target is touched.
+/// twice and shares whose total S·Q does not fit in int64 nanoseconds — all
+/// of it before any target is touched.
 [[nodiscard]] std::optional<Options> parse_args(int argc, const char* const* argv,
                                                 UserLookup lookup);
 

@@ -7,8 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
+
+#include "util/time.h"
 
 namespace alps::util {
 
@@ -26,5 +29,11 @@ using Share = std::int64_t;
 
 /// Ideal fraction of the group's CPU time due to each process: share_i / S.
 [[nodiscard]] std::vector<double> ideal_fractions(std::span<const Share> shares);
+
+/// Largest share total S whose cycle S·Q fits in int64 nanoseconds, the unit
+/// in which ALPS keeps every allowance and the cycle. Requires quantum > 0.
+[[nodiscard]] constexpr Share max_total_shares(Duration quantum) {
+    return std::numeric_limits<std::int64_t>::max() / quantum.count();
+}
 
 }  // namespace alps::util

@@ -391,14 +391,13 @@ FaultRunResult run_fault_experiment(const FaultRunConfig& cfg) {
             if (!sched.contains(id) || sched.eligible(id)) ++res.stopped_at_drain;
         }
 
-        // The core invariant must have survived quarantines and drops.
-        double sum_allowance = 0.0;
+        // The core invariant must have survived quarantines and drops; both
+        // sides are integer ns, so any gap at all is an accounting error.
+        util::Duration sum_allowance{0};
         for (const core::EntityId id : sched.ids()) sum_allowance += sched.allowance(id);
-        const double q_ns = static_cast<double>(cfg.quantum.count());
-        res.invariant_gap_quanta =
-            std::abs(sum_allowance * q_ns -
-                     static_cast<double>(sched.cycle_time_remaining().count())) /
-            q_ns;
+        const util::Duration gap = sum_allowance - sched.cycle_time_remaining();
+        res.invariant_gap_quanta = std::abs(static_cast<double>(gap.count())) /
+                                   static_cast<double>(cfg.quantum.count());
         // ~alps: release_all + driver teardown.
     }
 

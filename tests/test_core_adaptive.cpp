@@ -1,4 +1,4 @@
-// The adaptive-quantum extension: set_quantum() rescaling in the core, the
+// The adaptive-quantum extension: set_quantum() in the core, the
 // controller's policy, and the closed loop on the simulated kernel.
 #include <gtest/gtest.h>
 
@@ -36,12 +36,11 @@ TEST(SetQuantum, RescalesAllowancesPreservingEntitlement) {
     sched.add(2, 4);
     // Allowances 2 and 4 ten-ms quanta = 20 ms and 40 ms of CPU entitlement.
     sched.set_quantum(msec(20));
-    EXPECT_DOUBLE_EQ(sched.allowance(1), 1.0);  // still 20 ms
-    EXPECT_DOUBLE_EQ(sched.allowance(2), 2.0);  // still 40 ms
+    EXPECT_EQ(sched.allowance(1), msec(20));  // now 1 quantum
+    EXPECT_EQ(sched.allowance(2), msec(40));  // now 2 quanta
     EXPECT_EQ(sched.config().quantum, msec(20));
     // The invariant sum(a_i)*Q == t_c survives.
-    const double lhs = (1.0 + 2.0) * static_cast<double>(msec(20).count());
-    EXPECT_NEAR(lhs, static_cast<double>(sched.cycle_time_remaining().count()), 1.0);
+    EXPECT_EQ(sched.cycle_time_remaining(), msec(60));
     // Cycle length is now denominated in the new quantum.
     EXPECT_EQ(sched.cycle_length(), msec(20) * 6);
 }
@@ -74,7 +73,27 @@ TEST(SetQuantum, SameValueIsNoOp) {
     Scheduler sched(mc, cfg);
     sched.add(1, 5);
     sched.set_quantum(msec(10));
-    EXPECT_DOUBLE_EQ(sched.allowance(1), 5.0);
+    EXPECT_EQ(sched.allowance(1), msec(50));
+}
+
+TEST(SetQuantum, RoundTripKeepsEntitlementToTheNanosecond) {
+    // A charge that is no whole fraction of any quantum involved: rescaling
+    // the allowance by 10/30, 30/7 and 7/10 would round at each step.
+    MockControl mc;
+    mc.ensure(1);
+    SchedulerConfig cfg;
+    cfg.quantum = msec(10);
+    cfg.lazy_measurement = false;
+    Scheduler sched(mc, cfg);
+    sched.add(1, 1);
+    sched.tick();  // eligible
+    mc.entities[1].cpu += Duration{3'333'333};
+    sched.tick();  // charged
+    const Duration left = msec(10) - Duration{3'333'333};
+    ASSERT_EQ(sched.allowance(1), left);
+    for (const Duration q : {msec(30), msec(7), msec(10)}) sched.set_quantum(q);
+    EXPECT_EQ(sched.allowance(1), left);
+    EXPECT_EQ(sched.cycle_time_remaining(), left);
 }
 
 TEST(SetQuantum, NonPositiveViolatesContract) {

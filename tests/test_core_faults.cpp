@@ -5,7 +5,6 @@
 // MockControl or from the FaultInjectingControl decorator.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,13 +37,11 @@ void step(MockControl& mc, Scheduler& sched, int n = 1) {
     }
 }
 
-double invariant_gap_quanta(const Scheduler& sched) {
-    double sum = 0.0;
+/// Σ a_i·Q − t_c, in ns: exactly zero while the accounting is sound.
+Duration invariant_gap(const Scheduler& sched) {
+    Duration sum{0};
     for (const EntityId id : sched.ids()) sum += sched.allowance(id);
-    const double q = static_cast<double>(sched.config().quantum.count());
-    return std::abs(sum * q -
-                    static_cast<double>(sched.cycle_time_remaining().count())) /
-           q;
+    return sum - sched.cycle_time_remaining();
 }
 
 // ----------------------------------------------------------------------------
@@ -117,7 +114,7 @@ TEST(Degradation, BackwardsCpuSampleRebaselinesInsteadOfAborting) {
     EXPECT_NO_THROW(step(mc, sched, 5));
     EXPECT_GE(sched.health().rebaselines, 1u);
     EXPECT_TRUE(sched.contains(1));
-    EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
+    EXPECT_EQ(invariant_gap(sched), Duration::zero());
 }
 
 // ----------------------------------------------------------------------------
@@ -157,7 +154,7 @@ TEST(Degradation, DeniedSuspendIsRetriedUntilDelivered) {
     EXPECT_FALSE(sched.quarantined(1));  // 3 denials < 4 (quarantine)
     // Once the denials drained, the mock state tracks the desired state.
     EXPECT_EQ(mc.entities[1].suspended, !sched.eligible(1));
-    EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
+    EXPECT_EQ(invariant_gap(sched), Duration::zero());
 }
 
 // ----------------------------------------------------------------------------
@@ -181,7 +178,7 @@ TEST(Degradation, PersistentReadFailureQuarantinesThenDropsEntity) {
     // share from the cycle accounting.
     EXPECT_FALSE(mc.entities[1].suspended);
     EXPECT_EQ(sched.total_shares(), total_before - 1);
-    EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
+    EXPECT_EQ(invariant_gap(sched), Duration::zero());
     // The survivor is unaffected and still being scheduled.
     EXPECT_TRUE(sched.contains(2));
 }
@@ -250,7 +247,7 @@ TEST(Degradation, QuarantinedEntityRecoversWhenChannelReturns) {
     EXPECT_FALSE(sched.quarantined(1));
     EXPECT_TRUE(sched.contains(1));
     EXPECT_EQ(sched.health().drops, 0u);
-    EXPECT_LT(invariant_gap_quanta(sched), 1e-6);
+    EXPECT_EQ(invariant_gap(sched), Duration::zero());
 }
 
 // ----------------------------------------------------------------------------
@@ -346,7 +343,7 @@ TEST(DegradationProperty, NoEntityStaysSuspendedAfterFaultsStop) {
         }
         // Accounting invariants survived quarantines and drops.
         EXPECT_EQ(sched.total_shares(), total) << "seed " << seed;
-        EXPECT_LT(invariant_gap_quanta(sched), 1e-6) << "seed " << seed;
+        EXPECT_EQ(invariant_gap(sched), Duration::zero()) << "seed " << seed;
     }
 }
 

@@ -120,6 +120,19 @@ TEST(CliArgs, RejectsOverflowingQuantumAndDuration) {
     EXPECT_FALSE(parse({"--quantum", "9223372036855", "42=1"}));  // bare = ms
 }
 
+TEST(CliArgs, RejectsSharesWhoseCycleOverflowsNanoseconds) {
+    // INT64_MAX / 10 ms = 922337203685 shares fit in one S·Q cycle.
+    EXPECT_TRUE(parse({"42=922337203685"}));
+    EXPECT_FALSE(parse({"42=922337203686"}));
+    EXPECT_FALSE(parse({"42=9223372036854775807"}));
+    // The total counts, in either mode, and against the quantum given.
+    EXPECT_FALSE(parse({"42=922337203685", "43=1"}));
+    EXPECT_FALSE(parse({"--user", "alice=922337203000", "--user", "bob=1000"}));
+    EXPECT_TRUE(parse({"--quantum", "1", "42=9223372036854"}));
+    EXPECT_FALSE(parse({"--quantum", "1", "42=9223372036855"}));
+    EXPECT_FALSE(parse({"42=922337203685", "--quantum", "20"}));  // fits at 10 ms
+}
+
 TEST(CliArgs, RejectsRepeatedPid) {
     EXPECT_FALSE(parse({"--duration", "1", "111=1", "111=2"}));
     EXPECT_FALSE(parse({"111=1", "222=1", "111=1"}));
