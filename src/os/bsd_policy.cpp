@@ -45,48 +45,30 @@ void BsdPolicy::remove(Proc& p) {
 
 void BsdPolicy::enqueue(Proc& p) {
     // Contract: never enqueue twice (the cached index doubles as the
-    // membership flag, replacing the old O(n) std::find check).
+    // membership flag).
     ALPS_EXPECT(p.rq_index < 0);
     const int idx = queue_index(p);
-    RunQueue& q = queues_[static_cast<std::size_t>(idx)];
+    policies::IntrusiveFifo& q = queues_[static_cast<std::size_t>(idx)];
+    if (q.empty()) whichqs_ |= 1u << idx;
+    q.push_back(p);
     p.rq_index = idx;
-    p.rq_next = nullptr;
-    p.rq_prev = q.tail;
-    if (q.tail != nullptr) {
-        q.tail->rq_next = &p;
-    } else {
-        q.head = &p;
-        whichqs_ |= 1u << idx;
-    }
-    q.tail = &p;
     ++runnable_;
 }
 
 void BsdPolicy::dequeue(Proc& p) {
-    // Benign on a non-queued process, like the old scan (remove() and stop
-    // handling call this unconditionally).
+    // Benign on a non-queued process (remove() and stop handling call this
+    // unconditionally).
     if (p.rq_index < 0) return;
-    RunQueue& q = queues_[static_cast<std::size_t>(p.rq_index)];
-    if (p.rq_prev != nullptr) {
-        p.rq_prev->rq_next = p.rq_next;
-    } else {
-        q.head = p.rq_next;
-    }
-    if (p.rq_next != nullptr) {
-        p.rq_next->rq_prev = p.rq_prev;
-    } else {
-        q.tail = p.rq_prev;
-    }
-    if (q.head == nullptr) whichqs_ &= ~(1u << p.rq_index);
-    p.rq_prev = nullptr;
-    p.rq_next = nullptr;
+    policies::IntrusiveFifo& q = queues_[static_cast<std::size_t>(p.rq_index)];
+    q.remove(p);
+    if (q.empty()) whichqs_ &= ~(1u << p.rq_index);
     p.rq_index = -1;
     --runnable_;
 }
 
 Proc* BsdPolicy::peek() {
     if (whichqs_ == 0) return nullptr;
-    return queues_[static_cast<std::size_t>(std::countr_zero(whichqs_))].head;
+    return queues_[static_cast<std::size_t>(std::countr_zero(whichqs_))].head();
 }
 
 Proc* BsdPolicy::pop() {

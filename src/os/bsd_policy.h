@@ -13,13 +13,15 @@
 //     second at wakeup (updatepri) — this is the "interactive credit" the
 //     paper invokes to explain ALPS exceeding its theoretical scalability
 //     threshold at Q = 40 ms.
-//   * 32 run queues indexed by usrpri/4; FIFO within a queue; roundrobin()
-//     forces a switch among equal-priority peers every 100 ms.
+//   * 32 run queues indexed by usrpri/4, each an IntrusiveFifo through the
+//     Proc; FIFO within a queue; roundrobin() forces a switch among
+//     equal-priority peers every 100 ms.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
+#include "os/policies/queueing.h"
 #include "os/policy.h"
 
 namespace alps::os {
@@ -67,21 +69,14 @@ private:
     static constexpr int kNumQueues = 32;
     static_assert(kNumQueues <= 32, "whichqs_ is a 32-bit ready-queue bitmap");
 
-    /// One run queue: an intrusive doubly-linked FIFO threaded through
-    /// Proc::rq_prev/rq_next, exactly like the 4.4BSD qs[] TAILQs. All four
-    /// queue operations are O(1).
-    struct RunQueue {
-        Proc* head = nullptr;
-        Proc* tail = nullptr;
-    };
-
     [[nodiscard]] int queue_index(const Proc& p) const;
     void recompute_priority(Proc& p) const;
     /// The schedcpu/updatepri decay factor 2L/(2L+1).
     [[nodiscard]] static double decay_factor(double loadavg);
 
     BsdPolicyConfig cfg_;
-    std::array<RunQueue, kNumQueues> queues_;
+    /// The 4.4BSD qs[] TAILQs, threaded through Proc::rq_prev/rq_next.
+    std::array<policies::IntrusiveFifo, kNumQueues> queues_;
     /// 4.4BSD `whichqs`: bit q set iff queues_[q] is non-empty, so the
     /// dispatcher's "best queue" is a find-first-set, not a 32-queue scan.
     std::uint32_t whichqs_ = 0;

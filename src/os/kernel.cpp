@@ -704,7 +704,6 @@ void Kernel::migrate(Proc& p, std::size_t to) {
     // Only a process that is off every queue and every CPU may move: the
     // old domain's intrusive links must not dangle into the new one.
     ALPS_GUARD(p.rq_index < 0 && p.on_cpu < 0);
-    dom(p).on_migrate_out(p);
     p.home_cpu = static_cast<int>(to);
     dom(p).on_migrate_in(p);
     ++migrations_;

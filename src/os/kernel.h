@@ -272,7 +272,8 @@ private:
     /// Pops `from`'s queue head if it is migratable; nullptr (queue
     /// untouched) when the queue is empty or its head is pinned.
     Proc* pop_migratable_head(SchedPolicy& from);
-    /// Moves `p` (already off `from`'s queues) into domain `to`.
+    /// Moves `p` (already off its domain's queues) into domain `to`. Its
+    /// scheduling state travels on the Proc; only `to` hears of the move.
     void migrate(Proc& p, std::size_t to);
 
     // Trampolines for the engine's devirtualized (hot) dispatch: the three

@@ -18,18 +18,6 @@ CfsPolicy::CfsPolicy(CfsPolicyConfig cfg) : cfg_(cfg) {
     ALPS_EXPECT(cfg_.sched_latency > Duration::zero());
 }
 
-CfsPolicy::Timing& CfsPolicy::state(const Proc& p) {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    ALPS_EXPECT(pid < procs_.size() && procs_[pid].known);
-    return procs_[pid];
-}
-
-const CfsPolicy::Timing& CfsPolicy::state(const Proc& p) const {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    ALPS_EXPECT(pid < procs_.size() && procs_[pid].known);
-    return procs_[pid];
-}
-
 void CfsPolicy::advance_min_vruntime(double candidate) {
     if (candidate > min_vruntime_) min_vruntime_ = candidate;
 }
@@ -38,65 +26,42 @@ void CfsPolicy::advance_min_vruntime(double candidate) {
 // Lifecycle
 
 void CfsPolicy::add(Proc& p) {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    if (pid >= procs_.size()) procs_.resize(pid + 1);
-    ALPS_EXPECT(!procs_[pid].known);
-    Timing& t = procs_[pid];
-    t = Timing{};
-    t.known = true;
-    t.weight = static_cast<double>(nice_to_weight(p.nice));
+    p.weight = static_cast<double>(nice_to_weight(p.nice));
     // New tasks start at the fair point, neither ahead nor behind.
-    t.vruntime = min_vruntime_;
+    p.vtime = min_vruntime_;
 }
 
-void CfsPolicy::remove(Proc& p) {
-    if (p.rq_index >= 0) dequeue(p);
-    state(p) = Timing{};
-}
+void CfsPolicy::remove(Proc& p) { dequeue(p); }
 
 // ----------------------------------------------------------------------------
 // Queueing
 
 void CfsPolicy::enqueue(Proc& p) {
     ALPS_EXPECT(p.rq_index < 0);
-    Timing& t = state(p);
-    if (p.wake_boost) {
-        boosted_.push_back(p);
-        ++boosted_size_;
-        p.rq_index = kOnBoostQueue;
-    } else {
-        queue_.push(p, t.vruntime);
+    if (!boosted_.offer(p)) {
+        queue_.push(p, p.vtime);
         p.rq_index = kOnPrimary;
     }
 }
 
 void CfsPolicy::dequeue(Proc& p) {
-    if (p.rq_index == kOnBoostQueue) {
-        boosted_.remove(p);
-        --boosted_size_;
-    } else if (p.rq_index == kOnPrimary) {
-        queue_.erase(p);
-    } else {
-        return;  // not queued; benign (stop/exit paths)
-    }
+    if (boosted_.take(p) || p.rq_index != kOnPrimary) return;  // boosted, or not queued
+    queue_.erase(p);
     p.rq_index = -1;
 }
 
 Proc* CfsPolicy::peek() {
-    if (!boosted_.empty()) return boosted_.head;
+    if (Proc* head = boosted_.head(); head != nullptr) return head;
     return queue_.min();
 }
 
 Proc* CfsPolicy::pop() {
     Proc* p = peek();
     if (p == nullptr) return nullptr;
-    if (p->rq_index == kOnBoostQueue) {
-        boosted_.remove(*p);
-        --boosted_size_;
-    } else {
+    if (!boosted_.take(*p)) {
         queue_.erase(*p);
+        p->rq_index = -1;
     }
-    p->rq_index = -1;
     return p;
 }
 
@@ -109,46 +74,42 @@ bool CfsPolicy::preempts(const Proc& cand, const Proc& running) const {
     // check_preempt_wakeup: preempt once the incumbent has run more than a
     // wakeup granularity (in the candidate's virtual clock) past the
     // candidate.
-    const Timing& c = state(cand);
-    const Timing& r = state(running);
     const double gran = static_cast<double>(kWakeupGranularity.count()) *
-                        static_cast<double>(kWeightNice0) / c.weight;
-    return r.vruntime - c.vruntime > gran;
+                        static_cast<double>(kWeightNice0) / cand.weight;
+    return running.vtime - cand.vtime > gran;
 }
 
 bool CfsPolicy::yields_to(const Proc& running, const Proc& cand) const {
     if (cand.wake_boost) return true;
-    return state(cand).vruntime < state(running).vruntime;
+    return cand.vtime < running.vtime;
 }
 
 void CfsPolicy::charge(Proc& p, Duration ran) {
-    Timing& t = state(p);
-    t.vruntime += static_cast<double>(ran.count()) *
-                  static_cast<double>(kWeightNice0) / t.weight;
+    p.vtime += static_cast<double>(ran.count()) * static_cast<double>(kWeightNice0) /
+               p.weight;
     // update_min_vruntime: the low-water mark follows min(curr, leftmost),
     // forward only.
-    double candidate = t.vruntime;
+    double candidate = p.vtime;
     if (!queue_.empty()) candidate = std::min(candidate, queue_.min_key());
     advance_min_vruntime(candidate);
 }
 
 void CfsPolicy::on_wakeup(Proc& p, Duration /*slept*/) {
     // place_entity: cap the sleeper's credit at half a latency period.
-    Timing& t = state(p);
     const double floor =
         min_vruntime_ - static_cast<double>(cfg_.sched_latency.count()) / 2.0;
-    t.vruntime = std::max(t.vruntime, floor);
+    p.vtime = std::max(p.vtime, floor);
 }
 
 void CfsPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loadavg*/,
                             util::TimePoint /*now*/) {}
 
 util::Duration CfsPolicy::slice() const {
-    const auto runnable = queue_.size() + boosted_size_ + 1;  // + the incumbent
+    const auto runnable = this->runnable() + 1;  // + the incumbent
     const auto share = cfg_.sched_latency / static_cast<std::int64_t>(runnable);
     return std::max(share, kMinGranularity);
 }
 
-double CfsPolicy::vruntime(const Proc& p) const { return state(p).vruntime; }
+double CfsPolicy::vruntime(const Proc& p) const { return p.vtime; }
 
 }  // namespace alps::os::policies

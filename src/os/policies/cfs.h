@@ -1,13 +1,13 @@
 // A CFS-style weighted-vruntime policy (Linux's Completely Fair Scheduler,
 // kernel/sched/fair.c circa 2.6.3x) as a SchedPolicy.
 //
-// Every process accrues virtual runtime vruntime += ran × w0 / weight, where
-// weight comes from the shared nice table (weight.h, nice 0 = w0 = 1024) —
-// so a heavily-weighted process's clock ticks slowly and the "fair" schedule
-// is simply "always run the smallest vruntime". The run queue is an
-// IndexedProcHeap keyed by (vruntime, pid): the ordered intrusive structure
-// playing the role of CFS's rb-tree leftmost, O(lg n) per operation and
-// deterministic on ties.
+// Every process accrues virtual runtime vruntime += ran × w0 / weight
+// (Proc::vtime, Proc::weight), where weight comes from the shared nice table
+// (weight.h, nice 0 = w0 = 1024) — so a heavily-weighted process's clock
+// ticks slowly and the "fair" schedule is simply "always run the smallest
+// vruntime". The run queue is an IndexedProcHeap keyed by (vruntime, pid):
+// the ordered intrusive structure playing the role of CFS's rb-tree
+// leftmost, O(lg n) per operation and deterministic on ties.
 //
 // min_vruntime is the monotone low-water mark of the queue: it only moves
 // forward (max of itself and min(current runner, leftmost)), and it anchors
@@ -25,9 +25,6 @@
 // min_granularity — many runnable processes shrink the slice so every task
 // still runs once per latency period.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "os/policies/queueing.h"
 #include "os/policy.h"
@@ -59,29 +56,22 @@ public:
                      util::TimePoint now) override;
     [[nodiscard]] util::Duration slice() const override;
     [[nodiscard]] std::size_t runnable() const override {
-        return queue_.size() + boosted_size_;
+        return queue_.size() + boosted_.size();
     }
+    /// A migrating process keeps its weight and re-anchors at this domain's
+    /// min_vruntime, as a spawn does.
+    void on_migrate_in(Proc& p) override { p.vtime = min_vruntime_; }
 
     [[nodiscard]] double vruntime(const Proc& p) const;
     [[nodiscard]] double min_vruntime() const { return min_vruntime_; }
 
 private:
-    struct Timing {
-        double weight = 0.0;
-        double vruntime = 0.0;  ///< virtual ns
-        bool known = false;
-    };
-
-    [[nodiscard]] Timing& state(const Proc& p);
-    [[nodiscard]] const Timing& state(const Proc& p) const;
     /// Ratchets min_vruntime toward `candidate` (forward only).
     void advance_min_vruntime(double candidate);
 
     CfsPolicyConfig cfg_;
-    IntrusiveFifo boosted_;  ///< wake_boost procs, ahead of vruntime order
-    std::size_t boosted_size_ = 0;
+    WakeBoostFifo boosted_;  ///< wake_boost procs, ahead of vruntime order
     IndexedProcHeap queue_;  ///< min-(vruntime, pid): the rb-tree leftmost
-    std::vector<Timing> procs_;  ///< pid-indexed
 
     double min_vruntime_ = 0.0;
 };

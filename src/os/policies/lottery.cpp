@@ -13,54 +13,23 @@ LotteryPolicy::LotteryPolicy(LotteryPolicyConfig cfg) : cfg_(cfg), rng_(cfg.seed
     ALPS_EXPECT(cfg_.quantum > Duration::zero());
 }
 
-LotteryPolicy::Ticketing& LotteryPolicy::state(const Proc& p) {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    ALPS_EXPECT(pid < tickets_.size() && tickets_[pid].known);
-    return tickets_[pid];
-}
-
-const LotteryPolicy::Ticketing& LotteryPolicy::state(const Proc& p) const {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    ALPS_EXPECT(pid < tickets_.size() && tickets_[pid].known);
-    return tickets_[pid];
-}
-
 // ----------------------------------------------------------------------------
 // Lifecycle
 
 void LotteryPolicy::add(Proc& p) {
-    const auto pid = static_cast<std::size_t>(p.pid);
-    if (pid >= tickets_.size()) tickets_.resize(pid + 1);
-    ALPS_EXPECT(!tickets_[pid].known);
-    Ticketing& t = tickets_[pid];
-    t = Ticketing{};
-    t.known = true;
-    t.amount = static_cast<double>(nice_to_weight(p.nice));
+    p.weight = static_cast<double>(nice_to_weight(p.nice));
+    p.comp = 1.0;
+    p.stint = Duration::zero();
 }
 
 void LotteryPolicy::remove(Proc& p) {
-    Ticketing& t = state(p);
-    if (p.rq_index == kOnBoostQueue) {
-        boosted_.remove(p);
-        --boosted_size_;
-        p.rq_index = -1;
-    } else if (p.rq_index == kOnPrimary) {
-        pool_.remove(p);
-        --pool_size_;
-        p.rq_index = -1;
-    }
-    t = Ticketing{};
+    dequeue(p);
     winner_ = nullptr;
 }
 
-void LotteryPolicy::on_migrate_out(Proc& p) {
-    p.tickets = state(p).amount;
-    remove(p);
-}
-
 void LotteryPolicy::on_migrate_in(Proc& p) {
-    add(p);
-    state(p).amount = p.tickets;
+    p.comp = 1.0;
+    p.stint = Duration::zero();
 }
 
 // ----------------------------------------------------------------------------
@@ -68,38 +37,27 @@ void LotteryPolicy::on_migrate_in(Proc& p) {
 
 void LotteryPolicy::enqueue(Proc& p) {
     ALPS_EXPECT(p.rq_index < 0);
-    Ticketing& t = state(p);
     // Leaving the CPU mid-quantum earns a compensation factor quantum/stint,
     // held until the next win (set here; consumed in pop()).
-    if (t.stint > Duration::zero() && t.stint < cfg_.quantum) {
-        t.comp = std::min(kMaxCompensation,
-                          util::to_sec(cfg_.quantum) / util::to_sec(t.stint));
+    if (p.stint > Duration::zero() && p.stint < cfg_.quantum) {
+        p.comp = std::min(kMaxCompensation,
+                          util::to_sec(cfg_.quantum) / util::to_sec(p.stint));
     } else {
-        t.comp = 1.0;
+        p.comp = 1.0;
     }
-    if (p.wake_boost) {
-        boosted_.push_back(p);
-        ++boosted_size_;
-        p.rq_index = kOnBoostQueue;
-    } else {
+    if (!boosted_.offer(p)) {
         pool_.push_back(p);
-        ++pool_size_;
         p.rq_index = kOnPrimary;
     }
     winner_ = nullptr;
 }
 
 void LotteryPolicy::dequeue(Proc& p) {
-    if (p.rq_index == kOnBoostQueue) {
-        boosted_.remove(p);
-        --boosted_size_;
-    } else if (p.rq_index == kOnPrimary) {
+    if (!boosted_.take(p)) {
+        if (p.rq_index != kOnPrimary) return;  // not queued; benign (stop/exit paths)
         pool_.remove(p);
-        --pool_size_;
-    } else {
-        return;  // not queued; benign (stop/exit paths)
+        p.rq_index = -1;
     }
-    p.rq_index = -1;
     winner_ = nullptr;
 }
 
@@ -107,49 +65,42 @@ Proc* LotteryPolicy::draw() {
     if (winner_ != nullptr) return winner_;
     if (pool_.empty()) return nullptr;
     double total = 0.0;
-    for (const Proc* p = pool_.head; p != nullptr; p = p->rq_next) {
-        const Ticketing& t = state(*p);
-        total += t.amount * t.comp;
+    for (const Proc* p = pool_.head(); p != nullptr; p = p->rq_next) {
+        total += p->weight * p->comp;
     }
     if (total <= 0.0) {
-        winner_ = pool_.head;  // no tickets: degenerate FIFO
+        winner_ = pool_.head();  // no tickets: degenerate FIFO
         return winner_;
     }
     const double ticket = rng_.next_double() * total;
     double acc = 0.0;
-    for (Proc* p = pool_.head; p != nullptr; p = p->rq_next) {
-        const Ticketing& t = state(*p);
-        acc += t.amount * t.comp;
+    for (Proc* p = pool_.head(); p != nullptr; p = p->rq_next) {
+        acc += p->weight * p->comp;
         if (ticket < acc) {
             winner_ = p;
             return winner_;
         }
     }
-    winner_ = pool_.tail;  // fp round-off on the last holder
+    winner_ = pool_.tail();  // fp round-off on the last holder
     return winner_;
 }
 
 Proc* LotteryPolicy::peek() {
-    if (!boosted_.empty()) return boosted_.head;
+    if (Proc* head = boosted_.head(); head != nullptr) return head;
     return draw();
 }
 
 Proc* LotteryPolicy::pop() {
     Proc* p = peek();
     if (p == nullptr) return nullptr;
-    Ticketing& t = state(*p);
-    if (p->rq_index == kOnBoostQueue) {
-        boosted_.remove(*p);
-        --boosted_size_;
-    } else {
+    if (!boosted_.take(*p)) {
         pool_.remove(*p);
-        --pool_size_;
+        p->rq_index = -1;
         // A lottery win consumes any held compensation ticket and starts a
         // fresh stint.
-        t.comp = 1.0;
-        t.stint = Duration::zero();
+        p->comp = 1.0;
+        p->stint = Duration::zero();
     }
-    p->rq_index = -1;
     winner_ = nullptr;
     return p;
 }
@@ -167,9 +118,7 @@ bool LotteryPolicy::yields_to(const Proc& /*running*/, const Proc& /*cand*/) con
     return true;
 }
 
-void LotteryPolicy::charge(Proc& p, Duration ran) {
-    state(p).stint += ran;
-}
+void LotteryPolicy::charge(Proc& p, Duration ran) { p.stint += ran; }
 
 void LotteryPolicy::on_wakeup(Proc& /*p*/, Duration /*slept*/) {}
 
@@ -181,14 +130,14 @@ void LotteryPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loada
 
 void LotteryPolicy::set_tickets(const Proc& p, double amount) {
     ALPS_EXPECT(amount >= 0.0);
-    state(p).amount = amount;
+    // The Proc is the kernel's, handed out const; its scheduling fields are
+    // this policy's to write.
+    const_cast<Proc&>(p).weight = amount;
     winner_ = nullptr;
 }
 
-double LotteryPolicy::effective_tickets(const Proc& p) const {
-    return state(p).amount;
-}
+double LotteryPolicy::effective_tickets(const Proc& p) const { return p.weight; }
 
-double LotteryPolicy::compensation(const Proc& p) const { return state(p).comp; }
+double LotteryPolicy::compensation(const Proc& p) const { return p.comp; }
 
 }  // namespace alps::os::policies

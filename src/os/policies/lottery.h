@@ -1,16 +1,17 @@
 // Lottery scheduling (Waldspurger & Weihl, OSDI '94) as a kernel SchedPolicy.
 //
-// Each process holds an amount of tickets. Every dispatch decision draws a
-// uniform value over the runnable processes' tickets (via the repo's
-// deterministic xoshiro RNG) and the holder of the winning ticket runs for
-// one quantum.
+// Each process holds an amount of tickets (Proc::weight). Every dispatch
+// decision draws a uniform value over the runnable processes' tickets (via
+// the repo's deterministic xoshiro RNG) and the holder of the winning ticket
+// runs for one quantum.
 //
 // Compensation tickets: a process that used only a fraction f < 1 of its
 // quantum before leaving the CPU (sleep, preemption) has its tickets
-// inflated by 1/f until it next wins, preserving its expected share despite
-// short stints (paper §3.4). The stint is accumulated across charge() calls
-// since the last win, so fragmented charging (the kernel charges at every
-// scheduling decision, not once per slice) still yields one 1/f factor.
+// inflated by 1/f (Proc::comp) until it next wins, preserving its expected
+// share despite short stints (paper §3.4). The stint (Proc::stint) is
+// accumulated across charge() calls since the last win, so fragmented
+// charging (the kernel charges at every scheduling decision, not once per
+// slice) still yields one 1/f factor.
 //
 // Interaction with the wake-boost protocol: processes waking from a kernel
 // sleep must preempt user-mode work immediately (Proc::wake_boost; the ALPS
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "os/policies/queueing.h"
 #include "os/policy.h"
@@ -58,11 +58,10 @@ public:
                      util::TimePoint now) override;
     [[nodiscard]] util::Duration slice() const override { return cfg_.quantum; }
     [[nodiscard]] std::size_t runnable() const override {
-        return pool_size_ + boosted_size_;
+        return pool_.size() + boosted_.size();
     }
-    /// A migrating process keeps its holding (via Proc::tickets); its
+    /// A migrating process keeps its holding (Proc::weight); its
     /// compensation and stint start fresh on the new domain.
-    void on_migrate_out(Proc& p) override;
     void on_migrate_in(Proc& p) override;
 
     // ----- tickets -----
@@ -77,26 +76,13 @@ public:
     [[nodiscard]] double compensation(const Proc& p) const;
 
 private:
-    struct Ticketing {
-        double amount = 0.0;          ///< tickets held
-        double comp = 1.0;            ///< compensation factor, >= 1
-        util::Duration stint{0};      ///< CPU used since last lottery win
-        bool known = false;           ///< add() seen, remove() not yet
-    };
-
-    [[nodiscard]] Ticketing& state(const Proc& p);
-    [[nodiscard]] const Ticketing& state(const Proc& p) const;
     /// Draw (or return the memoized) winner among the ticket FIFO.
     Proc* draw();
 
     LotteryPolicyConfig cfg_;
     util::Rng rng_;
-    std::vector<Ticketing> tickets_;  ///< pid-indexed
-
-    IntrusiveFifo boosted_;  ///< wake_boost procs, FIFO, ahead of any draw
-    std::size_t boosted_size_ = 0;
+    WakeBoostFifo boosted_;  ///< wake_boost procs, FIFO, ahead of any draw
     IntrusiveFifo pool_;     ///< runnable ticket holders, in enqueue order
-    std::size_t pool_size_ = 0;
 
     /// peek() must be stable until the queues change, so the draw is
     /// memoized here and invalidated by every queue/ticket mutation.

@@ -1,15 +1,18 @@
-// Shared run-queue building blocks for the kernel policy zoo.
+// Run-queue building blocks, intrusive in the Proc.
 //
-// Two structures, both in the spirit of the PR-3 O(1) substrate:
-//   * IntrusiveFifo — a doubly-linked FIFO threaded through the Proc's
-//     rq_prev/rq_next links (the same fields the 4.4BSD policy uses for its
-//     qs[] TAILQs). The zoo policies use one as the wake-boost queue (freshly
-//     woken processes hold kernel sleep priority until dispatched — see
-//     Proc::wake_boost) and, for lottery, as the ticket pool itself.
-//   * IndexedProcHeap — a binary min-heap over (key, pid) with a pid-indexed
-//     position table, the same indexed-heap idiom as the PR-3 timer heap:
-//     O(log n) push/erase/update with O(1) membership tests, and a strict
-//     (key, pid) total order so extraction is fully deterministic.
+// Three structures, none of which keeps a per-process side table:
+//   * IntrusiveFifo — a self-counting doubly-linked FIFO threaded through
+//     the Proc's rq_prev/rq_next links, like the p_forw/p_back TAILQs of
+//     4.4BSD's qs[]. BsdPolicy's 32 run queues are IntrusiveFifos, and so is
+//     lottery's ticket pool.
+//   * WakeBoostFifo — the wake-boost queue the three zoo policies service
+//     ahead of their own order (freshly woken processes hold kernel sleep
+//     priority until dispatched — see Proc::wake_boost). It owns the
+//     kOnBoostQueue membership mark.
+//   * IndexedProcHeap — a binary min-heap over (key, pid) that keeps each
+//     entry's slot in Proc::heap_pos: O(log n) push/erase/update with O(1)
+//     membership tests, and a strict (key, pid) total order so extraction
+//     is fully deterministic.
 //
 // Membership convention shared by the zoo policies (documented in DESIGN.md
 // §8): Proc::rq_index is -1 when the process is on neither structure,
@@ -19,6 +22,7 @@
 // means "not queued", which is the invariant the Kernel relies on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,51 +38,88 @@ inline constexpr int kOnBoostQueue = 1;
 
 /// Intrusive doubly-linked FIFO through Proc::rq_prev/rq_next. The caller
 /// owns the rq_index bookkeeping (these helpers only touch the links).
-struct IntrusiveFifo {
-    Proc* head = nullptr;
-    Proc* tail = nullptr;
-
-    [[nodiscard]] bool empty() const { return head == nullptr; }
+class IntrusiveFifo {
+public:
+    [[nodiscard]] bool empty() const { return head_ == nullptr; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] Proc* head() const { return head_; }
+    [[nodiscard]] Proc* tail() const { return tail_; }
 
     void push_back(Proc& p) {
         p.rq_next = nullptr;
-        p.rq_prev = tail;
-        if (tail != nullptr) {
-            tail->rq_next = &p;
+        p.rq_prev = tail_;
+        if (tail_ != nullptr) {
+            tail_->rq_next = &p;
         } else {
-            head = &p;
+            head_ = &p;
         }
-        tail = &p;
+        tail_ = &p;
+        ++size_;
     }
 
     void remove(Proc& p) {
         if (p.rq_prev != nullptr) {
             p.rq_prev->rq_next = p.rq_next;
         } else {
-            head = p.rq_next;
+            head_ = p.rq_next;
         }
         if (p.rq_next != nullptr) {
             p.rq_next->rq_prev = p.rq_prev;
         } else {
-            tail = p.rq_prev;
+            tail_ = p.rq_prev;
         }
         p.rq_prev = nullptr;
         p.rq_next = nullptr;
+        --size_;
     }
+
+private:
+    Proc* head_ = nullptr;
+    Proc* tail_ = nullptr;
+    std::size_t size_ = 0;
 };
 
-/// Binary min-heap over (key, pid) with a pid-indexed position table.
-/// Keys are policy virtual times (stride pass values, CFS vruntimes); the
-/// pid tiebreak makes the order strict and extraction deterministic.
+/// The zoo policies' wake-boost queue: boosted processes wait here, FIFO,
+/// and peek()/pop() serve its head before any draw, pass or vruntime order,
+/// mirroring BsdPolicy's kernel sleep-priority queue.
+class WakeBoostFifo {
+public:
+    [[nodiscard]] std::size_t size() const { return fifo_.size(); }
+    [[nodiscard]] Proc* head() const { return fifo_.head(); }
+
+    /// Queues `p` here if it holds the wake boost; false (and `p`
+    /// untouched) otherwise.
+    bool offer(Proc& p) {
+        if (!p.wake_boost) return false;
+        fifo_.push_back(p);
+        p.rq_index = kOnBoostQueue;
+        return true;
+    }
+
+    /// Unlinks `p` if it waits here; false (and `p` untouched) otherwise.
+    bool take(Proc& p) {
+        if (p.rq_index != kOnBoostQueue) return false;
+        fifo_.remove(p);
+        p.rq_index = -1;
+        return true;
+    }
+
+private:
+    IntrusiveFifo fifo_;
+};
+
+/// Binary min-heap over (key, pid) whose entries' slots live in
+/// Proc::heap_pos. Keys are policy virtual times (stride pass values, CFS
+/// vruntimes); the pid tiebreak makes the order strict and extraction
+/// deterministic.
 class IndexedProcHeap {
 public:
     [[nodiscard]] bool empty() const { return heap_.empty(); }
     [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-    [[nodiscard]] bool contains(const Proc& p) const {
-        const auto pid = static_cast<std::size_t>(p.pid);
-        return pid < pos_.size() && pos_[pid] >= 0;
-    }
+    /// A process is on at most one heap, so its slot says whether it is on
+    /// this one.
+    [[nodiscard]] static bool contains(const Proc& p) { return p.heap_pos >= 0; }
 
     /// The minimum-key process (nullptr when empty). Stable until the heap
     /// changes, as SchedPolicy::peek requires.
@@ -90,39 +131,31 @@ public:
 
     void push(Proc& p, double key) {
         ALPS_EXPECT(!contains(p));
-        const auto pid = static_cast<std::size_t>(p.pid);
-        if (pid >= pos_.size()) pos_.resize(pid + 1, -1);
         heap_.push_back({key, &p});
-        pos_[pid] = static_cast<std::int32_t>(heap_.size() - 1);
         sift_up(heap_.size() - 1);
     }
 
     void erase(Proc& p) {
         ALPS_EXPECT(contains(p));
-        const auto hole = static_cast<std::size_t>(pos_[static_cast<std::size_t>(p.pid)]);
-        pos_[static_cast<std::size_t>(p.pid)] = -1;
+        const auto hole = static_cast<std::size_t>(p.heap_pos);
+        p.heap_pos = -1;
         const Entry last = heap_.back();
         heap_.pop_back();
         if (hole < heap_.size()) {
             heap_[hole] = last;
-            pos_[static_cast<std::size_t>(last.p->pid)] = static_cast<std::int32_t>(hole);
+            last.p->heap_pos = static_cast<std::int32_t>(hole);
             // The displaced entry may need to move either way.
             sift_down(hole);
-            sift_up(static_cast<std::size_t>(pos_[static_cast<std::size_t>(last.p->pid)]));
+            sift_up(static_cast<std::size_t>(last.p->heap_pos));
         }
     }
 
     void update_key(Proc& p, double key) {
         ALPS_EXPECT(contains(p));
-        const auto i = static_cast<std::size_t>(pos_[static_cast<std::size_t>(p.pid)]);
+        const auto i = static_cast<std::size_t>(p.heap_pos);
         heap_[i].key = key;
         sift_down(i);
-        sift_up(static_cast<std::size_t>(pos_[static_cast<std::size_t>(p.pid)]));
-    }
-
-    [[nodiscard]] double key_of(const Proc& p) const {
-        ALPS_EXPECT(contains(p));
-        return heap_[static_cast<std::size_t>(pos_[static_cast<std::size_t>(p.pid)])].key;
+        sift_up(static_cast<std::size_t>(p.heap_pos));
     }
 
 private:
@@ -138,7 +171,7 @@ private:
 
     void place(std::size_t i, const Entry& e) {
         heap_[i] = e;
-        pos_[static_cast<std::size_t>(e.p->pid)] = static_cast<std::int32_t>(i);
+        e.p->heap_pos = static_cast<std::int32_t>(i);
     }
 
     void sift_up(std::size_t i) {
@@ -176,7 +209,6 @@ private:
     }
 
     std::vector<Entry> heap_;
-    std::vector<std::int32_t> pos_;  ///< pid-indexed; -1 = absent
 };
 
 }  // namespace alps::os::policies

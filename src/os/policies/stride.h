@@ -1,10 +1,11 @@
 // Stride scheduling (Waldspurger & Weihl, TR-528, 1995) as a kernel
 // SchedPolicy: deterministic proportional share.
 //
-// Each process holds tickets; stride = stride1 / tickets is the pass-value
-// cost of one quantum. The dispatcher always runs the minimum-pass process
-// and advances its pass by stride × (cpu used / quantum), so long-run CPU is
-// proportional to tickets with O(lg n) error instead of lottery's √n.
+// Each process holds tickets (Proc::weight); stride = stride1 / tickets is
+// the pass-value cost of one quantum. The dispatcher always runs the
+// minimum-pass process and advances its pass by stride × (cpu used /
+// quantum), so long-run CPU is proportional to tickets with O(lg n) error
+// instead of lottery's √n.
 //
 // Dynamic join/leave uses the paper's global pass + remain mechanism:
 //   * global_pass advances at rate stride1 / (active tickets) per quantum of
@@ -22,10 +23,11 @@
 // at the moment of leave. Ticket changes rescale remain by the stride ratio
 // (client_modify).
 //
-// The run queue is an IndexedProcHeap keyed by (pass, pid) — the PR-3
-// position-indexed heap, O(lg n) with deterministic ties. Freshly woken
-// processes bypass the pass order on the wake-boost FIFO exactly as in the
-// lottery policy (the ALPS driver depends on immediate wake preemption).
+// Pass and remain live on the Proc (Proc::vtime, Proc::remain). The run
+// queue is an IndexedProcHeap keyed by (pass, pid), O(lg n) with
+// deterministic ties. Freshly woken processes bypass the pass order on the
+// wake-boost FIFO exactly as in the lottery policy (the ALPS driver depends
+// on immediate wake preemption).
 //
 // active-tickets caveat: the global-pass rate counts queued tickets plus the
 // tickets of the process being charged, which is exact on a uniprocessor
@@ -33,9 +35,6 @@
 // ncpus > 1 other CPUs' runners are not counted and global pass runs
 // slightly fast; the zoo experiments are uniprocessor, like the paper's.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "os/policies/queueing.h"
 #include "os/policy.h"
@@ -66,11 +65,10 @@ public:
     void second_tick(std::span<Proc* const> procs, double loadavg,
                      util::TimePoint now) override;
     [[nodiscard]] std::size_t runnable() const override {
-        return queue_.size() + boosted_size_;
+        return queue_.size() + boosted_.size();
     }
-    /// A migrating process keeps its tickets (via Proc::tickets) and joins
-    /// the new domain like a spawn at that rate: remain is one stride.
-    void on_migrate_out(Proc& p) override;
+    /// A migrating process keeps its tickets (Proc::weight) and joins the
+    /// new domain like a spawn at that rate: remain is one stride.
     void on_migrate_in(Proc& p) override;
     [[nodiscard]] util::Duration slice() const override { return cfg_.quantum; }
 
@@ -83,22 +81,9 @@ public:
     [[nodiscard]] double global_pass() const { return global_pass_; }
 
 private:
-    struct Striding {
-        double tickets = 0.0;
-        double stride = 0.0;   ///< stride1 / tickets
-        double pass = 0.0;     ///< live while active; stale while asleep
-        double remain = 0.0;   ///< pass − global_pass, snapshotted at charge
-        bool known = false;
-    };
-
-    [[nodiscard]] Striding& state(const Proc& p);
-    [[nodiscard]] const Striding& state(const Proc& p) const;
-
     StridePolicyConfig cfg_;
-    IntrusiveFifo boosted_;     ///< wake_boost procs, ahead of the pass order
-    std::size_t boosted_size_ = 0;
-    IndexedProcHeap queue_;     ///< min-(pass, pid)
-    std::vector<Striding> procs_;  ///< pid-indexed
+    WakeBoostFifo boosted_;  ///< wake_boost procs, ahead of the pass order
+    IndexedProcHeap queue_;  ///< min-(pass, pid)
 
     double global_pass_ = 0.0;
     /// Tickets of every queued process (heap + boost FIFO); the charge-time

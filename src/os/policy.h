@@ -5,6 +5,12 @@
 // src/os/policies (lottery, stride, cfs) implement the same interface, which
 // lets an experiment swap an in-kernel policy for the BSD one by name
 // (KernelConfig::policy) while keeping the rest of the machine identical.
+//
+// An instance serves one scheduling domain and holds only per-domain state
+// (its run queues, a global pass, a min_vruntime). Per-process state lives
+// on the Proc (estcpu, weight, vtime, ...) and the run queues thread through
+// it, so no policy keeps a pid-indexed table and a migrating process takes
+// its state along.
 #pragma once
 
 #include <span>
@@ -66,18 +72,14 @@ public:
     /// load metric when picking victim domains, so it must be O(1).
     [[nodiscard]] virtual std::size_t runnable() const = 0;
 
-    /// A process is leaving this instance for another CPU's domain. The
-    /// kernel has already popped it off the run queues; drop any per-process
-    /// policy state. Default: remove() (every zoo policy's remove tolerates
-    /// an unqueued process).
-    virtual void on_migrate_out(Proc& p) { remove(p); }
-
-    /// A migrated process is joining this instance (the counterpart of
-    /// on_migrate_out; the kernel enqueues or dispatches it afterwards).
-    /// Default: add() — i.e. the process joins like a fresh spawn. Policies
-    /// whose usage state lives on the Proc itself (BSD's estcpu) override
-    /// this to carry that state across instead of resetting it.
-    virtual void on_migrate_in(Proc& p) { add(p); }
+    /// A migrated process is joining this instance. The kernel has already
+    /// popped it off the source domain's queues, and enqueues or dispatches
+    /// it afterwards. Every scheduling field lives on the Proc and moves
+    /// with it; the policy resets only what a migrant does not carry
+    /// (DESIGN §11): BSD keeps estcpu, lottery keeps its holding and stride
+    /// its tickets, while compensation, stride's remain and CFS's vruntime
+    /// start again on this domain.
+    virtual void on_migrate_in(Proc& p) = 0;
 };
 
 }  // namespace alps::os

@@ -1,28 +1,8 @@
 #include "util/shares.h"
 
-#include <numeric>
-
 #include "util/assert.h"
 
 namespace alps::util {
-
-Share shares_gcd(std::span<const Share> shares) {
-    Share g = 0;
-    for (Share s : shares) {
-        ALPS_EXPECT(s > 0);
-        g = std::gcd(g, s);
-    }
-    return g;
-}
-
-std::vector<Share> scale_by_gcd(std::span<const Share> shares) {
-    const Share g = shares_gcd(shares);
-    std::vector<Share> out(shares.begin(), shares.end());
-    if (g > 1) {
-        for (Share& s : out) s /= g;
-    }
-    return out;
-}
 
 Share total_shares(std::span<const Share> shares) {
     Share total = 0;

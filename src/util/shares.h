@@ -1,9 +1,11 @@
 // Share-vector arithmetic.
 //
-// The ALPS cycle length is S·Q where S is the sum of shares "assuming the
-// shares have been scaled by their greatest common divisor" (Section 2.1).
-// These helpers perform that scaling and compute ideal per-cycle CPU
-// apportionments for the accuracy metric.
+// The ALPS cycle length is S·Q where S is the sum of shares (Section 2.1).
+// The paper assumes the shares were first divided by their greatest common
+// divisor; the scheduler takes them as given, so 2:4 and 1:2 apportion the
+// CPU alike, the first over a cycle twice as long. These helpers compute
+// that sum, the ideal per-cycle CPU apportionments for the accuracy
+// metric, and the largest sum a quantum admits.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +19,6 @@ namespace alps::util {
 
 /// Shares are small positive integers.
 using Share = std::int64_t;
-
-/// GCD of a share vector (0 for an empty vector).
-[[nodiscard]] Share shares_gcd(std::span<const Share> shares);
-
-/// Returns the share vector divided by its GCD. Requires all shares > 0.
-[[nodiscard]] std::vector<Share> scale_by_gcd(std::span<const Share> shares);
 
 /// Sum of shares. Requires all shares > 0.
 [[nodiscard]] Share total_shares(std::span<const Share> shares);

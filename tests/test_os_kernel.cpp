@@ -149,7 +149,6 @@ public:
         ++runnable_calls;
         return inner_.runnable();
     }
-    void on_migrate_out(Proc& p) override { inner_.on_migrate_out(p); }
     void on_migrate_in(Proc& p) override { inner_.on_migrate_in(p); }
 
 private:

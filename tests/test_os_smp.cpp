@@ -4,13 +4,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "os/behaviors.h"
 #include "os/kernel.h"
 #include "os/policies/cfs.h"
+#include "os/policies/factory.h"
 #include "os/policies/lottery.h"
 #include "os/policies/stride.h"
 #include "sim/engine.h"
@@ -321,6 +324,112 @@ TEST(PercpuKernel, StrideTicketsSurviveMigration) {
     ASSERT_EQ(m.kernel.proc(mover).home_cpu, 1);
     const auto& joined = dynamic_cast<const policies::StridePolicy&>(m.kernel.policy_on(1));
     EXPECT_DOUBLE_EQ(joined.tickets(m.kernel.proc(mover)), 5000.0);
+}
+
+/// Forwards to a named policy and snapshots a migrant's scheduling fields
+/// just before and just after the policy's on_migrate_in.
+class MigrantSpy final : public SchedPolicy {
+public:
+    struct Fields {
+        double estcpu, weight, vtime, remain, comp;
+        Duration stint;
+    };
+    std::vector<std::pair<Fields, Fields>> arrivals;  ///< (before, after)
+
+    explicit MigrantSpy(std::string_view policy) : inner_(policies::make_policy(policy)) {}
+    [[nodiscard]] const SchedPolicy& inner() const { return *inner_; }
+
+    void add(Proc& p) override { inner_->add(p); }
+    void remove(Proc& p) override { inner_->remove(p); }
+    void enqueue(Proc& p) override { inner_->enqueue(p); }
+    void dequeue(Proc& p) override { inner_->dequeue(p); }
+    Proc* peek() override { return inner_->peek(); }
+    Proc* pop() override { return inner_->pop(); }
+    [[nodiscard]] bool preempts(const Proc& cand, const Proc& running) const override {
+        return inner_->preempts(cand, running);
+    }
+    [[nodiscard]] bool yields_to(const Proc& running, const Proc& cand) const override {
+        return inner_->yields_to(running, cand);
+    }
+    void charge(Proc& p, Duration ran) override { inner_->charge(p, ran); }
+    void on_wakeup(Proc& p, Duration slept) override { inner_->on_wakeup(p, slept); }
+    void second_tick(std::span<Proc* const> procs, double loadavg,
+                     util::TimePoint now) override {
+        inner_->second_tick(procs, loadavg, now);
+    }
+    [[nodiscard]] Duration slice() const override { return inner_->slice(); }
+    [[nodiscard]] std::size_t runnable() const override { return inner_->runnable(); }
+    void on_migrate_in(Proc& p) override {
+        const Fields before = fields(p);
+        inner_->on_migrate_in(p);
+        arrivals.emplace_back(before, fields(p));
+    }
+
+private:
+    static Fields fields(const Proc& p) {
+        return {p.estcpu, p.weight, p.vtime, p.remain, p.comp, p.stint};
+    }
+    std::unique_ptr<SchedPolicy> inner_;
+};
+
+TEST(PercpuKernel, MigrantKeepsItsUsageAndResetsOnlyItsDomainRelativeState) {
+    // CPU 0 runs a pinned 40 ms job and then idles. The mover, homed on
+    // CPU 1 ahead of a pinned hog, runs 3 ms and sleeps 60 ms; at 63 ms its
+    // wake boost preempts the hog, and idle CPU 0 steals it off CPU 1's
+    // boost queue: the migration happens before any pop can consume its
+    // lottery compensation or a join can restamp its stride pass.
+    for (const char* policy : {"bsd", "lottery", "stride", "cfs"}) {
+        sim::Engine engine;
+        std::vector<MigrantSpy*> spies;
+        std::vector<std::unique_ptr<SchedPolicy>> domains;
+        for (int d = 0; d < 2; ++d) {
+            domains.push_back(std::make_unique<MigrantSpy>(policy));
+            spies.push_back(static_cast<MigrantSpy*>(domains.back().get()));
+        }
+        Kernel kernel(engine, std::move(domains),
+                      KernelConfig{.ncpus = 2, .percpu_queues = true});
+        kernel.spawn("job", 0, std::make_unique<FiniteCpuBehavior>(msec(40)), /*nice=*/0,
+                     /*home_cpu=*/0, /*pinned=*/true);
+        const Pid mover = kernel.spawn(
+            "mover", 0,
+            std::make_unique<ScriptedBehavior>(std::vector<Action>{
+                RunAction{msec(3)}, SleepAction{msec(60)}, RunAction{msec(50)}}),
+            /*nice=*/0, /*home_cpu=*/1);
+        kernel.spawn("hog", 0, std::make_unique<CpuBoundBehavior>(), /*nice=*/0,
+                     /*home_cpu=*/1, /*pinned=*/true);
+        engine.run_until(util::TimePoint{} + msec(63));
+
+        ASSERT_EQ(kernel.migrations(), 1u) << policy;
+        ASSERT_EQ(kernel.running_pid_on(0), mover) << policy;
+        ASSERT_EQ(spies[0]->arrivals.size(), 1u) << policy;
+        const auto& [before, after] = spies[0]->arrivals.front();
+        const std::string name = policy;
+        // Every policy carries the weight; BSD's estcpu is the only usage
+        // state the kernel keeps for it, and it moves untouched.
+        EXPECT_DOUBLE_EQ(after.weight, before.weight) << policy;
+        EXPECT_DOUBLE_EQ(after.estcpu, before.estcpu) << policy;
+        if (name == "bsd") {
+            EXPECT_GT(before.estcpu, 0.0);
+        } else if (name == "lottery") {
+            // It left after 3 ms of a 100 ms quantum: a 100/3 compensation
+            // that belongs to the old domain's drawing.
+            EXPECT_GT(before.comp, 1.0);
+            EXPECT_DOUBLE_EQ(after.comp, 1.0);
+            EXPECT_EQ(after.stint, Duration::zero());
+        } else if (name == "stride") {
+            // Rejoins like a spawn at its tickets: one stride (stride1 =
+            // 2^20 over the weight) owed before its first quantum.
+            EXPECT_NE(before.remain, after.remain);
+            EXPECT_DOUBLE_EQ(after.remain, 1048576.0 / after.weight);
+        } else {
+            // Re-anchored at the destination's fair point: its wakeup placed
+            // it against CPU 1's hog (60 ms of vruntime), a clock that means
+            // nothing against the 40 ms CPU 0's job left behind.
+            const auto& cfs = dynamic_cast<const policies::CfsPolicy&>(spies[0]->inner());
+            EXPECT_GT(before.vtime, cfs.min_vruntime());
+            EXPECT_DOUBLE_EQ(after.vtime, cfs.min_vruntime());
+        }
+    }
 }
 
 /// CPU 0's dispatch trace over 3 s — the simulated time (ns) of every

@@ -7,39 +7,17 @@
 namespace alps::util {
 namespace {
 
-TEST(Shares, GcdOfEmptyIsZero) { EXPECT_EQ(shares_gcd({}), 0); }
-
-TEST(Shares, GcdBasic) {
-    const std::vector<Share> s{6, 9, 12};
-    EXPECT_EQ(shares_gcd(s), 3);
-}
-
-TEST(Shares, GcdCoprime) {
-    const std::vector<Share> s{5, 7};
-    EXPECT_EQ(shares_gcd(s), 1);
-}
-
-TEST(Shares, ScaleByGcdDividesThrough) {
-    const std::vector<Share> s{10, 20, 30};
-    EXPECT_EQ(scale_by_gcd(s), (std::vector<Share>{1, 2, 3}));
-}
-
-TEST(Shares, ScaleByGcdIdentityWhenCoprime) {
-    const std::vector<Share> s{2, 3, 5};
-    EXPECT_EQ(scale_by_gcd(s), s);
-}
-
 TEST(Shares, PaperCycleExample) {
-    // §2.1: shares n, 2n, 3n -> scaled {1,2,3} -> cycle length 6Q.
+    // §2.1: shares n, 2n, 3n make a 6n-quantum cycle. The paper divides by
+    // the gcd first (a 6Q cycle); the scheduler keeps the raw sum.
     const std::vector<Share> s{4, 8, 12};
-    const auto scaled = scale_by_gcd(s);
-    EXPECT_EQ(total_shares(scaled), 6);
+    EXPECT_EQ(total_shares(s), 24);
+    EXPECT_EQ(ideal_fractions(s), ideal_fractions(std::vector<Share>{1, 2, 3}));
 }
 
 TEST(Shares, NonPositiveShareViolatesContract) {
     const std::vector<Share> s{1, 0};
     EXPECT_THROW((void)total_shares(s), ContractViolation);
-    EXPECT_THROW((void)shares_gcd(s), ContractViolation);
 }
 
 TEST(Shares, IdealFractionsSumToOne) {
