@@ -22,19 +22,31 @@ void TextTable::add_row(std::vector<std::string> cells) {
     rows_.push_back(std::move(cells));
 }
 
+namespace {
+
+/// Display width of UTF-8 text: its code points, i.e. the bytes that do
+/// not continue a multi-byte sequence (Σ and · count one column each).
+std::size_t display_width(const std::string& s) {
+    return static_cast<std::size_t>(std::count_if(s.begin(), s.end(), [](char ch) {
+        return (static_cast<unsigned char>(ch) & 0xC0) != 0x80;
+    }));
+}
+
+}  // namespace
+
 std::string TextTable::render() const {
     std::vector<std::size_t> widths(headers_.size());
-    for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+    for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = display_width(headers_[c]);
     for (const auto& row : rows_) {
         for (std::size_t c = 0; c < row.size(); ++c) {
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], display_width(row[c]));
         }
     }
 
     std::ostringstream out;
     auto emit_row = [&](const std::vector<std::string>& row) {
         for (std::size_t c = 0; c < row.size(); ++c) {
-            out << "| " << row[c] << std::string(widths[c] - row[c].size() + 1, ' ');
+            out << "| " << row[c] << std::string(widths[c] - display_width(row[c]) + 1, ' ');
         }
         out << "|\n";
     };

@@ -19,7 +19,8 @@ public:
     /// Appends one row; must have exactly as many cells as there are headers.
     void add_row(std::vector<std::string> cells);
 
-    /// Renders with columns padded to their widest cell.
+    /// Renders with columns padded to their widest cell, measured in UTF-8
+    /// code points (one column each) rather than bytes.
     [[nodiscard]] std::string render() const;
 
     void print(std::ostream& os) const;

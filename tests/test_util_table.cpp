@@ -16,6 +16,17 @@ TEST(TextTable, RendersAlignedColumns) {
     EXPECT_NE(out.find("| longer | 2   |"), std::string::npos);
 }
 
+TEST(TextTable, PadsMultiByteCellsByDisplayWidth) {
+    // Σ and · are two bytes each in UTF-8 but one column on screen: every
+    // row's borders must line up column for column.
+    TextTable t({"criterion", "ok"});
+    t.add_row({"Σa·Q == t_c", "yes"});
+    t.add_row({"plain ascii row", "no"});
+    const std::string out = t.render();
+    EXPECT_NE(out.find("| Σa·Q == t_c     | yes |"), std::string::npos) << out;
+    EXPECT_NE(out.find("| plain ascii row | no  |"), std::string::npos) << out;
+}
+
 TEST(TextTable, RowArityMismatchViolatesContract) {
     TextTable t({"a", "b"});
     EXPECT_THROW(t.add_row({"only-one"}), ContractViolation);
