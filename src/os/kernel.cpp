@@ -531,13 +531,11 @@ void Kernel::vacate(int cpu) {
 
 void Kernel::open_event(const Proc& p) {
     const auto d = static_cast<std::size_t>(p.home_cpu);
-    // Where every event marks every domain, the domain's runners were
-    // charged at the last event anywhere, as they always were. Where passes
-    // are domain-local, that can be a whole slice ago: charge them now.
-    if (domains_.size() > 1 && unpinned_ == 0) {
-        for (int c = first_cpu(d); c < first_cpu(d) + cpus_per_domain_; ++c) {
-            if (running_[static_cast<std::size_t>(c)] != nullptr) charge_running(c);
-        }
+    // The domain's runners were last charged at its last event, which can
+    // be a whole slice ago: charge them up to now before a hook reads them.
+    for (int c = first_cpu(d); c < first_cpu(d) + cpus_per_domain_; ++c) {
+        const Proc* r = running_[static_cast<std::size_t>(c)];
+        if (r != nullptr && r->last_charge != now()) charge_running(c);
     }
     mark_domain(d);
 }

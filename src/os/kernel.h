@@ -206,10 +206,10 @@ private:
     void schedule();
 
     /// Opens an event on the domain `p` queues on and marks it for the next
-    /// schedule() call. Called before the event's first policy hook: with
-    /// domain-local passes (several domains, every process pinned) it first
-    /// charges the domain's runners up to now, so a wakeup's placement or an
-    /// enqueue's join sees them as of now, not as of the domain's last event
+    /// schedule() call. Called before the event's first policy hook: it
+    /// first charges the domain's runners up to now (skipping any already
+    /// charged at this instant), so a wakeup's placement or an enqueue's
+    /// join sees them as of now, not as of the domain's last event
     /// (DESIGN §11). Only ever called ahead of schedule(): a mark must not
     /// outlive the call it was made for.
     void open_event(const Proc& p);

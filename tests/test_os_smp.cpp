@@ -485,22 +485,30 @@ TEST(PercpuKernel, PinnedWakeupIsPlacedAgainstChargedRunner) {
     // A CFS hog runs alone on CPU 0, charged only at its 6 ms slice ends;
     // a pinned sleeper wakes there at 100 ms, 4 ms after the last one. Its
     // placement (min_vruntime − sched_latency/2) must see the hog's vruntime
-    // as of the wakeup, not as of 96 ms.
-    PercpuMachine m(2, "cfs");
-    const Pid hog = m.kernel.spawn("hog", 0, std::make_unique<CpuBoundBehavior>(),
-                                   /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
-    const Pid sleeper = m.kernel.spawn(
-        "sleeper", 0,
-        std::make_unique<ScriptedBehavior>(
-            std::vector<Action>{SleepAction{msec(100)}, RunAction{msec(50)}}),
-        /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
-    m.run_for(msec(100));
-    ASSERT_EQ(m.kernel.running_pid_on(0), sleeper);  // the wake boost preempted
-    const auto& cfs = dynamic_cast<const policies::CfsPolicy&>(m.kernel.policy_on(0));
-    const double hog_vruntime = cfs.vruntime(m.kernel.proc(hog));
-    EXPECT_DOUBLE_EQ(hog_vruntime, static_cast<double>(msec(100).count()));
-    EXPECT_DOUBLE_EQ(cfs.vruntime(m.kernel.proc(sleeper)),
-                     hog_vruntime - static_cast<double>(msec(3).count()));
+    // as of the wakeup, not as of 96 ms: on a domain of a per-CPU kernel,
+    // and on a 1-CPU shared queue alike.
+    for (const bool percpu : {true, false}) {
+        sim::Engine engine;
+        Kernel kernel(engine, nullptr,
+                      KernelConfig{.ncpus = percpu ? 2 : 1,
+                                   .policy = "cfs",
+                                   .percpu_queues = percpu});
+        const Pid hog = kernel.spawn("hog", 0, std::make_unique<CpuBoundBehavior>(),
+                                     /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+        const Pid sleeper = kernel.spawn(
+            "sleeper", 0,
+            std::make_unique<ScriptedBehavior>(
+                std::vector<Action>{SleepAction{msec(100)}, RunAction{msec(50)}}),
+            /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+        engine.run_until(util::TimePoint{} + msec(100));
+        ASSERT_EQ(kernel.running_pid_on(0), sleeper) << percpu;  // the wake boost preempted
+        const auto& cfs = dynamic_cast<const policies::CfsPolicy&>(kernel.policy_on(0));
+        const double hog_vruntime = cfs.vruntime(kernel.proc(hog));
+        EXPECT_DOUBLE_EQ(hog_vruntime, static_cast<double>(msec(100).count())) << percpu;
+        EXPECT_DOUBLE_EQ(cfs.vruntime(kernel.proc(sleeper)),
+                         hog_vruntime - static_cast<double>(msec(3).count()))
+            << percpu;
+    }
 }
 
 TEST(PercpuKernel, SpawnRejectsOutOfRangeHomeCpu) {
