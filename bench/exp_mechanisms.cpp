@@ -196,7 +196,7 @@ double run_in_kernel(const Shares& shares, util::Duration quantum, int windows,
         name += std::to_string(i);
         const os::Pid pid =
             kernel.spawn(name, 0, std::make_unique<os::CpuBoundBehavior>());
-        pol->set_tickets(kernel.proc(pid), static_cast<double>(shares[i]));
+        pol->set_tickets(kernel.proc(pid), shares[i]);
         pids.push_back(pid);
     }
 

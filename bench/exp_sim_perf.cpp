@@ -151,7 +151,7 @@ harness::Result policy_task(bool full) {
         procs[static_cast<std::size_t>(i)].pid = i + 1;
         policy.add(procs[static_cast<std::size_t>(i)]);
         // Spread across the queue range via estcpu (usrpri = PUSER + estcpu/4).
-        procs[static_cast<std::size_t>(i)].estcpu = static_cast<double>((i * 9) % 300);
+        procs[static_cast<std::size_t>(i)].estcpu = os::BsdPolicy::kStatTick * ((i * 9) % 300);
         policy.charge(procs[static_cast<std::size_t>(i)], util::Duration::zero());
     }
     const auto t0 = Clock::now();

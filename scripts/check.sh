@@ -80,7 +80,9 @@ run_suite build-asan address,undefined "$@"
 # link-time optimization licenses new assumptions (strict aliasing across
 # TUs, devirtualization of the registered trampolines). Build the simulation
 # tests with interprocedural optimization and run them, so LTO-only breakage
-# fails CI instead of first appearing in a user's -flto build.
+# fails CI instead of first appearing in a user's -flto build. The policy
+# tests and the schedule golden put the kernel's fixed-point and
+# virtual-clock arithmetic under -O3 LTO too.
 # ALPS_LTO_SKIP=1 skips the leg (e.g. toolchains without a working LTO
 # plugin).
 if [[ "${ALPS_LTO_SKIP:-0}" != "1" ]]; then
@@ -92,7 +94,7 @@ if [[ "${ALPS_LTO_SKIP:-0}" != "1" ]]; then
     -DALPS_BUILD_EXAMPLES=OFF
   cmake --build build-lto -j "$JOBS" --target test_sim test_os
   ctest --test-dir build-lto --output-on-failure -j "$JOBS" \
-    --timeout "$CTEST_TIMEOUT" -R 'Engine|WheelDiff|Replay|Kernel'
+    --timeout "$CTEST_TIMEOUT" -R 'Engine|WheelDiff|Replay|Kernel|Policy|OsSmpDiff'
 fi
 
 # --- Release perf smoke: the simulation substrate must not regress ---

@@ -16,8 +16,9 @@
 # still scanned the process table on every wakeup).
 #
 # A differing payload is followed by its moved numbers, one
-# "point / metric: base → head" line each (the first 20); a differing report
-# by its first differing stdout line.
+# "point / metric: base → head" line each (the first 20), then the one with
+# the largest relative change, "point / metric: base → head (±x %)"; a
+# differing report by its first differing stdout line.
 #
 # BASE is exported with `git archive` into a temporary directory under
 # $TMPDIR (default /tmp) and built there; the directory is removed on exit.
@@ -73,15 +74,17 @@ run() {
 
 # moved_metrics BASE_JSON HEAD_JSON: the payload numbers that moved, the
 # first 20 (a metric's mean, or the statistic that moved when the mean did
-# not), then any other top-level field that differs.
+# not), then any other top-level field that differs, then the number with the
+# largest relative change.
 moved_metrics() {
   python3 - "$1" "$2" <<'PY'
-import json, sys
+import json, math, sys
 base, head = (json.load(open(path)) for path in sys.argv[1:3])
 def points(doc):
     return {p["point"]: p.get("metrics", {}) for p in doc.get("points", [])}
 bp, hp = points(base), points(head)
 lines = []
+relative = []  # (|change| in %, line) per moved number
 for point in list(bp) + [p for p in hp if p not in bp]:
     if point not in bp or point not in hp:
         lines.append(f"{point}: only in {'head' if point in hp else 'base'}")
@@ -93,7 +96,12 @@ for point in list(bp) + [p for p in hp if p not in bp]:
             continue
         stat = next((k for k in ("mean", "stdev", "min", "max", "n") if b.get(k) != h.get(k)), "mean")
         name = metric if stat == "mean" else f"{metric}.{stat}"
-        lines.append(f"{point} / {name}: {b.get(stat)} → {h.get(stat)}")
+        line = f"{point} / {name}: {b.get(stat)} → {h.get(stat)}"
+        lines.append(line)
+        bv, hv = b.get(stat), h.get(stat)
+        if isinstance(bv, (int, float)) and isinstance(hv, (int, float)):
+            pct = 100 * (hv - bv) / abs(bv) if bv else math.copysign(math.inf, hv - bv)
+            relative.append((abs(pct), f"{line} ({pct:+.3g} %)"))
 for key in sorted(set(base) | set(head)):
     if key not in ("points", "run") and base.get(key) != head.get(key):
         lines.append(f"{key}: {json.dumps(base.get(key))} → {json.dumps(head.get(key))}")
@@ -101,6 +109,8 @@ for line in lines[:20]:
     print(f"    {line}")
 if len(lines) > 20:
     print(f"    ... and {len(lines) - 20} more")
+if relative:
+    print(f"    largest relative change: {max(relative)[1]}")
 PY
 }
 

@@ -33,7 +33,7 @@ public:
     /// `ok=false` if the read failed transiently (retryable).
     virtual Sample read_pid(HostPid pid) = 0;
 
-    /// Only perfbench's TimedHost uses these; they go with it (ROADMAP item 1).
+    /// Only perfbench's TimedHost uses these; they go with it (ROADMAP item 6).
     [[nodiscard]] virtual bool supports_batch_read() const { return false; }
     virtual void read_pids(std::span<const HostPid> pids, Sample* out) {
         for (std::size_t i = 0; i < pids.size(); ++i) out[i] = read_pid(pids[i]);

@@ -2,39 +2,37 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "util/assert.h"
 
 namespace alps::os {
 
+using util::Duration;
+
 BsdPolicy::BsdPolicy(BsdPolicyConfig cfg) : cfg_(cfg) {
-    ALPS_EXPECT(cfg_.round_robin > util::Duration::zero());
+    ALPS_EXPECT(cfg_.round_robin > Duration::zero());
 }
 
-int BsdPolicy::queue_index(const Proc& p) const {
+int BsdPolicy::queue_index(const Proc& p) {
     // A freshly woken process still holds its kernel sleep priority (PWAIT
     // class) until it returns to user mode.
-    const double pri = p.wake_boost ? kSleepPri : p.usrpri;
-    const double span = kMaxPri + 1.0;
-    int idx = static_cast<int>(pri / (span / kNumQueues));
-    return std::clamp(idx, 0, kNumQueues - 1);
+    return (p.wake_boost ? kSleepPri : p.usrpri) / ((kMaxPri + 1) / kNumQueues);
 }
 
-void BsdPolicy::recompute_priority(Proc& p) const {
+void BsdPolicy::recompute_priority(Proc& p) {
     // resetpriority() clamps only the upper bound: a negative nice drops
     // below PUSER by design, so a privileged daemon outranks user-mode
     // processes even after its wakeup boost is spent.
-    const double pri = kPuser + p.estcpu / 4.0 + 2.0 * p.nice;
-    p.usrpri = std::clamp(pri, 0.0, kMaxPri);
+    const auto pri = kPuser + p.estcpu / (4 * kStatTick) + 2 * p.nice;
+    p.usrpri = static_cast<int>(std::clamp<std::int64_t>(pri, 0, kMaxPri));
 }
 
-double BsdPolicy::decay_factor(double loadavg) {
-    return (2.0 * loadavg) / (2.0 * loadavg + 1.0);
+Duration BsdPolicy::decay_cpu(std::int64_t loadfac, Duration cpu) {
+    return Duration{loadfac * cpu.count() / (loadfac + kFscale)};
 }
 
 void BsdPolicy::add(Proc& p) {
-    p.estcpu = 0.0;
+    p.estcpu = Duration::zero();
     recompute_priority(p);
 }
 
@@ -87,55 +85,26 @@ bool BsdPolicy::yields_to(const Proc& running, const Proc& cand) const {
     return queue_index(cand) <= queue_index(running);
 }
 
-void BsdPolicy::charge(Proc& p, util::Duration ran) {
-    ALPS_EXPECT(ran >= util::Duration::zero());
-    const double ticks =
-        static_cast<double>(ran.count()) / static_cast<double>(kStatTick.count());
-    p.estcpu = std::min(p.estcpu + ticks, kEstcpuLimit);
+void BsdPolicy::charge(Proc& p, Duration ran) {
+    ALPS_EXPECT(ran >= Duration::zero());
+    p.estcpu = std::min(p.estcpu + ran, kEstcpuLimit);
     recompute_priority(p);
 }
 
-void BsdPolicy::on_wakeup(Proc& p, util::Duration slept) {
-    // updatepri(): one decay per whole second slept.
-    const auto seconds = slept / util::sec(1);
-    if (seconds >= 1) {
-        const double d = decay_factor(std::max(last_loadavg_, 0.0));
-        // Sleeps of 1-3 whole seconds dominate; spare them the per-wakeup
-        // libm pow() call. Replay determinism demands the *same doubles* the
-        // uncached pow(d, seconds) produced, and multiplications are not
-        // that: libm's pow is off the correctly-rounded square/cube by an
-        // ulp for a fraction of decay factors (d*d for ~0.1%, d*d*d for
-        // ~25% — test_os_bsd_policy pins this down), so only seconds==1 may
-        // shortcut (pow(d, 1) returns d exactly). The squares and cubes are
-        // libm values cached per decay factor: under steady load that is one
-        // pow() per schedcpu load change instead of one per wakeup.
-        double f;
-        if (seconds == 1) {
-            f = d;
-        } else if (seconds <= 3) {
-            if (d != pow_base_) {
-                pow_base_ = d;
-                // Volatile exponents force the real libm calls: the
-                // compiler folds pow(d, 2.0) into d*d, which is exactly the
-                // ulp divergence this cache exists to avoid.
-                volatile double two = 2.0;
-                volatile double three = 3.0;
-                pow2_ = std::pow(d, two);
-                pow3_ = std::pow(d, three);
-            }
-            f = seconds == 2 ? pow2_ : pow3_;
-        } else {
-            f = std::pow(d, static_cast<double>(seconds));
-        }
-        p.estcpu *= f;
-        recompute_priority(p);
+void BsdPolicy::on_wakeup(Proc& p, Duration slept) {
+    // updatepri(): one decay_cpu per whole second slept, at the load of the
+    // last schedcpu; past 0 there is nothing left to decay.
+    auto seconds = slept / util::sec(1);
+    if (seconds == 0) return;
+    for (; seconds > 0 && p.estcpu > Duration::zero(); --seconds) {
+        p.estcpu = decay_cpu(2 * last_loadavg_, p.estcpu);
     }
+    recompute_priority(p);
 }
 
-void BsdPolicy::second_tick(std::span<Proc* const> procs, double loadavg,
+void BsdPolicy::second_tick(std::span<Proc* const> procs, std::int64_t loadavg,
                             util::TimePoint now) {
     last_loadavg_ = loadavg;
-    const double d = decay_factor(loadavg);
     for (Proc* p : procs) {
         if (p->state == RunState::kZombie) continue;
         // schedcpu skips processes idle for more than a second (p_slptime >
@@ -148,8 +117,9 @@ void BsdPolicy::second_tick(std::span<Proc* const> procs, double loadavg,
         // The cached run-queue index is the ground truth for membership —
         // no scan, and requeueing below is O(1) unlink + append.
         const bool queued = p->rq_index >= 0;
-        const double new_estcpu = std::clamp(
-            d * p->estcpu + static_cast<double>(p->nice), 0.0, kEstcpuLimit);
+        const Duration new_estcpu =
+            std::clamp(decay_cpu(2 * loadavg, p->estcpu) + p->nice * kStatTick,
+                       Duration::zero(), kEstcpuLimit);
         if (new_estcpu == p->estcpu) continue;
         const int old_index = queue_index(*p);
         p->estcpu = new_estcpu;

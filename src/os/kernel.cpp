@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "os/policies/factory.h"
 #include "telemetry/metrics.h"
@@ -16,8 +15,9 @@ using util::TimePoint;
 
 /// Period of the schedcpu housekeeping (estcpu decay, load average).
 constexpr Duration kSchedcpuPeriod = util::sec(1);
-/// Time constant of the load-average EWMA (4.4BSD's 1-minute average).
-constexpr Duration kLoadavgTau = util::sec(60);
+/// The load-average EWMA's decay per schedcpu period, exp(-1 s / 60 s) for
+/// 4.4BSD's 1-minute average, in kFscale fixed point like its cexp[].
+constexpr std::int64_t kCexp = static_cast<std::int64_t>(0.9834714538216174 * kFscale);
 /// The deadline of a domain with no runner.
 constexpr TimePoint kNever{Duration::max()};
 
@@ -782,12 +782,12 @@ void Kernel::rebalance() {
 
 void Kernel::second_tick() {
     // Load average first (an EWMA of the eligible-process count), then let
-    // the policy decay its usage estimates with it. GCC may fold this exp at
-    // compile time (correctly rounded); for this argument glibc's run-time
-    // exp returns the same bits, 0x3fef78992056d459.
-    const double alpha =
-        std::exp(-util::to_sec(kSchedcpuPeriod) / util::to_sec(kLoadavgTau));
-    loadavg_ = loadavg_ * alpha + static_cast<double>(eligible_count()) * (1.0 - alpha);
+    // the policy decay its usage estimates with it. This is 4.4BSD's
+    // loadav(), truncation included: a steady count n is reached exactly
+    // from above, but from below only to n·kFscale − 60, where a tick's
+    // gain, (kFscale − kCexp)·gap / kFscale, truncates to 0.
+    const auto nrun = static_cast<std::int64_t>(eligible_count());
+    loadavg_ = (kCexp * loadavg_ + nrun * kFscale * (kFscale - kCexp)) >> kFshift;
 
     // Charge on-CPU processes so their estcpu is current before the decay.
     for (int c = 0; c < cfg_.ncpus; ++c) {
@@ -825,7 +825,7 @@ void Kernel::export_metrics(telemetry::MetricsRegistry& reg,
     reg.counter(prefix + "migrations").add(migrations_);
     reg.counter(prefix + "steals").add(steals_);
     reg.counter(prefix + "charges").add(charges_);
-    reg.gauge(prefix + "loadavg").set(loadavg_);
+    reg.gauge(prefix + "loadavg").set(loadavg());
 }
 
 }  // namespace alps::os

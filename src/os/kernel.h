@@ -172,7 +172,9 @@ public:
     [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
     /// The idle-steal subset of migrations().
     [[nodiscard]] std::uint64_t steals() const { return steals_; }
-    [[nodiscard]] double loadavg() const { return loadavg_; }
+    [[nodiscard]] double loadavg() const {
+        return static_cast<double>(loadavg_) / static_cast<double>(kFscale);
+    }
     /// Pid of the process on CPU 0 (kNoPid when idle).
     [[nodiscard]] Pid running_pid() const { return running_pid_on(0); }
     /// Pid of the process on the given CPU (kNoPid when idle).
@@ -343,7 +345,7 @@ private:
     /// exit; pinned never changes). At 0 every queue head is pinned, so
     /// steal and rebalance cannot move anything and skip their searches.
     std::size_t unpinned_ = 0;
-    double loadavg_ = 0.0;
+    std::int64_t loadavg_ = 0;  ///< in kFscale fixed point
 
     /// Per-domain scratch for second_tick (rebuilt from table_ each tick;
     /// member to avoid per-tick allocation).

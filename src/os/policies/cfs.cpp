@@ -18,7 +18,7 @@ CfsPolicy::CfsPolicy(CfsPolicyConfig cfg) : cfg_(cfg) {
     ALPS_EXPECT(cfg_.sched_latency > Duration::zero());
 }
 
-void CfsPolicy::advance_min_vruntime(double candidate) {
+void CfsPolicy::advance_min_vruntime(std::int64_t candidate) {
     if (candidate > min_vruntime_) min_vruntime_ = candidate;
 }
 
@@ -26,7 +26,7 @@ void CfsPolicy::advance_min_vruntime(double candidate) {
 // Lifecycle
 
 void CfsPolicy::add(Proc& p) {
-    p.weight = static_cast<double>(nice_to_weight(p.nice));
+    p.weight = nice_to_weight(p.nice);
     // New tasks start at the fair point, neither ahead nor behind.
     p.vtime = min_vruntime_;
 }
@@ -73,10 +73,9 @@ bool CfsPolicy::preempts(const Proc& cand, const Proc& running) const {
     if (running.wake_boost) return false;
     // check_preempt_wakeup: preempt once the incumbent has run more than a
     // wakeup granularity (in the candidate's virtual clock) past the
-    // candidate.
-    const double gran = static_cast<double>(kWakeupGranularity.count()) *
-                        static_cast<double>(kWeightNice0) / cand.weight;
-    return running.vtime - cand.vtime > gran;
+    // candidate. The gap is an integer, so truncating the bound is exact.
+    return running.vtime - cand.vtime >
+           kWakeupGranularity.count() * kWeightNice0 / cand.weight;
 }
 
 bool CfsPolicy::yields_to(const Proc& running, const Proc& cand) const {
@@ -85,23 +84,20 @@ bool CfsPolicy::yields_to(const Proc& running, const Proc& cand) const {
 }
 
 void CfsPolicy::charge(Proc& p, Duration ran) {
-    p.vtime += static_cast<double>(ran.count()) * static_cast<double>(kWeightNice0) /
-               p.weight;
+    advance_vclock(p.vtime, p.carry, ran.count(), kWeightNice0, p.weight);
     // update_min_vruntime: the low-water mark follows min(curr, leftmost),
     // forward only.
-    double candidate = p.vtime;
+    std::int64_t candidate = p.vtime;
     if (!queue_.empty()) candidate = std::min(candidate, queue_.min_key());
     advance_min_vruntime(candidate);
 }
 
 void CfsPolicy::on_wakeup(Proc& p, Duration /*slept*/) {
     // place_entity: cap the sleeper's credit at half a latency period.
-    const double floor =
-        min_vruntime_ - static_cast<double>(cfg_.sched_latency.count()) / 2.0;
-    p.vtime = std::max(p.vtime, floor);
+    p.vtime = std::max(p.vtime, min_vruntime_ - cfg_.sched_latency.count() / 2);
 }
 
-void CfsPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loadavg*/,
+void CfsPolicy::second_tick(std::span<Proc* const> /*procs*/, std::int64_t /*loadavg*/,
                             util::TimePoint /*now*/) {}
 
 util::Duration CfsPolicy::slice() const {
@@ -110,6 +106,6 @@ util::Duration CfsPolicy::slice() const {
     return std::max(share, kMinGranularity);
 }
 
-double CfsPolicy::vruntime(const Proc& p) const { return p.vtime; }
+std::int64_t CfsPolicy::vruntime(const Proc& p) const { return p.vtime; }
 
 }  // namespace alps::os::policies

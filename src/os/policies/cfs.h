@@ -5,7 +5,7 @@
 // (Proc::vtime, Proc::weight), where weight comes from the shared nice table
 // (weight.h, nice 0 = w0 = 1024) — so a heavily-weighted process's clock
 // ticks slowly and the "fair" schedule is simply "always run the smallest
-// vruntime". The run queue is an IndexedProcHeap keyed by (vruntime, pid):
+// vruntime". vruntime is integer ns, advanced by weight.h's exact step. The run queue is an IndexedProcHeap keyed by (vruntime, pid):
 // the ordered intrusive structure playing the role of CFS's rb-tree
 // leftmost, O(lg n) per operation and deterministic on ties.
 //
@@ -52,7 +52,7 @@ public:
     [[nodiscard]] bool yields_to(const Proc& running, const Proc& cand) const override;
     void charge(Proc& p, util::Duration ran) override;
     void on_wakeup(Proc& p, util::Duration slept) override;
-    void second_tick(std::span<Proc* const> procs, double loadavg,
+    void second_tick(std::span<Proc* const> procs, std::int64_t loadavg,
                      util::TimePoint now) override;
     [[nodiscard]] util::Duration slice() const override;
     [[nodiscard]] std::size_t runnable() const override {
@@ -62,18 +62,18 @@ public:
     /// min_vruntime, as a spawn does.
     void on_migrate_in(Proc& p) override { p.vtime = min_vruntime_; }
 
-    [[nodiscard]] double vruntime(const Proc& p) const;
-    [[nodiscard]] double min_vruntime() const { return min_vruntime_; }
+    [[nodiscard]] std::int64_t vruntime(const Proc& p) const;
+    [[nodiscard]] std::int64_t min_vruntime() const { return min_vruntime_; }
 
 private:
     /// Ratchets min_vruntime toward `candidate` (forward only).
-    void advance_min_vruntime(double candidate);
+    void advance_min_vruntime(std::int64_t candidate);
 
     CfsPolicyConfig cfg_;
     WakeBoostFifo boosted_;  ///< wake_boost procs, ahead of vruntime order
     IndexedProcHeap queue_;  ///< min-(vruntime, pid): the rb-tree leftmost
 
-    double min_vruntime_ = 0.0;
+    std::int64_t min_vruntime_ = 0;
 };
 
 }  // namespace alps::os::policies

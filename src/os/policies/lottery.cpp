@@ -17,7 +17,7 @@ LotteryPolicy::LotteryPolicy(LotteryPolicyConfig cfg) : cfg_(cfg), rng_(cfg.seed
 // Lifecycle
 
 void LotteryPolicy::add(Proc& p) {
-    p.weight = static_cast<double>(nice_to_weight(p.nice));
+    p.weight = nice_to_weight(p.nice);
     p.comp = 1.0;
     p.stint = Duration::zero();
 }
@@ -66,7 +66,7 @@ Proc* LotteryPolicy::draw() {
     if (pool_.empty()) return nullptr;
     double total = 0.0;
     for (const Proc* p = pool_.head(); p != nullptr; p = p->rq_next) {
-        total += p->weight * p->comp;
+        total += static_cast<double>(p->weight) * p->comp;
     }
     if (total <= 0.0) {
         winner_ = pool_.head();  // no tickets: degenerate FIFO
@@ -75,7 +75,7 @@ Proc* LotteryPolicy::draw() {
     const double ticket = rng_.next_double() * total;
     double acc = 0.0;
     for (Proc* p = pool_.head(); p != nullptr; p = p->rq_next) {
-        acc += p->weight * p->comp;
+        acc += static_cast<double>(p->weight) * p->comp;
         if (ticket < acc) {
             winner_ = p;
             return winner_;
@@ -122,21 +122,21 @@ void LotteryPolicy::charge(Proc& p, Duration ran) { p.stint += ran; }
 
 void LotteryPolicy::on_wakeup(Proc& /*p*/, Duration /*slept*/) {}
 
-void LotteryPolicy::second_tick(std::span<Proc* const> /*procs*/, double /*loadavg*/,
+void LotteryPolicy::second_tick(std::span<Proc* const> /*procs*/, std::int64_t /*loadavg*/,
                                 util::TimePoint /*now*/) {}
 
 // ----------------------------------------------------------------------------
 // Tickets
 
-void LotteryPolicy::set_tickets(const Proc& p, double amount) {
-    ALPS_EXPECT(amount >= 0.0);
+void LotteryPolicy::set_tickets(const Proc& p, std::int64_t amount) {
+    ALPS_EXPECT(amount >= 0);
     // The Proc is the kernel's, handed out const; its scheduling fields are
     // this policy's to write.
     const_cast<Proc&>(p).weight = amount;
     winner_ = nullptr;
 }
 
-double LotteryPolicy::effective_tickets(const Proc& p) const { return p.weight; }
+std::int64_t LotteryPolicy::effective_tickets(const Proc& p) const { return p.weight; }
 
 double LotteryPolicy::compensation(const Proc& p) const { return p.comp; }
 

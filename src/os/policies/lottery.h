@@ -54,7 +54,7 @@ public:
     [[nodiscard]] bool yields_to(const Proc& running, const Proc& cand) const override;
     void charge(Proc& p, util::Duration ran) override;
     void on_wakeup(Proc& p, util::Duration slept) override;
-    void second_tick(std::span<Proc* const> procs, double loadavg,
+    void second_tick(std::span<Proc* const> procs, std::int64_t loadavg,
                      util::TimePoint now) override;
     [[nodiscard]] util::Duration slice() const override { return cfg_.quantum; }
     [[nodiscard]] std::size_t runnable() const override {
@@ -68,10 +68,10 @@ public:
 
     /// Reissues `p`'s holding as `amount` tickets. The default grant at
     /// add() is nice_to_weight(p.nice) tickets.
-    void set_tickets(const Proc& p, double amount);
+    void set_tickets(const Proc& p, std::int64_t amount);
 
     /// `p`'s holding (excluding compensation).
-    [[nodiscard]] double effective_tickets(const Proc& p) const;
+    [[nodiscard]] std::int64_t effective_tickets(const Proc& p) const;
     /// Current compensation factor (1 when none is held).
     [[nodiscard]] double compensation(const Proc& p) const;
 

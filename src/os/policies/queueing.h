@@ -124,12 +124,12 @@ public:
     /// The minimum-key process (nullptr when empty). Stable until the heap
     /// changes, as SchedPolicy::peek requires.
     [[nodiscard]] Proc* min() const { return heap_.empty() ? nullptr : heap_[0].p; }
-    [[nodiscard]] double min_key() const {
+    [[nodiscard]] std::int64_t min_key() const {
         ALPS_EXPECT(!heap_.empty());
         return heap_[0].key;
     }
 
-    void push(Proc& p, double key) {
+    void push(Proc& p, std::int64_t key) {
         ALPS_EXPECT(!contains(p));
         heap_.push_back({key, &p});
         sift_up(heap_.size() - 1);
@@ -150,7 +150,7 @@ public:
         }
     }
 
-    void update_key(Proc& p, double key) {
+    void update_key(Proc& p, std::int64_t key) {
         ALPS_EXPECT(contains(p));
         const auto i = static_cast<std::size_t>(p.heap_pos);
         heap_[i].key = key;
@@ -160,7 +160,7 @@ public:
 
 private:
     struct Entry {
-        double key = 0.0;
+        std::int64_t key = 0;
         Proc* p = nullptr;
     };
 

@@ -1,4 +1,5 @@
-// nice → scheduling weight, shared by the zoo policies.
+// nice → scheduling weight, and the integer virtual-clock step, shared by
+// the zoo policies.
 //
 // The table is Linux CFS's prio_to_weight[]: each nice level is ~1.25× the
 // next, normalized so nice 0 = 1024. Lottery and stride reuse the same table
@@ -32,6 +33,17 @@ inline constexpr std::array<std::int64_t, 40> kNiceToWeight = {
     if (nice < kNiceMin) nice = kNiceMin;
     if (nice > kNiceMax) nice = kNiceMax;
     return kNiceToWeight[static_cast<std::size_t>(nice - kNiceMin)];
+}
+
+/// The stride and CFS clock step: advances `vtime` by ran·scale/weight and
+/// keeps the remainder, the part of ran·scale not yet worth a whole unit, in
+/// `carry` for the next step, so charging a and then b leaves both exactly
+/// where a + b does.
+constexpr void advance_vclock(std::int64_t& vtime, std::int64_t& carry, std::int64_t ran_ns,
+                              std::int64_t scale, std::int64_t weight) {
+    const std::int64_t num = ran_ns * scale + carry;
+    vtime += num / weight;
+    carry = num % weight;
 }
 
 }  // namespace alps::os::policies

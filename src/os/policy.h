@@ -13,12 +13,17 @@
 // its state along.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "os/proc.h"
 #include "util/time.h"
 
 namespace alps::os {
+
+/// The load average's fixed point, 4.4BSD's FSHIFT: FSCALE stands for 1.0.
+inline constexpr int kFshift = 11;
+inline constexpr std::int64_t kFscale = std::int64_t{1} << kFshift;
 
 class SchedPolicy {
 public:
@@ -57,9 +62,10 @@ public:
     /// `procs` holds every live process this instance is responsible for
     /// (the whole machine with one shared queue; one CPU's worth under
     /// per-CPU domains); `loadavg` is the smoothed count of eligible
-    /// processes; `now` lets the policy skip processes idle for more than a
-    /// second (handled by on_wakeup instead, like p_slptime).
-    virtual void second_tick(std::span<Proc* const> procs, double loadavg,
+    /// processes, in kFscale fixed point; `now` lets the policy skip
+    /// processes idle for more than a second (handled by on_wakeup instead,
+    /// like p_slptime).
+    virtual void second_tick(std::span<Proc* const> procs, std::int64_t loadavg,
                              util::TimePoint now) = 0;
 
     /// Maximum contiguous run before a forced round-robin decision.

@@ -46,8 +46,10 @@ struct Proc {
     int on_cpu = -1;  ///< CPU index while running, else -1
 
     // --- 4.4BSD scheduling fields (maintained by BsdPolicy) ---
-    double estcpu = 0.0;  ///< decaying estimate of recent CPU use, in stat ticks
-    double usrpri = 0.0;  ///< user-mode priority; lower is better
+    int usrpri = 0;  ///< user-mode priority; lower is better
+    /// Decaying estimate of recent CPU use, kept in ns (p_estcpu counts stat
+    /// ticks) so that split charges sum exactly.
+    util::Duration estcpu{0};
 
     // --- intrusive run-queue links (maintained by the policy, like the
     // --- p_forw/p_back TAILQ links of the real struct proc) ---
@@ -83,10 +85,11 @@ struct Proc {
     /// The lottery holding, the stride tickets or the CFS load weight:
     /// nice_to_weight(nice) from admission, and kept across a migration, so
     /// an explicit set_tickets holds on the new domain.
-    double weight = 0.0;
-    double vtime = 0.0;   ///< stride pass or CFS vruntime (virtual ns)
-    double remain = 0.0;  ///< stride: pass − global_pass, banked at leave
-    double comp = 1.0;    ///< lottery: compensation factor, >= 1
+    std::int64_t weight = 0;
+    std::int64_t vtime = 0;   ///< stride pass or CFS vruntime
+    std::int64_t carry = 0;   ///< remainder of the last vtime step (weight.h)
+    std::int64_t remain = 0;  ///< stride: pass − global_pass, banked at leave
+    double comp = 1.0;        ///< lottery: compensation factor, >= 1
     util::Duration stint{0};  ///< lottery: CPU used since the last win
 
     /// Eligible for the run queues: wants the CPU and is not job-stopped.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,7 +116,7 @@ class RecordingPolicy final : public SchedPolicy {
 public:
     struct Tick {
         std::vector<Pid> pids;
-        double loadavg = 0.0;
+        std::int64_t loadavg = 0;
     };
     std::vector<Tick> ticks;
     mutable std::size_t runnable_calls = 0;
@@ -136,7 +135,7 @@ public:
     }
     void charge(Proc& p, Duration ran) override { inner_.charge(p, ran); }
     void on_wakeup(Proc& p, Duration slept) override { inner_.on_wakeup(p, slept); }
-    void second_tick(std::span<Proc* const> procs, double loadavg,
+    void second_tick(std::span<Proc* const> procs, std::int64_t loadavg,
                      TimePoint now) override {
         Tick tick;
         for (const Proc* p : procs) tick.pids.push_back(p->pid);
@@ -175,10 +174,10 @@ TEST(Kernel, SecondTickWalksTheTableInCreationOrder) {
 
     ASSERT_EQ(policy.ticks.size(), 1u);
     EXPECT_EQ(policy.ticks[0].pids, (std::vector<Pid>{a, c}));
-    // One eligible process (a) folded into an empty 60 s EWMA over 1 s.
-    const double expected = 1.0 - std::exp(-1.0 / 60.0);
-    EXPECT_NEAR(policy.ticks[0].loadavg, expected, 1e-12);
-    EXPECT_DOUBLE_EQ(kernel.loadavg(), policy.ticks[0].loadavg);
+    // One eligible process (a) folded into an empty 60 s EWMA over 1 s:
+    // FSCALE − cexp = 2048 − 2014, i.e. 34/2048 in fixed point.
+    EXPECT_EQ(policy.ticks[0].loadavg, 34);
+    EXPECT_EQ(kernel.loadavg(), 34.0 / 2048.0);
 }
 
 /// A 4-CPU per-CPU kernel whose domains are RecordingPolicy instances.
@@ -486,10 +485,25 @@ TEST(Kernel, SpawnMidRunGetsScheduled) {
 
 TEST(Kernel, LoadAverageConvergesTowardRunnableCount) {
     Machine m;
-    for (int i = 0; i < 4; ++i) m.cpu_hog(numbered("p", i));
+    std::vector<Pid> hogs;
+    for (int i = 0; i < 4; ++i) hogs.push_back(m.cpu_hog(numbered("p", i)));
     m.run_for(sec(120));  // two time constants of the 1-minute EWMA
     EXPECT_GT(m.kernel.loadavg(), 2.5);
-    EXPECT_LT(m.kernel.loadavg(), 4.1);
+    EXPECT_LT(m.kernel.loadavg(), 4.0);
+    // 4.4BSD's truncating loadav() stops 60 units under 4·FSCALE, where a
+    // tick's gain, ⌊34·gap / 2048⌋, reaches 0 (at the 328th tick)...
+    m.run_for(sec(210));
+    EXPECT_EQ(m.kernel.loadavg(), 4.0 - 60.0 / 2048.0);
+    // ...and falls onto a lower count exactly: 2·FSCALE, 286 ticks after
+    // two of the four stop.
+    m.kernel.send_signal(hogs[0], Signal::kStop);
+    m.kernel.send_signal(hogs[1], Signal::kStop);
+    m.run_for(sec(285));
+    EXPECT_GT(m.kernel.loadavg(), 2.0);
+    m.run_for(sec(1));
+    EXPECT_EQ(m.kernel.loadavg(), 2.0);
+    m.run_for(sec(30));
+    EXPECT_EQ(m.kernel.loadavg(), 2.0);
 }
 
 TEST(Kernel, DeterministicAcrossRuns) {

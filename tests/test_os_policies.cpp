@@ -1,10 +1,13 @@
 // The kernel policy zoo: lottery, stride, and CFS-vruntime as pluggable
 // SchedPolicy implementations, the name->policy factory, and the Kernel's
 // loud rejection of unknown policy names.
+#include <array>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "os/policies/weight.h"
 #include "sim/engine.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace alps::os {
 namespace {
@@ -100,8 +104,8 @@ TEST(LotteryPolicy, CpuProportionalToTickets) {
     Machine<LotteryPolicy> m;
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
-    m.pol->set_tickets(m.kernel.proc(a), 300.0);
-    m.pol->set_tickets(m.kernel.proc(b), 100.0);
+    m.pol->set_tickets(m.kernel.proc(a), 300);
+    m.pol->set_tickets(m.kernel.proc(b), 100);
     m.run_for(sec(60));  // 600 draws: sigma of a's fraction ~ 1.8 %
     const double fa = m.cpu(a) / (m.cpu(a) + m.cpu(b));
     EXPECT_NEAR(fa, 0.75, 0.06);
@@ -113,10 +117,8 @@ TEST(LotteryPolicy, DefaultGrantFollowsNice) {
     Machine<LotteryPolicy> m;
     const Pid normal = m.hog("normal", 0);
     const Pid niced = m.hog("niced", 5);
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(normal)),
-                     static_cast<double>(policies::nice_to_weight(0)));
-    EXPECT_DOUBLE_EQ(m.pol->effective_tickets(m.kernel.proc(niced)),
-                     static_cast<double>(policies::nice_to_weight(5)));
+    EXPECT_EQ(m.pol->effective_tickets(m.kernel.proc(normal)), policies::nice_to_weight(0));
+    EXPECT_EQ(m.pol->effective_tickets(m.kernel.proc(niced)), policies::nice_to_weight(5));
 }
 
 TEST(LotteryPolicy, CompensationInflatesShortStints) {
@@ -160,8 +162,8 @@ TEST(LotteryPolicy, ProportionalInExpectation) {
     Machine<LotteryPolicy> m({.quantum = msec(10)});
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
-    m.pol->set_tickets(m.kernel.proc(a), 1.0);
-    m.pol->set_tickets(m.kernel.proc(b), 3.0);
+    m.pol->set_tickets(m.kernel.proc(a), 1);
+    m.pol->set_tickets(m.kernel.proc(b), 3);
     m.run_for(sec(40));  // 4000 drawings
     EXPECT_NEAR(m.cpu(a) / 40.0, 0.25, 0.03);  // statistical: ~sqrt(p q / n) noise
     EXPECT_NEAR(m.cpu(b) / 40.0, 0.75, 0.03);
@@ -172,8 +174,8 @@ TEST(LotteryPolicy, SeededRunsAreReproducible) {
         Machine<LotteryPolicy> m({.quantum = msec(10)});
         const Pid a = m.hog("a");
         const Pid b = m.hog("b");
-        m.pol->set_tickets(m.kernel.proc(a), 1.0);
-        m.pol->set_tickets(m.kernel.proc(b), 2.0);
+        m.pol->set_tickets(m.kernel.proc(a), 1);
+        m.pol->set_tickets(m.kernel.proc(b), 2);
         m.run_for(sec(3));
         return m.kernel.cpu_time(a);
     };
@@ -207,8 +209,8 @@ TEST(StridePolicy, CpuProportionalToTickets) {
     Machine<StridePolicy> m;
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
-    m.pol->set_tickets(m.kernel.proc(a), 300.0);
-    m.pol->set_tickets(m.kernel.proc(b), 100.0);
+    m.pol->set_tickets(m.kernel.proc(a), 300);
+    m.pol->set_tickets(m.kernel.proc(b), 100);
     m.run_for(sec(10));  // deterministic: tight tolerance
     const double fa = m.cpu(a) / (m.cpu(a) + m.cpu(b));
     EXPECT_NEAR(fa, 0.75, 0.02);
@@ -219,9 +221,9 @@ TEST(StridePolicy, ProportionalForUnequalTickets) {
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
     const Pid c = m.hog("c");
-    m.pol->set_tickets(m.kernel.proc(a), 1.0);
-    m.pol->set_tickets(m.kernel.proc(b), 2.0);
-    m.pol->set_tickets(m.kernel.proc(c), 3.0);
+    m.pol->set_tickets(m.kernel.proc(a), 1);
+    m.pol->set_tickets(m.kernel.proc(b), 2);
+    m.pol->set_tickets(m.kernel.proc(c), 3);
     m.run_for(sec(12));
     EXPECT_NEAR(m.cpu(a) / 12.0, 1.0 / 6.0, 0.01);
     EXPECT_NEAR(m.cpu(b) / 12.0, 2.0 / 6.0, 0.01);
@@ -234,10 +236,10 @@ TEST(StridePolicy, SkewedTicketsStayProportional) {
     std::vector<Pid> small;
     for (int i = 0; i < 4; ++i) {
         small.push_back(m.hog("small"));
-        m.pol->set_tickets(m.kernel.proc(small.back()), 1.0);
+        m.pol->set_tickets(m.kernel.proc(small.back()), 1);
     }
     const Pid big = m.hog("big");
-    m.pol->set_tickets(m.kernel.proc(big), 21.0);
+    m.pol->set_tickets(m.kernel.proc(big), 21);
     m.run_for(sec(25));
     EXPECT_NEAR(m.cpu(big) / 25.0, 21.0 / 25.0, 0.01);
     for (const Pid p : small) EXPECT_NEAR(m.cpu(p) / 25.0, 1.0 / 25.0, 0.005);
@@ -259,8 +261,8 @@ TEST(StridePolicy, DeterministicAndExactOverShortWindows) {
 TEST(StridePolicy, TicketContracts) {
     Machine<StridePolicy> m;
     const Pid a = m.hog("a");
-    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), 0.0), util::ContractViolation);
-    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), -5.0), util::ContractViolation);
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), 0), util::ContractViolation);
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), -5), util::ContractViolation);
 }
 
 TEST(StridePolicy, LateJoinerOwesNoBackCredit) {
@@ -292,14 +294,14 @@ TEST(StridePolicy, TicketChangeShiftsTheRatio) {
     Machine<StridePolicy> m;
     const Pid a = m.hog("a");
     const Pid b = m.hog("b");
-    m.pol->set_tickets(m.kernel.proc(a), 200.0);
-    m.pol->set_tickets(m.kernel.proc(b), 200.0);
+    m.pol->set_tickets(m.kernel.proc(a), 200);
+    m.pol->set_tickets(m.kernel.proc(b), 200);
     m.run_for(sec(4));
     const double a_before = m.cpu(a);
     const double b_before = m.cpu(b);
     EXPECT_NEAR(a_before, b_before, 0.2);
-    m.pol->set_tickets(m.kernel.proc(a), 100.0);
-    m.pol->set_tickets(m.kernel.proc(b), 300.0);
+    m.pol->set_tickets(m.kernel.proc(a), 100);
+    m.pol->set_tickets(m.kernel.proc(b), 300);
     m.run_for(sec(6));  // 1:3 from here on
     EXPECT_NEAR((m.cpu(a) - a_before) / 6.0, 0.25, 0.03);
     EXPECT_NEAR((m.cpu(b) - b_before) / 6.0, 0.75, 0.03);
@@ -334,8 +336,8 @@ TEST(StridePolicy, SleeperGetsNoBankedCredit) {
     const Pid hog = m.hog("hog");
     const Pid io = m.kernel.spawn(
         "io", 0, std::make_unique<PhasedIoBehavior>(msec(10), msec(190)));
-    m.pol->set_tickets(m.kernel.proc(hog), 1.0);
-    m.pol->set_tickets(m.kernel.proc(io), 1.0);
+    m.pol->set_tickets(m.kernel.proc(hog), 1);
+    m.pol->set_tickets(m.kernel.proc(io), 1);
     m.run_for(sec(10));
     // The sleeper demands only 5% of the CPU; the hog gets the rest (not 50%).
     EXPECT_GT(m.cpu(hog), 9.0);
@@ -377,6 +379,97 @@ TEST(CfsPolicy, LateJoinerStartsAtMinVruntime) {
     m.run_for(sec(4));
     EXPECT_NEAR(to_sec(m.kernel.cpu_time(b)), 2.0, 0.3);
     EXPECT_NEAR(m.cpu(a) - a_before, 2.0, 0.3);
+}
+
+// ----- split-invariant charging --------------------------------------------
+
+/// Every Proc field a policy writes.
+auto policy_fields(const Proc& p) {
+    return std::make_tuple(p.estcpu, p.usrpri, p.weight, p.vtime, p.carry, p.remain, p.comp,
+                           p.stint, p.rq_index, p.heap_pos);
+}
+
+/// The domain's own clock: stride's global pass or CFS's min_vruntime.
+std::int64_t domain_clock(const SchedPolicy& pol) {
+    if (const auto* stride = dynamic_cast<const StridePolicy*>(&pol)) return stride->global_pass();
+    if (const auto* cfs = dynamic_cast<const CfsPolicy*>(&pol)) return cfs->min_vruntime();
+    return 0;
+}
+
+/// Twin domains of `policy` replay one random history of dispatches,
+/// schedcpu ticks and sleeps over six processes with nice != 0, while the
+/// others wait queued. Each dispatch charges its runner for a and then b on
+/// the split twin, and once for a + b on the whole twin; every policy field
+/// of every process and the domain clock must stay equal.
+void expect_split_invariant(std::string_view policy, std::uint64_t seed) {
+    constexpr std::size_t kProcs = 6;
+    util::Rng rng(seed);
+    const std::unique_ptr<SchedPolicy> split = policies::make_policy(policy);
+    const std::unique_ptr<SchedPolicy> whole = policies::make_policy(policy);
+    std::array<Proc, kProcs> sp;
+    std::array<Proc, kProcs> wp;
+    std::array<Proc*, kProcs> split_procs{};
+    std::array<Proc*, kProcs> whole_procs{};
+    for (std::size_t i = 0; i < kProcs; ++i) {
+        int nice = static_cast<int>(rng.uniform_int(-5, 4));
+        if (nice >= 0) ++nice;
+        sp[i] = make_proc(static_cast<Pid>(i + 1), nice);
+        wp[i] = make_proc(static_cast<Pid>(i + 1), nice);
+        split_procs[i] = &sp[i];
+        whole_procs[i] = &wp[i];
+        split->add(sp[i]);
+        whole->add(wp[i]);
+        split->enqueue(sp[i]);
+        whole->enqueue(wp[i]);
+    }
+    std::array<int, kProcs> asleep{};  // dispatches left to sleep, per process
+    for (int round = 0; round < 400; ++round) {
+        Proc* s = split->pop();
+        Proc* w = whole->pop();
+        ASSERT_NE(s, nullptr);
+        ASSERT_NE(w, nullptr);
+        ASSERT_EQ(s->pid, w->pid) << "round " << round;
+        const Duration a = rng.uniform_duration(Duration::zero(), msec(30));
+        const Duration b = rng.uniform_duration(Duration::zero(), msec(30));
+        split->charge(*s, a);
+        split->charge(*s, b);
+        whole->charge(*w, a + b);
+        for (std::size_t i = 0; i < kProcs; ++i) {
+            ASSERT_EQ(policy_fields(sp[i]), policy_fields(wp[i]))
+                << "round " << round << ", pid " << sp[i].pid;
+        }
+        ASSERT_EQ(domain_clock(*split), domain_clock(*whole)) << "round " << round;
+
+        if (rng.uniform_int(0, 9) == 0) {
+            const std::int64_t load = rng.uniform_int(0, 8 * kFscale);
+            split->second_tick(split_procs, load, util::TimePoint{});
+            whole->second_tick(whole_procs, load, util::TimePoint{});
+        }
+        const auto runner = static_cast<std::size_t>(s->pid - 1);
+        asleep[runner] = rng.uniform_int(0, 3) == 0 ? 3 : 0;
+        for (std::size_t i = 0; i < kProcs; ++i) {
+            if (asleep[i] == 0 && i == runner) {
+                split->enqueue(sp[i]);
+                whole->enqueue(wp[i]);
+            } else if (asleep[i] > 0 && i != runner && --asleep[i] == 0) {
+                const Duration slept = rng.uniform_duration(Duration::zero(), sec(3));
+                split->on_wakeup(sp[i], slept);
+                whole->on_wakeup(wp[i], slept);
+                split->enqueue(sp[i]);
+                whole->enqueue(wp[i]);
+            }
+        }
+    }
+}
+
+TEST(PolicyCharge, SplitChargeEqualsWholeChargeOnEveryPolicy) {
+    for (const char* policy : {"bsd", "lottery", "stride", "cfs"}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE(testing::Message() << policy << ", seed " << seed);
+            expect_split_invariant(policy, seed);
+            if (HasFatalFailure()) return;
+        }
+    }
 }
 
 }  // namespace
